@@ -1,8 +1,7 @@
 //! Shared deployment and workload setup for the cluster-throughput measurements.
 //!
-//! Both the `cluster_throughput` Criterion bench and the `record_cluster_baseline` example
-//! (which writes `BENCH_cluster.json`) build their deployments and load here, so the recorded
-//! baseline always measures exactly the workload the bench measures.
+//! The `cluster_throughput` Criterion bench and the feed / observability baseline examples
+//! build their deployments and load here, so they all measure the same workload.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -3,5 +3,4 @@
 //! only setup shared between a bench and the example that records its baseline.
 
 pub mod cluster_setup;
-pub mod net_setup;
 pub mod query_setup;

@@ -277,15 +277,10 @@ impl PreservCluster {
                 max_response_assertions: config.max_response_assertions,
                 internal_hop: match config.transport {
                     ClusterTransport::InProcess => InternalHop::Direct,
-                    // Over TCP every internal hop must be a real envelope: the wire hop
-                    // serializes the message and the fabric proxy ships it over the socket.
+                    // Over TCP every internal hop must be a real envelope, which the shard's
+                    // fabric proxy ships over the socket.
                     ClusterTransport::Tcp => InternalHop::Wire,
                 },
-                // The socket framing already serializes (and accounts) every envelope, so
-                // the wire hop skips the in-process textual simulation instead of paying
-                // the codec twice per message.
-                real_wire: matches!(config.transport, ClusterTransport::Tcp),
-                ..RouterConfig::default()
             },
         ));
         router.register(&fabric, &config.service_name);

@@ -32,6 +32,7 @@
 //!   deployment is registered and reports throughput, latency percentiles and shard balance.
 
 pub mod cluster;
+mod link;
 pub mod loadgen;
 pub mod merge;
 pub mod ring;

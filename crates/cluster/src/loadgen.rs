@@ -15,12 +15,12 @@ use pasoa_core::ids::{ActorId, DataId, IdGenerator, InteractionKey, SessionId};
 use pasoa_core::passertion::{
     InteractionPAssertion, PAssertion, PAssertionContent, RecordedAssertion, ViewKind,
 };
-use pasoa_core::prep::RecordMessage;
+use pasoa_core::prep::{PrepMessage, RecordMessage};
+use pasoa_core::prepwire;
 use pasoa_core::PROVENANCE_STORE_SERVICE;
 use pasoa_obs::{EventLog, TraceIdGen};
 use pasoa_wire::{
-    Envelope, FaultAction, FaultActionKind, FaultInjector, FaultSchedule, ServiceHost,
-    TransportConfig,
+    FaultAction, FaultActionKind, FaultInjector, FaultSchedule, ServiceHost, TransportConfig,
 };
 
 /// A fault to inject mid-workload: kill `service` once the run has sent `after_messages`
@@ -54,11 +54,6 @@ pub struct LoadGenConfig {
     pub service_name: String,
     /// Faults to inject while the workload runs, in `after_messages` order.
     pub faults: Vec<FaultPlan>,
-    /// The host's store service is a real network proxy (TCP deployment): dispatch through a
-    /// passthrough transport, since the socket framing already serializes every envelope and
-    /// the textual wire simulation would be a second, redundant codec on each call. Mirrors
-    /// [`crate::RouterConfig::real_wire`] for the router's internal hop.
-    pub real_wire: bool,
 }
 
 impl Default for LoadGenConfig {
@@ -71,7 +66,6 @@ impl Default for LoadGenConfig {
             payload_bytes: 128,
             service_name: PROVENANCE_STORE_SERVICE.to_string(),
             faults: Vec::new(),
-            real_wire: false,
         }
     }
 }
@@ -358,11 +352,7 @@ fn client_run(
     trigger: &FaultTrigger,
     trace_ids: &TraceIdGen,
 ) -> ClientOutcome {
-    let transport = host.transport(if config.real_wire {
-        TransportConfig::passthrough()
-    } else {
-        TransportConfig::free()
-    });
+    let transport = host.transport(TransportConfig::free());
     let events: EventLog = host.registry().events();
     let asserter = ActorId::new(format!("load-client-{client}"));
     let payload = "x".repeat(config.payload_bytes.max(1));
@@ -398,20 +388,18 @@ fn client_run(
             .collect();
 
         for chunk in assertions.chunks(config.batch_size.max(1)) {
-            let record = RecordMessage {
+            let record = PrepMessage::Record(RecordMessage {
                 message_id: ids.message_id(),
                 asserter: asserter.clone(),
                 assertions: chunk.to_vec(),
-            };
+            });
             // Each record message is the entry point of one trace: allocate the root
             // context here, stamp the envelope, and every downstream hop (router flush,
             // shard store) logs under the same trace id.
             let ctx = trace_ids.next();
-            // Packed record body: same compact form the router uses towards the shards,
-            // so the client→router hop skips the JSON codec too.
-            let envelope = Envelope::request(&config.service_name, "record")
+            let envelope = prepwire::request_envelope(&config.service_name, "record", &record)
+                .expect("record messages serialize")
                 .with_header("sender", asserter.as_str())
-                .with_body(pasoa_core::prepwire::record_to_element(&record))
                 .with_trace(&ctx);
             let call_start = Instant::now();
             match transport.call(envelope) {
@@ -421,7 +409,7 @@ fn client_run(
                         &ctx.trace_id,
                         ctx.span_id,
                         "client.record",
-                        format!("client={client} batch={}", record.assertions.len()),
+                        format!("client={client} batch={}", chunk.len()),
                         nanos,
                     );
                     // The router marks acks that triggered a shard flush: their round trip

@@ -9,6 +9,17 @@
 //! `WriteBatch`). Queries first flush every buffer (read-your-writes), then scatter-gather
 //! across all shards and merge, producing answers identical to a single store's.
 //!
+//! # The shard link
+//!
+//! Every message to a shard — a flushed batch, a group registration, a query — leaves
+//! through one function (`call_shard`) over the link the router was built with (the private
+//! `link` module): a direct hand-over to the shard's plug-in dispatcher when router and
+//! shards share a process, or envelopes built by the [`pasoa_core::prepwire`] translator to
+//! the shard's proxy when they do not. A flush is one or more `Record` messages sent in one
+//! exchange and classified once: if the shard is down everything is restored for the
+//! promoted owner, otherwise only what failed is, and replica holds are appended strictly
+//! after the ack.
+//!
 //! # Replication and failover
 //!
 //! With [`RouterConfig::replication`] R > 1 the router is synchronously replicated: every
@@ -42,14 +53,14 @@ use pasoa_core::prep::{
 };
 use pasoa_core::prepwire;
 use pasoa_core::Group;
-use pasoa_obs::{Registry, StatsSnapshot, TraceCtx};
+use pasoa_obs::{Counter, Histogram, Registry, StatsSnapshot, TraceCtx};
 use pasoa_preserv::plugins::PluginResponse;
 use pasoa_preserv::{LineageGraph, PreservService, ProvenanceStore};
 use pasoa_wire::{
-    Envelope, FaultInjector, MessageHandler, ServiceHost, Transport, TransportConfig, WireError,
-    WireResult,
+    Envelope, FaultInjector, MessageHandler, ServiceHost, TransportConfig, WireError, WireResult,
 };
 
+use crate::link::ShardLink;
 use crate::merge;
 use crate::ring::HashRing;
 
@@ -61,9 +72,9 @@ pub enum InternalHop {
     /// simply double the serialization cost of every p-assertion.
     #[default]
     Direct,
-    /// Re-encode each internal message through the wire (full envelope codec and traffic
-    /// accounting on the router's transport) — the cost model of a router deployed on a
-    /// separate host from its shards.
+    /// Ship every internal message as an envelope to the shard's registered name — the hop of
+    /// a router deployed on a separate host from its shards, whose proxies on the router's
+    /// host carry the envelope over a socket (and pay, and account, the real serialization).
     Wire,
 }
 
@@ -77,11 +88,6 @@ pub const DEFAULT_MAX_RESPONSE_ASSERTIONS: usize = 100_000;
 /// its own round trip, so latency measurements use this to separate batch amortization from
 /// the per-call wire cost (otherwise p99 reports the shared flush wait, not the wire).
 pub const FLUSHES_HEADER: &str = "router-flushes";
-
-/// Default for [`RouterConfig::wire_chunk_assertions`]: well above the default batch size
-/// (so ordinary flushes stay one message), low enough that an accumulated backlog — e.g. a
-/// redistributed dead-shard buffer — ships as bounded envelopes instead of one giant one.
-pub const DEFAULT_WIRE_CHUNK_ASSERTIONS: usize = 256;
 
 /// Router configuration.
 #[derive(Debug, Clone)]
@@ -100,16 +106,6 @@ pub struct RouterConfig {
     /// answer above this errors loudly, naming the paginated path, rather than silently
     /// truncating or shipping an unbounded message.
     pub max_response_assertions: usize,
-    /// With [`InternalHop::Wire`], a flush larger than this many assertions is split into
-    /// chunks of at most this size and pipelined through the transport's batch path — over
-    /// TCP the chunks cross the socket as ONE multi-envelope frame. 0 disables chunking.
-    pub wire_chunk_assertions: usize,
-    /// Whether the [`InternalHop::Wire`] envelopes travel a *real* wire (the TCP fabric).
-    /// When true the router's transport skips the in-process textual serialize/re-parse
-    /// simulation — the socket framing already pays (and accounts) the real serialization
-    /// cost, and paying it twice per hop is exactly the overhead that made TCP deployments
-    /// look 2.5× slower than they are.
-    pub real_wire: bool,
 }
 
 impl Default for RouterConfig {
@@ -120,13 +116,12 @@ impl Default for RouterConfig {
             internal_hop: InternalHop::Direct,
             replication: 1,
             max_response_assertions: DEFAULT_MAX_RESPONSE_ASSERTIONS,
-            wire_chunk_assertions: DEFAULT_WIRE_CHUNK_ASSERTIONS,
-            real_wire: false,
         }
     }
 }
 
-/// Counters the router maintains.
+/// Point-in-time copy of the router's counters, read from its `router.*` instruments (all
+/// zero when the host's registry is disabled).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RouterStats {
     /// `Record` messages received from clients.
@@ -149,6 +144,47 @@ pub struct RouterStats {
     pub failovers: u64,
     /// Sessions replayed from a replica hold onto their promoted owner.
     pub sessions_promoted: u64,
+}
+
+/// The router's instruments, resolved once so the record path never looks one up by name.
+/// They live in a [`pasoa_obs::Registry::child`] of the host registry, so `stats-snapshot`
+/// answers aggregate the router's behaviour alongside every other instrument on the host.
+struct RouterObs {
+    registry: Registry,
+    record_messages: Counter,
+    assertions_routed: Counter,
+    batches_flushed: Counter,
+    batches_replicated: Counter,
+    groups_routed: Counter,
+    scatter_queries: Counter,
+    page_queries: Counter,
+    rebalances: Counter,
+    failovers: Counter,
+    sessions_promoted: Counter,
+    flush_batch_size: Histogram,
+    failed_send_restores: Counter,
+    merge_skips: Counter,
+}
+
+impl RouterObs {
+    fn new(registry: Registry) -> Self {
+        RouterObs {
+            record_messages: registry.counter("router.record_messages"),
+            assertions_routed: registry.counter("router.assertions_routed"),
+            batches_flushed: registry.counter("router.flush.batches"),
+            batches_replicated: registry.counter("router.flush.replicated_batches"),
+            groups_routed: registry.counter("router.groups_routed"),
+            scatter_queries: registry.counter("router.scatter_queries"),
+            page_queries: registry.counter("router.page_queries"),
+            rebalances: registry.counter("router.rebalances"),
+            failovers: registry.counter("router.failovers"),
+            sessions_promoted: registry.counter("router.sessions_promoted"),
+            flush_batch_size: registry.histogram("router.flush.batch_size"),
+            failed_send_restores: registry.counter("router.flush.failed_send_restores"),
+            merge_skips: registry.counter("router.flush.merge_skips"),
+            registry,
+        }
+    }
 }
 
 /// A flush that could not deliver every buffered batch. Carries the distinct session ids whose
@@ -182,20 +218,9 @@ impl From<FlushError> for WireError {
     }
 }
 
-/// Decode a shard's record acknowledgement: packed element form from a current shard, with a
-/// JSON fallback so a store predating the packed codec still acks cleanly.
-fn decode_record_ack(response: &Envelope) -> WireResult<RecordAck> {
-    if response.body.name == prepwire::ACK_ELEMENT {
-        prepwire::ack_from_element(&response.body)
-            .map_err(|e| WireError::Payload(format!("packed ack: {e}")))
-    } else {
-        response.json_payload()
-    }
-}
-
-fn distinct_sessions(batch: &[RecordedAssertion]) -> Vec<String> {
+fn distinct_sessions<'a>(batch: impl IntoIterator<Item = &'a RecordedAssertion>) -> Vec<String> {
     let mut sessions: Vec<String> = batch
-        .iter()
+        .into_iter()
         .map(|r| r.session.as_str().to_string())
         .collect();
     sessions.sort();
@@ -346,7 +371,10 @@ struct Placement {
 
 /// The shard router. Register it on a host via [`ShardRouter::register`].
 pub struct ShardRouter {
-    transport: Transport,
+    /// The host the shards are registered on; its fault injector is what failure detection
+    /// scans.
+    host: ServiceHost,
+    link: ShardLink,
     config: RouterConfig,
     placement: RwLock<Placement>,
     /// Per-shard buffers of assertions awaiting a batched flush. Each shard's mutex is held
@@ -370,19 +398,7 @@ pub struct ShardRouter {
     /// preserved and `flush` retries the replay until it succeeds.
     pending_replays: Mutex<std::collections::BTreeSet<usize>>,
     ids: IdGenerator,
-    stats: Mutex<RouterStats>,
-    /// Metrics and trace events, folded into the host registry as a
-    /// [`pasoa_obs::Registry::child`] so `stats-snapshot` answers aggregate the router's
-    /// flush behaviour alongside every other instrument on the host.
-    obs: Registry,
-}
-
-/// Outcome of sending one batch: on failure, which assertions are safe to re-buffer (none, if
-/// the primary already committed them) plus the affected sessions.
-struct BatchFailure {
-    restore: Vec<RecordedAssertion>,
-    failed_sessions: Vec<String>,
-    error: WireError,
+    obs: RouterObs,
 }
 
 impl ShardRouter {
@@ -411,15 +427,13 @@ impl ShardRouter {
             })
             .collect();
         ShardRouter {
-            // Shard hops are in-process; the modelled client latency is charged on the
-            // client's own transport, not doubled on the internal hop. On a real wire
-            // (TCP fabric) the envelope additionally skips the transport's textual
-            // serialize/re-parse simulation: the socket framing pays the real cost.
-            transport: host.transport(if config.real_wire {
-                TransportConfig::passthrough()
-            } else {
-                TransportConfig::free()
-            }),
+            host: host.clone(),
+            link: match config.internal_hop {
+                InternalHop::Direct => ShardLink::Local,
+                InternalHop::Wire => {
+                    ShardLink::Remote(host.transport(TransportConfig::passthrough()))
+                }
+            },
             config,
             placement: RwLock::new(Placement {
                 ring,
@@ -433,8 +447,7 @@ impl ShardRouter {
             handled_fault_epoch: std::sync::atomic::AtomicU64::new(0),
             pending_replays: Mutex::new(std::collections::BTreeSet::new()),
             ids: IdGenerator::new("shard-router"),
-            stats: Mutex::new(RouterStats::default()),
-            obs: host.registry().child(),
+            obs: RouterObs::new(host.registry().child()),
         }
     }
 
@@ -457,20 +470,31 @@ impl ShardRouter {
 
     /// Router counters.
     pub fn stats(&self) -> RouterStats {
-        *self.stats.lock()
+        RouterStats {
+            record_messages: self.obs.record_messages.get(),
+            assertions_routed: self.obs.assertions_routed.get(),
+            batches_flushed: self.obs.batches_flushed.get(),
+            batches_replicated: self.obs.batches_replicated.get(),
+            groups_routed: self.obs.groups_routed.get(),
+            scatter_queries: self.obs.scatter_queries.get(),
+            page_queries: self.obs.page_queries.get(),
+            rebalances: self.obs.rebalances.get(),
+            failovers: self.obs.failovers.get(),
+            sessions_promoted: self.obs.sessions_promoted.get(),
+        }
     }
 
-    /// The registry the router's instruments (`router.flush.*`) and trace events write into —
-    /// a child of the deployment host's registry.
+    /// The registry the router's instruments (`router.*`) and trace events write into — a
+    /// child of the deployment host's registry.
     pub fn registry(&self) -> &Registry {
-        &self.obs
+        &self.obs.registry
     }
 
     /// The router's own observability snapshot, as served for `stats-snapshot` requests.
     pub fn stats_snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
             service: "shard-router".to_string(),
-            registry: self.obs.snapshot(),
+            registry: self.obs.registry.snapshot(),
         }
     }
 
@@ -510,7 +534,7 @@ impl ShardRouter {
     }
 
     fn injector(&self) -> FaultInjector {
-        self.transport.host().fault_injector()
+        self.host.fault_injector()
     }
 
     /// Observable replica-hold state of every shard (dead shards included, flagged), in shard
@@ -630,7 +654,7 @@ impl ShardRouter {
             }
         }
         drop(placement);
-        self.stats.lock().rebalances += 1;
+        self.obs.rebalances.inc();
         Ok(index)
     }
 
@@ -733,10 +757,6 @@ impl ShardRouter {
         }
     }
 
-    fn shard_name(&self, shard: usize) -> String {
-        self.placement.read().shards[shard].name.clone()
-    }
-
     fn shard_service(&self, shard: usize) -> Arc<PreservService> {
         Arc::clone(&self.placement.read().shards[shard].service)
     }
@@ -804,7 +824,7 @@ impl ShardRouter {
                 return; // another caller already handled this shard
             }
         }
-        self.stats.lock().failovers += 1;
+        self.obs.failovers.inc();
 
         let stranded = self.replay_holds_for(dead);
         if !stranded.is_empty() {
@@ -874,7 +894,7 @@ impl ShardRouter {
                     placement.pinned.insert(id, target);
                 }
             }
-            self.stats.lock().sessions_promoted += promoted;
+            self.obs.sessions_promoted.add(promoted);
             if stranded.is_empty() {
                 // Fully replayed: discard the redundant copies other successors still hold
                 // for this primary (R ≥ 3), or they leak for the process lifetime. While any
@@ -947,335 +967,186 @@ impl ShardRouter {
         }
     }
 
-    /// Deliver one PReP message to one shard — directly to its plug-in dispatcher, or over
-    /// the wire, per the configured [`InternalHop`]. Either way a shard downed by the fault
-    /// injector is unreachable, exactly as a crashed remote host would be.
+    /// Deliver `messages` to one shard through the router's [`ShardLink`], one result per
+    /// message in order. Whatever the link, a shard downed by the fault injector is
+    /// unreachable, exactly as a crashed remote host would be.
     fn call_shard(
         &self,
         shard: usize,
         action: &str,
+        messages: &[PrepMessage],
+        trace: Option<&TraceCtx>,
+    ) -> Vec<WireResult<PluginResponse>> {
+        let (name, service) = {
+            let placement = self.placement.read();
+            let handle = &placement.shards[shard];
+            (handle.name.clone(), Arc::clone(&handle.service))
+        };
+        if self.injector().is_down(&name) {
+            return messages
+                .iter()
+                .map(|_| Err(WireError::ServiceDown(name.clone())))
+                .collect();
+        }
+        self.link.call(&name, &service, action, messages, trace)
+    }
+
+    /// [`Self::call_shard`] for a single message.
+    fn call_shard_one(
+        &self,
+        shard: usize,
+        action: &str,
         message: &PrepMessage,
-        trace: Option<&TraceCtx>,
     ) -> WireResult<PluginResponse> {
-        let name = self.shard_name(shard);
-        if self.injector().is_down(&name) {
-            return Err(WireError::ServiceDown(name));
-        }
-        match self.config.internal_hop {
-            InternalHop::Direct => self
-                .shard_service(shard)
-                .dispatch_traced(action, message, trace),
-            InternalHop::Wire => {
-                // Record submissions dominate flush traffic; ship them in the packed binary
-                // form (the shard answers in kind), everything else as JSON.
-                let mut envelope = match message {
-                    PrepMessage::Record(record) => Envelope::request(&name, action)
-                        .with_header("sender", "shard-router")
-                        .with_body(prepwire::record_to_element(record)),
-                    _ => Envelope::request(&name, action)
-                        .with_header("sender", "shard-router")
-                        .with_json_payload(message)?,
-                };
-                if let Some(trace) = trace {
-                    envelope = envelope.with_trace(trace);
-                }
-                let response = self.transport.call(envelope)?;
-                // Rebuild the typed plug-in response from the wire payload.
-                match message {
-                    PrepMessage::Record(_) => {
-                        Ok(PluginResponse::Ack(decode_record_ack(&response)?))
-                    }
-                    PrepMessage::RegisterGroup(_) => Ok(PluginResponse::GroupRegistered),
-                    PrepMessage::Query(_) if action == "lineage" => {
-                        Ok(PluginResponse::Lineage(response.json_payload()?))
-                    }
-                    PrepMessage::Query(_) => Ok(PluginResponse::Query(response.json_payload()?)),
-                    PrepMessage::QueryPage(_) => Ok(PluginResponse::Page(response.json_payload()?)),
-                }
-            }
-        }
+        self.call_shard(shard, action, std::slice::from_ref(message), None)
+            .pop()
+            .expect("the link answers every message")
     }
 
-    /// Send one batched `Record` message to `primary` and copy it into the replica holds of
-    /// the primary's live ring successors; returning `Ok` is the replicated ack.
+    /// Drain `shard`'s buffer and send the batch — as one `Record` message, or as several of
+    /// at most the link's bound, pipelined in one exchange — then copy what the shard acked
+    /// into the replica holds of its live ring successors; returning `Ok` is the replicated ack.
     ///
-    /// On failure the returned [`BatchFailure`] says which assertions are safe to re-buffer:
-    /// all of them when the primary never committed, none when it did (the batch must not be
-    /// resent, or the store would hold duplicates).
-    fn send_batch_replicated(
-        &self,
-        primary: usize,
-        batch: Vec<RecordedAssertion>,
-        trace: Option<&TraceCtx>,
-    ) -> Result<(), BatchFailure> {
-        if batch.is_empty() {
-            return Ok(());
-        }
-        self.obs
-            .histogram("router.flush.batch_size")
-            .record(batch.len() as u64);
-        let batch_len = batch.len();
-        let chunk = self.config.wire_chunk_assertions;
-        if matches!(self.config.internal_hop, InternalHop::Wire) && chunk > 0 && batch.len() > chunk
-        {
-            return self.send_batch_wire_chunked(primary, batch, trace);
-        }
-        let message = PrepMessage::Record(pasoa_core::prep::RecordMessage {
-            message_id: self.ids.message_id(),
-            asserter: pasoa_core::ids::ActorId::new("shard-router"),
-            assertions: batch,
-        });
-        let reclaim = |message: PrepMessage| match message {
-            PrepMessage::Record(record) => record.assertions,
-            _ => unreachable!("send_batch_replicated builds a record message"),
-        };
-        // Session lists are only needed on failure; never pay for them on the hot path.
-        let failure = |restore: Vec<RecordedAssertion>, error: WireError| BatchFailure {
-            failed_sessions: distinct_sessions(&restore),
-            restore,
-            error,
-        };
-        let events = self.obs.events();
-        let timer = (trace.is_some() && events.is_enabled()).then(std::time::Instant::now);
-        let ack = match self.call_shard(primary, "record", &message, trace) {
-            Ok(PluginResponse::Ack(ack)) => ack,
-            Ok(other) => {
-                let error =
-                    WireError::Payload(format!("unexpected shard record response: {other:?}"));
-                return Err(failure(reclaim(message), error));
-            }
-            Err(error) => return Err(failure(reclaim(message), error)),
-        };
-        if !ack.fully_accepted() {
-            // The primary committed the accepted remainder, and `RecordAck::rejected` carries
-            // only human-readable reasons — not the assertions themselves — so nothing can be
-            // re-buffered without duplicating what was committed. Per this type's contract,
-            // restore nothing and report every session in the batch as failed. In practice
-            // this arm is unreachable: `PreservService` accepts every assertion
-            // (`rejected` is always empty); it exists for a future validating store.
-            let batch = reclaim(message);
-            debug_assert!(
-                false,
-                "PreservService never rejects assertions; partial accept is unexpected"
-            );
-            return Err(BatchFailure {
-                failed_sessions: distinct_sessions(&batch),
-                restore: Vec::new(),
-                error: WireError::Payload(format!(
-                    "shard {primary} rejected {} assertion(s); accepted remainder committed",
-                    ack.rejected.len()
-                )),
-            });
-        }
-        let batch = reclaim(message);
-        if let (Some(trace), Some(t)) = (trace, timer) {
-            events.push(
-                &trace.trace_id,
-                trace.span_id,
-                "router.flush",
-                format!("shard={primary} batch={batch_len}"),
-                t.elapsed().as_nanos() as u64,
-            );
-        }
-
-        // The primary committed; copy into the replica holds. Hold appends are infallible
-        // in-process writes, so returning from this block IS the replicated ack: copies =
-        // 1 + min(R-1, live-1) = min(R, live). This is best-effort, not a quorum check — a
-        // cluster degraded below R live shards still acks with the copies it can hold (see
-        // the module docs).
-        let replication = self.replication();
-        if replication > 1 {
-            let holds = self.replica_holds(primary, replication - 1);
-            for hold in &holds {
-                hold.append_assertions(primary, &batch);
-            }
-            if !holds.is_empty() {
-                self.stats.lock().batches_replicated += 1;
-            }
-        }
-        self.stats.lock().batches_flushed += 1;
-        self.obs.counter("router.flush.batches").inc();
-        Ok(())
-    }
-
-    /// Send one oversized batch to `primary` as chunks of at most
-    /// [`RouterConfig::wire_chunk_assertions`] assertions, pipelined through the
-    /// transport's batch path — over the TCP fabric they cross the socket as ONE
-    /// multi-envelope frame instead of one write per chunk.
+    /// The caller must hold the shard's flusher mutex (so same-shard sends stay in buffer
+    /// order) and the shared failover lock; the buffer mutex itself is held only to drain and
+    /// to restore, so appends racing the send proceed immediately. On failure, whatever is
+    /// safe to resend is restored *ahead of* anything appended during the send, preserving
+    /// buffer order and the zero-acked-loss contract:
     ///
-    /// Failure semantics preserve the zero-acked-loss contract of the unchunked path:
-    ///
-    /// * any `ServiceDown` — the primary is dead, and its partial commits are invisible
-    ///   after failover (replicas see only hold copies, which are appended strictly after
-    ///   a chunk's ack), so EVERY chunk is safe to restore and redeliver to the promoted
+    /// * any `ServiceDown` — the shard is dead, and whatever it committed is invisible after
+    ///   failover (replicas see only hold copies, which are appended strictly after a
+    ///   message's ack), so EVERY message is safe to restore and redeliver to the promoted
     ///   owner;
-    /// * any other error — the primary is alive and committed the acked chunks, so only
-    ///   the failed chunks are restored while the acked chunks get their replica-hold
-    ///   copies.
-    fn send_batch_wire_chunked(
-        &self,
-        primary: usize,
-        batch: Vec<RecordedAssertion>,
-        trace: Option<&TraceCtx>,
-    ) -> Result<(), BatchFailure> {
-        let name = self.shard_name(primary);
-        let failure = |restore: Vec<RecordedAssertion>, error: WireError| BatchFailure {
-            failed_sessions: distinct_sessions(&restore),
-            restore,
-            error,
-        };
-        if self.injector().is_down(&name) {
-            return Err(failure(batch, WireError::ServiceDown(name)));
-        }
-        let reclaim = |message: PrepMessage| match message {
-            PrepMessage::Record(record) => record.assertions,
-            _ => unreachable!("send_batch_wire_chunked builds record messages"),
-        };
-        let chunk_size = self.config.wire_chunk_assertions;
-        let mut messages = Vec::with_capacity(batch.len() / chunk_size + 1);
-        let mut rest = batch;
-        loop {
-            let tail = if rest.len() > chunk_size {
-                rest.split_off(chunk_size)
-            } else {
-                Vec::new()
-            };
-            messages.push(PrepMessage::Record(pasoa_core::prep::RecordMessage {
-                message_id: self.ids.message_id(),
-                asserter: pasoa_core::ids::ActorId::new("shard-router"),
-                assertions: rest,
-            }));
-            if tail.is_empty() {
-                break;
-            }
-            rest = tail;
-        }
-        let mut envelopes = Vec::with_capacity(messages.len());
-        for message in &messages {
-            let record = match message {
-                PrepMessage::Record(record) => record,
-                _ => unreachable!("send_batch_wire_chunked builds record messages"),
-            };
-            let mut envelope = Envelope::request(&name, "record")
-                .with_header("sender", "shard-router")
-                .with_body(prepwire::record_to_element(record));
-            if let Some(trace) = trace {
-                envelope = envelope.with_trace(trace);
-            }
-            envelopes.push(envelope);
-        }
-        let events = self.obs.events();
-        let timer = (trace.is_some() && events.is_enabled()).then(std::time::Instant::now);
-        let results = self.transport.call_many(envelopes);
-        if let (Some(trace), Some(t)) = (trace, timer) {
-            events.push(
-                &trace.trace_id,
-                trace.span_id,
-                "router.flush",
-                format!("shard={primary} chunks={}", messages.len()),
-                t.elapsed().as_nanos() as u64,
-            );
-        }
-
-        // Classify each chunk's outcome before touching holds or buffers.
-        let mut acked = vec![false; messages.len()];
-        let mut service_down: Option<WireError> = None;
-        let mut chunk_error: Option<WireError> = None;
-        for (index, result) in results.into_iter().enumerate() {
-            match result {
-                Ok(response) => match decode_record_ack(&response) {
-                    Ok(ack) if ack.fully_accepted() => acked[index] = true,
-                    Ok(ack) => {
-                        // Same contract as the unchunked path: a partial accept committed
-                        // the remainder, so the chunk is not restorable — and is
-                        // unreachable in practice (`PreservService` accepts everything).
-                        debug_assert!(
-                            false,
-                            "PreservService never rejects assertions; partial accept is unexpected"
-                        );
-                        acked[index] = true;
-                        chunk_error.get_or_insert(WireError::Payload(format!(
-                            "shard {primary} rejected {} assertion(s); accepted remainder committed",
-                            ack.rejected.len()
-                        )));
-                    }
-                    Err(error) => {
-                        chunk_error.get_or_insert(error);
-                    }
-                },
-                Err(error @ WireError::ServiceDown(_)) => {
-                    service_down.get_or_insert(error);
-                }
-                Err(error) => {
-                    chunk_error.get_or_insert(error);
-                }
-            }
-        }
-        if let Some(error) = service_down {
-            let restore = messages.into_iter().flat_map(reclaim).collect();
-            return Err(failure(restore, error));
-        }
-
-        // The primary is alive: acked chunks are committed, so replicate them; failed
-        // chunks are restored in order for the next flush.
-        let replication = self.replication();
-        let holds = if replication > 1 {
-            self.replica_holds(primary, replication - 1)
-        } else {
-            Vec::new()
-        };
-        let mut restore = Vec::new();
-        let mut flushed = 0u64;
-        for (message, ok) in messages.into_iter().zip(&acked) {
-            let chunk = reclaim(message);
-            if *ok {
-                for hold in &holds {
-                    hold.append_assertions(primary, &chunk);
-                }
-                flushed += 1;
-            } else {
-                restore.extend(chunk);
-            }
-        }
-        {
-            let mut stats = self.stats.lock();
-            stats.batches_flushed += flushed;
-            if flushed > 0 && !holds.is_empty() {
-                stats.batches_replicated += 1;
-            }
-        }
-        self.obs.counter("router.flush.batches").add(flushed);
-        match chunk_error {
-            Some(error) => Err(failure(restore, error)),
-            None => Ok(()),
-        }
-    }
-
-    /// Drain a shard's buffer and send the batch. The caller must hold the shard's flusher
-    /// mutex (so same-shard sends stay in buffer order) and the shared failover lock; the
-    /// buffer mutex itself is held only to drain and to restore, so appends racing the send
-    /// proceed immediately. On failure, whatever is safe to resend is restored *ahead of*
-    /// anything appended during the send, preserving buffer order.
+    /// * any other error — the shard is alive and committed the acked messages, so only the
+    ///   failed ones are restored while the acked ones get their replica-hold copies
+    ///   (resending those would leave duplicates in the store).
     fn send_buffer(&self, shard: usize, trace: Option<&TraceCtx>) -> Result<(), FlushError> {
         let buffer = Arc::clone(&self.buffers.read()[shard]);
         let batch = std::mem::take(&mut *buffer.lock());
         if batch.is_empty() {
             return Ok(());
         }
-        match self.send_batch_replicated(shard, batch, trace) {
-            Ok(()) => Ok(()),
-            Err(failure) => {
-                self.obs.counter("router.flush.failed_send_restores").inc();
-                let mut guard = buffer.lock();
-                let mut restored = failure.restore;
-                restored.append(&mut *guard);
-                *guard = restored;
-                Err(FlushError {
-                    failed_sessions: failure.failed_sessions,
-                    error: failure.error,
-                })
+        let batch_len = batch.len();
+        self.obs.flush_batch_size.record(batch_len as u64);
+        let bound = self.link.record_assertions();
+        let mut messages = Vec::with_capacity(batch_len.div_ceil(bound));
+        let mut rest = batch;
+        while !rest.is_empty() {
+            let tail = rest.split_off(rest.len().min(bound));
+            messages.push(PrepMessage::Record(pasoa_core::prep::RecordMessage {
+                message_id: self.ids.message_id(),
+                asserter: pasoa_core::ids::ActorId::new("shard-router"),
+                assertions: rest,
+            }));
+            rest = tail;
+        }
+        let events = self.obs.registry.events();
+        let timer = (trace.is_some() && events.is_enabled()).then(std::time::Instant::now);
+        let results = self.call_shard(shard, "record", &messages, trace);
+        let sent_nanos = timer.map(|t| t.elapsed().as_nanos() as u64);
+
+        // One verdict per message, before touching holds or the buffer. The failure reported
+        // is a `ServiceDown` if there was one (it decides what is restorable), else the first.
+        enum Verdict {
+            Acked,
+            Resend,
+            PartlyCommitted,
+        }
+        let is_down = |error: &WireError| matches!(error, WireError::ServiceDown(_));
+        let mut failure: Option<WireError> = None;
+        let verdicts: Vec<Verdict> = results
+            .into_iter()
+            .map(|result| {
+                let (error, verdict) = match result {
+                    Ok(PluginResponse::Ack(ack)) if ack.fully_accepted() => return Verdict::Acked,
+                    // The shard committed the accepted remainder, and `RecordAck::rejected`
+                    // carries only human-readable reasons — not the assertions themselves —
+                    // so nothing can be re-buffered without duplicating what was committed:
+                    // the message's sessions are reported failed and nothing is resent.
+                    // `PreservService` accepts every assertion, so this arm is unreachable
+                    // today; it exists for a future validating store.
+                    Ok(PluginResponse::Ack(ack)) => {
+                        debug_assert!(
+                            false,
+                            "PreservService never rejects assertions; partial accept is unexpected"
+                        );
+                        let reason = format!(
+                            "shard {shard} rejected {} assertion(s); accepted remainder committed",
+                            ack.rejected.len()
+                        );
+                        (WireError::Payload(reason), Verdict::PartlyCommitted)
+                    }
+                    Ok(other) => {
+                        let reason = format!("unexpected shard record response: {other:?}");
+                        (WireError::Payload(reason), Verdict::Resend)
+                    }
+                    Err(error) => (error, Verdict::Resend),
+                };
+                if failure
+                    .as_ref()
+                    .is_none_or(|held| is_down(&error) && !is_down(held))
+                {
+                    failure = Some(error);
+                }
+                verdict
+            })
+            .collect();
+        let service_down = failure.as_ref().is_some_and(is_down);
+
+        // Hold appends are infallible in-process writes, so an all-acked send IS the
+        // replicated ack: copies = 1 + min(R-1, live-1) = min(R, live). This is best-effort,
+        // not a quorum check — a cluster degraded below R live shards still acks with the
+        // copies it can hold (see the module docs).
+        let holds = if service_down {
+            Vec::new()
+        } else {
+            self.replica_holds(shard, self.replication() - 1)
+        };
+        let mut restore = Vec::new();
+        let mut unsendable = Vec::new();
+        let mut flushed = 0u64;
+        for (message, verdict) in messages.into_iter().zip(verdicts) {
+            let PrepMessage::Record(record) = message else {
+                unreachable!("send_buffer builds record messages")
+            };
+            match verdict {
+                // A dead shard's commits are invisible after failover: everything is resent.
+                _ if service_down => restore.extend(record.assertions),
+                Verdict::Acked => {
+                    for hold in &holds {
+                        hold.append_assertions(shard, &record.assertions);
+                    }
+                    flushed += 1;
+                }
+                Verdict::Resend => restore.extend(record.assertions),
+                Verdict::PartlyCommitted => unsendable.extend(record.assertions),
             }
         }
+        self.obs.batches_flushed.add(flushed);
+        if flushed > 0 && !holds.is_empty() {
+            self.obs.batches_replicated.inc();
+        }
+        let Some(error) = failure else {
+            if let (Some(trace), Some(nanos)) = (trace, sent_nanos) {
+                events.push(
+                    &trace.trace_id,
+                    trace.span_id,
+                    "router.flush",
+                    format!("shard={shard} batch={batch_len}"),
+                    nanos,
+                );
+            }
+            return Ok(());
+        };
+        self.obs.failed_send_restores.inc();
+        let failed_sessions = distinct_sessions(restore.iter().chain(&unsendable));
+        let mut guard = buffer.lock();
+        restore.append(&mut guard);
+        *guard = restore;
+        Err(FlushError {
+            failed_sessions,
+            error,
+        })
     }
 
     /// Flush one shard's buffer as a batched `Record` message. The shard's flusher mutex is
@@ -1414,7 +1285,7 @@ impl ShardRouter {
                             // A flush for this shard is already on the wire: the just-appended
                             // records merge into the in-flight holder's re-drain instead of
                             // paying their own send.
-                            self.obs.counter("router.flush.merge_skips").inc();
+                            self.obs.merge_skips.inc();
                             Ok(())
                         }
                     };
@@ -1434,10 +1305,8 @@ impl ShardRouter {
                 Err(e) => return Err(e.into()),
             }
         }
-        let mut stats = self.stats.lock();
-        stats.record_messages += 1;
-        stats.assertions_routed += accepted as u64;
-        drop(stats);
+        self.obs.record_messages.inc();
+        self.obs.assertions_routed.add(accepted as u64);
         Ok((
             RecordAck {
                 message_id,
@@ -1459,11 +1328,10 @@ impl ShardRouter {
             let outcome = {
                 // Shared failover lock across register + hold append (see flush_shard).
                 let _failover = self.failover.read();
-                self.call_shard(
+                self.call_shard_one(
                     shard,
                     "register-group",
                     &PrepMessage::RegisterGroup(group.clone()),
-                    None,
                 )
                 .map(|_| {
                     let replication = self.replication();
@@ -1476,7 +1344,7 @@ impl ShardRouter {
             };
             match outcome {
                 Ok(()) => {
-                    self.stats.lock().groups_routed += 1;
+                    self.obs.groups_routed.inc();
                     return Ok(());
                 }
                 Err(WireError::ServiceDown(_)) if attempts < self.shard_count() => {
@@ -1495,44 +1363,53 @@ impl ShardRouter {
         self.failover.read()
     }
 
-    /// Answer a query by scatter-gather over every live shard. The gather holds the failover
+    /// Flush (read-your-writes), then put the same question to every live shard and collect
+    /// what `expect` picks out of each answer, in shard order. The gather holds the failover
     /// lock shared, so a shard dying mid-gather fails the gather (which is then failed over
     /// and restarted) rather than letting a concurrent promotion double its answers — the
-    /// response never mixes pre- and post-failover views.
-    fn handle_query(&self, request: QueryRequest) -> WireResult<QueryResponse> {
+    /// result never mixes pre- and post-failover views.
+    fn scatter<T>(
+        &self,
+        action: &str,
+        message: &PrepMessage,
+        expect: impl Fn(PluginResponse) -> Result<T, PluginResponse>,
+    ) -> WireResult<Vec<T>> {
         self.flush().map_err(WireError::from)?;
-        self.stats.lock().scatter_queries += 1;
-        let gather = |request: &QueryRequest| -> WireResult<Vec<QueryResponse>> {
-            let _gather = self.gather_guard();
-            self.live_shards()
-                .into_iter()
-                .map(|shard| {
-                    match self.call_shard(
-                        shard,
-                        "query",
-                        &PrepMessage::Query(request.clone()),
-                        None,
-                    )? {
-                        PluginResponse::Query(response) => Ok(response),
-                        other => Err(WireError::Payload(format!(
-                            "unexpected shard query response: {other:?}"
-                        ))),
-                    }
-                })
-                .collect()
-        };
         let mut attempts = 0;
-        let responses = loop {
-            match gather(&request) {
-                Ok(responses) => break responses,
+        loop {
+            let gathered: WireResult<Vec<T>> = {
+                // Dropped before the retry arm below, whose failover handling takes the
+                // write side.
+                let _gather = self.gather_guard();
+                self.live_shards()
+                    .into_iter()
+                    .map(|shard| {
+                        expect(self.call_shard_one(shard, action, message)?).map_err(|other| {
+                            WireError::Payload(format!("unexpected shard response: {other:?}"))
+                        })
+                    })
+                    .collect()
+            };
+            match gathered {
                 Err(WireError::ServiceDown(_)) if attempts < self.shard_count() => {
                     attempts += 1;
                     self.maybe_handle_failures();
                     self.flush().map_err(WireError::from)?;
                 }
-                Err(e) => return Err(e),
+                other => return other,
             }
-        };
+        }
+    }
+
+    /// Answer a query by scatter-gather over every live shard, merged to a single store's
+    /// answer.
+    fn handle_query(&self, request: QueryRequest) -> WireResult<QueryResponse> {
+        let message = PrepMessage::Query(request.clone());
+        let responses = self.scatter("query", &message, |response| match response {
+            PluginResponse::Query(response) => Ok(response),
+            other => Err(other),
+        })?;
+        self.obs.scatter_queries.inc();
         let merged = match &request {
             QueryRequest::ByInteraction(_)
             | QueryRequest::BySession(_)
@@ -1593,72 +1470,24 @@ impl ShardRouter {
                 paged.page_size
             )));
         }
-        self.flush().map_err(WireError::from)?;
-        self.stats.lock().page_queries += 1;
-        let gather = |paged: &PagedQuery| -> WireResult<Vec<ShardQueryPage>> {
-            let _gather = self.gather_guard();
-            self.live_shards()
-                .into_iter()
-                .map(|shard| {
-                    let message = PrepMessage::QueryPage(paged.clone());
-                    match self.call_shard(shard, "query-page", &message, None)? {
-                        PluginResponse::Page(page) => Ok(page),
-                        other => Err(WireError::Payload(format!(
-                            "unexpected shard page response: {other:?}"
-                        ))),
-                    }
-                })
-                .collect()
-        };
-        let mut attempts = 0;
-        let pages = loop {
-            match gather(paged) {
-                Ok(pages) => break pages,
-                Err(WireError::ServiceDown(_)) if attempts < self.shard_count() => {
-                    attempts += 1;
-                    self.maybe_handle_failures();
-                    self.flush().map_err(WireError::from)?;
-                }
-                Err(e) => return Err(e),
-            }
-        };
+        let message = PrepMessage::QueryPage(paged.clone());
+        let pages = self.scatter("query-page", &message, |response| match response {
+            PluginResponse::Page(page) => Ok(page),
+            other => Err(other),
+        })?;
+        self.obs.page_queries.inc();
         Ok(merge_shard_pages(pages, paged.page_size))
     }
 
     /// Answer a lineage request by merging every live shard's session lineage graph.
     fn handle_lineage(&self, request: QueryRequest) -> WireResult<LineageGraph> {
-        self.flush().map_err(WireError::from)?;
-        self.stats.lock().scatter_queries += 1;
         let message = PrepMessage::Query(request);
-        let mut attempts = 0;
-        loop {
-            // Gather under the shared failover lock (see handle_query); dropped before the
-            // retry arm below so the failover handling can take the write side.
-            let gathered: WireResult<Vec<LineageGraph>> = {
-                let _gather = self.gather_guard();
-                self.live_shards()
-                    .into_iter()
-                    .map(
-                        |shard| match self.call_shard(shard, "lineage", &message, None) {
-                            Ok(PluginResponse::Lineage(graph)) => Ok(graph),
-                            Ok(other) => Err(WireError::Payload(format!(
-                                "unexpected shard lineage response: {other:?}"
-                            ))),
-                            Err(e) => Err(e),
-                        },
-                    )
-                    .collect()
-            };
-            match gathered {
-                Ok(graphs) => return Ok(merge::merge_lineage(graphs)),
-                Err(WireError::ServiceDown(_)) if attempts < self.shard_count() => {
-                    attempts += 1;
-                    self.maybe_handle_failures();
-                    self.flush().map_err(WireError::from)?;
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        let graphs = self.scatter("lineage", &message, |response| match response {
+            PluginResponse::Lineage(graph) => Ok(graph),
+            other => Err(other),
+        })?;
+        self.obs.scatter_queries.inc();
+        Ok(merge::merge_lineage(graphs))
     }
 }
 
@@ -1777,18 +1606,7 @@ impl MessageHandler for ShardRouter {
             return Envelope::response(&action).with_json_payload(&self.stats_snapshot());
         }
         let trace = request.trace_ctx();
-        // Packed record bodies skip the JSON round trip on the client→router hop, exactly
-        // as on the router→shard hop; the ack answers in the form the request arrived in,
-        // so textual JSON callers keep working untouched.
-        let packed = request.body.name == prepwire::RECORD_ELEMENT;
-        let message: PrepMessage = if packed {
-            PrepMessage::Record(
-                prepwire::record_from_element(&request.body)
-                    .map_err(|e| WireError::Payload(format!("packed record: {e}")))?,
-            )
-        } else {
-            request.json_payload()?
-        };
+        let message = prepwire::decode_request(&request)?;
         match (action.as_str(), message) {
             ("record", PrepMessage::Record(record)) => {
                 // The router is its own hop on the trace: shard-bound envelopes carry a
@@ -1796,11 +1614,7 @@ impl MessageHandler for ShardRouter {
                 let hop = trace.as_ref().map(|t| t.child());
                 let (ack, flushes) =
                     self.handle_record(record.message_id.clone(), record.assertions, hop.as_ref())?;
-                let response = if packed {
-                    Envelope::response("record").with_body(prepwire::ack_to_element(&ack))
-                } else {
-                    Envelope::response("record").with_json_payload(&ack)?
-                };
+                let response = prepwire::ack_envelope(&request, &ack)?;
                 // Calls that triggered a shard flush carry the whole batch's send inside
                 // their round trip; the header lets latency measurements separate that
                 // amortization from the per-call wire cost.

@@ -267,3 +267,325 @@ fn direct_store_access_remains_available_under_tcp() {
         .sum();
     assert_eq!(total, 5);
 }
+
+// -- Multi-message flushes ----------------------------------------------------------------
+//
+// A backlog above the wire link's per-envelope bound (256 assertions) leaves as several
+// `Record` envelopes in one exchange. The tests below watch that exchange from the shard's
+// side of the socket, through a backend that logs every batch it is asked to commit.
+
+mod chunked_flush {
+    use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::{Arc, Mutex};
+
+    use pasoa_cluster::{ClusterConfig, HeldSession};
+    use pasoa_core::passertion::RecordedAssertion;
+    use pasoa_core::prep::{PrepMessage, RecordMessage};
+    use pasoa_core::prepwire;
+    use pasoa_preserv::backend::BackendError;
+    use pasoa_preserv::{BackendKind, MemoryBackend, StorageBackend, StoreError};
+
+    const SESSION: &str = "session:chunked";
+    const WARM_UP: usize = 9000;
+    const TAG: &[u8] = b"chunk-test ";
+
+    /// One `put_many` as the shard's backend saw it: the lowest and highest assertion index
+    /// among the documents in the batch, and whether the commit was let through.
+    type Commit = (usize, usize, bool);
+
+    /// A memory backend that logs every assertion batch and, while armed, refuses — once —
+    /// the batch that contains assertion `poison`.
+    struct LoggingBackend {
+        inner: MemoryBackend,
+        commits: Mutex<Vec<Commit>>,
+        poison: usize,
+        armed: AtomicBool,
+    }
+
+    impl LoggingBackend {
+        fn commits(&self) -> Vec<Commit> {
+            self.commits.lock().unwrap().clone()
+        }
+    }
+
+    impl StorageBackend for LoggingBackend {
+        fn put(&self, key: &[u8], value: &[u8]) -> Result<(), BackendError> {
+            self.inner.put(key, value)
+        }
+
+        fn put_many(&self, entries: &[(Vec<u8>, Vec<u8>)]) -> Result<(), BackendError> {
+            let indices: Vec<usize> = entries
+                .iter()
+                .filter_map(|(_, value)| {
+                    let at = value.windows(TAG.len()).position(|w| w == TAG)? + TAG.len();
+                    std::str::from_utf8(value.get(at..at + 4)?)
+                        .ok()?
+                        .parse()
+                        .ok()
+                })
+                .collect();
+            let (Some(&low), Some(&high)) = (indices.iter().min(), indices.iter().max()) else {
+                return self.inner.put_many(entries);
+            };
+            let refuse = indices.contains(&self.poison) && self.armed.swap(false, Ordering::SeqCst);
+            self.commits.lock().unwrap().push((low, high, !refuse));
+            if refuse {
+                return Err(BackendError::new("injected commit failure"));
+            }
+            self.inner.put_many(entries)
+        }
+
+        fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, BackendError> {
+            self.inner.get(key)
+        }
+
+        fn scan_prefix(&self, prefix: &[u8]) -> Result<Vec<Vec<u8>>, BackendError> {
+            self.inner.scan_prefix(prefix)
+        }
+
+        fn delete_many(&self, keys: &[Vec<u8>]) -> Result<(), BackendError> {
+            self.inner.delete_many(keys)
+        }
+
+        fn kind(&self) -> BackendKind {
+            BackendKind::Memory
+        }
+    }
+
+    struct Tier {
+        host: ServiceHost,
+        cluster: Arc<PreservCluster>,
+        backends: Vec<Arc<LoggingBackend>>,
+        /// The session's primary shard and the first replica of that primary.
+        primary: usize,
+        replica: usize,
+    }
+
+    /// Four shards over TCP, replication 2, a batch threshold no test reaches (so only an
+    /// explicit flush sends), and a binary-negotiated connection to the session's primary
+    /// already pooled — so the flush under test is one frame, not a negotiating call plus one.
+    fn deploy(poison: usize) -> Tier {
+        let host = ServiceHost::new();
+        let backends: Arc<Mutex<Vec<Arc<LoggingBackend>>>> = Arc::default();
+        let config = ClusterConfig {
+            batch_size: 100_000,
+            ..ClusterConfig::replicated(4, 2).over_tcp()
+        };
+        let cluster = {
+            let backends = Arc::clone(&backends);
+            PreservCluster::deploy_with(&host, config, move |_| {
+                let backend = Arc::new(LoggingBackend {
+                    inner: MemoryBackend::new(),
+                    commits: Mutex::default(),
+                    poison,
+                    armed: AtomicBool::new(true),
+                });
+                backends.lock().unwrap().push(Arc::clone(&backend));
+                Ok::<_, StoreError>(backend as Arc<dyn StorageBackend>)
+            })
+            .unwrap()
+        };
+        let backends = std::mem::take(&mut *backends.lock().unwrap());
+        let primary = cluster.router().shard_for_session(SESSION);
+        let replica = cluster.router().ring_successors(primary)[0];
+        let tier = Tier {
+            host,
+            cluster,
+            backends,
+            primary,
+            replica,
+        };
+        record(&tier.host, WARM_UP..WARM_UP + 1);
+        tier.cluster.flush().unwrap();
+        tier
+    }
+
+    fn batch(indices: std::ops::Range<usize>) -> Vec<RecordedAssertion> {
+        indices
+            .map(|i| RecordedAssertion {
+                session: SessionId::new(SESSION),
+                assertion: PAssertion::ActorState(ActorStatePAssertion {
+                    interaction_key: pasoa_core::ids::InteractionKey::new(format!(
+                        "interaction:chunked:{i:04}"
+                    )),
+                    asserter: ActorId::new("engine"),
+                    view: ViewKind::Receiver,
+                    kind: ActorStateKind::Script,
+                    content: PAssertionContent::text(format!("chunk-test {i:04}")),
+                }),
+            })
+            .collect()
+    }
+
+    /// Record `indices` as one packed `Record` message; the router only buffers it.
+    fn record(host: &ServiceHost, indices: std::ops::Range<usize>) {
+        let message = PrepMessage::Record(RecordMessage {
+            message_id: pasoa_core::ids::MessageId::new(format!("message:{}", indices.start)),
+            asserter: ActorId::new("engine"),
+            assertions: batch(indices.clone()),
+        });
+        let envelope =
+            prepwire::request_envelope(pasoa_core::PROVENANCE_STORE_SERVICE, "record", &message)
+                .unwrap();
+        let response = host
+            .transport(TransportConfig::free())
+            .call(envelope)
+            .unwrap();
+        let ack = prepwire::ack_from_element(&response.body).unwrap();
+        assert_eq!(ack.accepted, indices.len());
+    }
+
+    fn batched_envelopes(tier: &Tier, shard: usize) -> u64 {
+        tier.cluster.net_server_stats()[shard].1.batched_envelopes
+    }
+
+    fn held(tier: &Tier) -> Vec<HeldSession> {
+        tier.cluster.router().hold_snapshot()[tier.replica]
+            .sessions
+            .clone()
+    }
+
+    fn held_copy(tier: &Tier, assertions: usize) -> Vec<HeldSession> {
+        vec![HeldSession {
+            primary: tier.primary,
+            session: SESSION.to_string(),
+            assertions,
+        }]
+    }
+
+    /// What an in-process cluster answers for the same session after recording `indices`.
+    fn reference(indices: std::ops::Range<usize>) -> Vec<RecordedAssertion> {
+        let host = ServiceHost::new();
+        let cluster = PreservCluster::deploy_replicated(&host, 4, 2).unwrap();
+        record(&host, WARM_UP..WARM_UP + 1);
+        record(&host, indices);
+        cluster
+            .assertions_for_session(&SessionId::new(SESSION))
+            .unwrap()
+    }
+
+    #[test]
+    fn a_backlog_crosses_the_socket_as_one_multi_envelope_frame() {
+        let tier = deploy(usize::MAX);
+        let before = batched_envelopes(&tier, tier.primary);
+        let flushed_before = tier.cluster.router().stats().batches_flushed;
+        record(&tier.host, 0..600);
+        tier.cluster.flush().unwrap();
+        assert_eq!(
+            batched_envelopes(&tier, tier.primary) - before,
+            3,
+            "600 assertions are three envelopes (256 + 256 + 88) in ONE frame"
+        );
+        assert_eq!(
+            tier.backends[tier.primary].commits(),
+            vec![
+                (WARM_UP, WARM_UP, true),
+                (0, 255, true),
+                (256, 511, true),
+                (512, 599, true)
+            ]
+        );
+        assert_eq!(
+            tier.cluster.router().stats().batches_flushed - flushed_before,
+            3
+        );
+        assert_eq!(held(&tier), held_copy(&tier, 601));
+        assert_eq!(
+            tier.cluster
+                .assertions_for_session(&SessionId::new(SESSION))
+                .unwrap(),
+            reference(0..600)
+        );
+    }
+
+    #[test]
+    fn a_failed_middle_message_alone_is_restored_ahead_of_later_appends() {
+        let tier = deploy(300);
+        record(&tier.host, 0..600);
+        let error = tier.cluster.flush().unwrap_err();
+        match error {
+            StoreError::Unavailable {
+                failed_sessions, ..
+            } => assert_eq!(failed_sessions, vec![SESSION.to_string()]),
+            other => panic!("expected the failed session to be named, got {other}"),
+        }
+        // The shard is alive: it committed the first and last message, and exactly those
+        // reached the replica hold. Nothing failed over.
+        assert_eq!(
+            tier.backends[tier.primary].commits(),
+            vec![
+                (WARM_UP, WARM_UP, true),
+                (0, 255, true),
+                (256, 511, false),
+                (512, 599, true)
+            ]
+        );
+        assert_eq!(held(&tier), held_copy(&tier, 1 + 256 + 88));
+        let stats = tier.cluster.router().stats();
+        assert_eq!(stats.failovers, 0);
+        assert_eq!(stats.batches_flushed, 1 + 2);
+        assert_eq!(
+            tier.cluster
+                .router()
+                .registry()
+                .snapshot()
+                .counter("router.flush.failed_send_restores"),
+            1
+        );
+
+        // Later appends queue behind the restored message: the next flush sends the 256
+        // restored assertions as its first envelope, then the new ones — each exactly once.
+        record(&tier.host, 600..605);
+        tier.cluster.flush().unwrap();
+        assert_eq!(
+            tier.backends[tier.primary].commits()[4..],
+            [(256, 511, true), (600, 604, true)]
+        );
+        assert_eq!(held(&tier), held_copy(&tier, 606));
+        assert_eq!(
+            tier.cluster
+                .assertions_for_session(&SessionId::new(SESSION))
+                .unwrap(),
+            reference(0..605)
+        );
+    }
+
+    #[test]
+    fn a_dead_shard_restores_every_message_for_the_promoted_owner() {
+        let tier = deploy(usize::MAX);
+        record(&tier.host, 0..600);
+        assert!(tier.cluster.shutdown_shard_server(tier.primary));
+        tier.cluster.flush().unwrap();
+
+        let stats = tier.cluster.router().stats();
+        assert_eq!(stats.failovers, 1);
+        assert!(!tier.cluster.router().is_alive(tier.primary));
+        // The dead primary saw nothing of the backlog; the promoted replica replayed its
+        // hold (the warm-up) and then received the whole backlog, in order.
+        assert_eq!(
+            tier.backends[tier.primary].commits(),
+            vec![(WARM_UP, WARM_UP, true)]
+        );
+        assert_eq!(
+            tier.backends[tier.replica].commits(),
+            vec![
+                (WARM_UP, WARM_UP, true),
+                (0, 255, true),
+                (256, 511, true),
+                (512, 599, true)
+            ]
+        );
+        assert_eq!(
+            tier.cluster.statistics().unwrap().total_passertions(),
+            601,
+            "every acked assertion exactly once"
+        );
+        assert_eq!(
+            tier.cluster
+                .assertions_for_session(&SessionId::new(SESSION))
+                .unwrap(),
+            reference(0..600)
+        );
+    }
+}

@@ -1,31 +1,33 @@
-//! Packed wire form of the hot PReP record path.
+//! The PReP message translator: the one place that knows which form a message body is in.
 //!
 //! The generic envelope payload is JSON text ([`pasoa_wire::Envelope::with_json_payload`]),
-//! which every deployment understands but which costs a full text round trip — format on the
+//! which every client can produce but which costs a full text round trip — format on the
 //! sender, re-parse through a value tree on the receiver — per hop. For the record submissions
 //! that dominate a provenance store's traffic this tax is the difference between the TCP tier
 //! keeping up with the in-process tier and falling behind it.
 //!
-//! This module packs a [`RecordMessage`] (and its [`RecordAck`]) into a length-prefixed binary
-//! layout and ships it as base64 text inside a dedicated body element, so both wire codecs —
-//! textual XML frames and binary envelope frames — carry it unchanged. Call sites decode by
-//! body element name and fall back to the JSON form, so packed and plain peers interoperate:
-//! a packed request to an old store fails loudly (unknown body element), an old store's JSON
-//! ack to a packed sender still parses.
+//! So a [`RecordMessage`] (and its [`RecordAck`]) also has a packed form: a length-prefixed
+//! binary layout shipped as base64 text inside a dedicated body element, which both wire
+//! codecs — textual XML frames and binary envelope frames — carry unchanged. Every service
+//! that speaks PReP decodes requests with [`decode_request`] and acknowledges records with
+//! [`ack_envelope`], which answers in the form the request arrived in; senders that want the
+//! packed form build their envelopes with [`request_envelope`]. Recorders that send JSON
+//! `Record` messages are served unchanged, and nothing outside this module looks at a body
+//! element's name.
 
-use pasoa_wire::XmlElement;
+use pasoa_wire::{Envelope, WireError, WireResult, XmlElement};
 
 use crate::ids::{ActorId, DataId, InteractionKey, MessageId, SessionId};
 use crate::passertion::{
     ActorStateKind, ActorStatePAssertion, InteractionPAssertion, PAssertion, PAssertionContent,
     RecordedAssertion, RelationshipPAssertion, ViewKind,
 };
-use crate::prep::{RecordAck, RecordMessage};
+use crate::prep::{PrepMessage, RecordAck, RecordMessage};
 
 /// Body element name of a packed record submission.
-pub const RECORD_ELEMENT: &str = "prep-record-packed";
+const RECORD_ELEMENT: &str = "prep-record-packed";
 /// Body element name of a packed record acknowledgement.
-pub const ACK_ELEMENT: &str = "prep-ack-packed";
+const ACK_ELEMENT: &str = "prep-ack-packed";
 
 /// Layout version written as the first byte of every packed payload.
 const PACK_VERSION: u8 = 1;
@@ -97,6 +99,42 @@ impl std::fmt::Display for PackError {
 }
 
 impl std::error::Error for PackError {}
+
+/// Build the request envelope carrying `message` to `service`: record submissions in the
+/// packed form, every other message as JSON.
+pub fn request_envelope(
+    service: &str,
+    action: &str,
+    message: &PrepMessage,
+) -> WireResult<Envelope> {
+    let envelope = Envelope::request(service, action);
+    match message {
+        PrepMessage::Record(record) => Ok(envelope.with_body(record_to_element(record))),
+        other => envelope.with_json_payload(other),
+    }
+}
+
+/// Decode the PReP message a request envelope carries, whichever form its body is in.
+pub fn decode_request(request: &Envelope) -> WireResult<PrepMessage> {
+    if request.body.name == RECORD_ELEMENT {
+        record_from_element(&request.body)
+            .map(PrepMessage::Record)
+            .map_err(|e| WireError::Payload(format!("packed record: {e}")))
+    } else {
+        request.json_payload()
+    }
+}
+
+/// Build the response acknowledging the record submission `request`, in the form the request
+/// arrived in: a packed sender gets a packed ack, a JSON sender a JSON one.
+pub fn ack_envelope(request: &Envelope, ack: &RecordAck) -> WireResult<Envelope> {
+    let response = Envelope::response(request.action().unwrap_or("record"));
+    if request.body.name == RECORD_ELEMENT {
+        Ok(response.with_body(ack_to_element(ack)))
+    } else {
+        response.with_json_payload(ack)
+    }
+}
 
 /// Pack a record submission into its wire body element.
 pub fn record_to_element(message: &RecordMessage) -> XmlElement {
@@ -614,6 +652,46 @@ mod tests {
             assert_eq!(element.name, ACK_ELEMENT);
             assert_eq!(ack_from_element(&element).unwrap(), ack);
         }
+    }
+
+    #[test]
+    fn translator_decodes_both_body_forms_and_answers_in_the_form_of_the_request() {
+        let message = PrepMessage::Record(full_record());
+        let ack = RecordAck {
+            message_id: MessageId::new("message:p:1"),
+            accepted: 3,
+            rejected: vec![],
+        };
+        let packed = request_envelope("provenance-store", "record", &message).unwrap();
+        let json = Envelope::request("provenance-store", "record")
+            .with_json_payload(&message)
+            .unwrap();
+        assert_eq!(packed.body.name, RECORD_ELEMENT);
+        assert_ne!(json.body.name, RECORD_ELEMENT);
+        for request in [&packed, &json] {
+            assert_eq!(decode_request(request).unwrap(), message);
+        }
+        // A packed sender reads its ack with the packed decoder, a v1 JSON recorder with
+        // `json_payload` — each gets the form it sent.
+        let packed_ack = ack_envelope(&packed, &ack).unwrap();
+        assert_eq!(packed_ack.action(), Some("record-response"));
+        assert_eq!(ack_from_element(&packed_ack.body).unwrap(), ack);
+        let json_ack = ack_envelope(&json, &ack).unwrap();
+        assert_eq!(json_ack.json_payload::<RecordAck>().unwrap(), ack);
+
+        // Everything but a record submission travels as JSON, and decodes the same way.
+        let query = PrepMessage::Query(crate::prep::QueryRequest::Statistics);
+        let request = request_envelope("provenance-store", "query", &query).unwrap();
+        assert_eq!(request.json_payload::<PrepMessage>().unwrap(), query);
+        assert_eq!(decode_request(&request).unwrap(), query);
+
+        // A corrupt packed body is a payload error, never a fallback to the JSON decoder.
+        let corrupt = Envelope::request("provenance-store", "record")
+            .with_body(XmlElement::new(RECORD_ELEMENT).text("not base64!"));
+        assert!(matches!(
+            decode_request(&corrupt),
+            Err(WireError::Payload(reason)) if reason.starts_with("packed record")
+        ));
     }
 
     #[test]

@@ -381,8 +381,7 @@ mod tests {
 
     impl MessageHandler for FakeStore {
         fn handle(&self, request: Envelope) -> WireResult<Envelope> {
-            let prep: PrepMessage = request.json_payload()?;
-            match prep {
+            match crate::prepwire::decode_request(&request)? {
                 PrepMessage::Record(msg) => {
                     self.received.fetch_add(msg.len(), Ordering::SeqCst);
                     let ack = RecordAck {
@@ -390,7 +389,7 @@ mod tests {
                         accepted: msg.assertions.len(),
                         rejected: vec![],
                     };
-                    Envelope::response("record").with_json_payload(&ack)
+                    crate::prepwire::ack_envelope(&request, &ack)
                 }
                 PrepMessage::RegisterGroup(_) => {
                     Ok(Envelope::response("register-group").with_body(XmlElement::new("ok")))

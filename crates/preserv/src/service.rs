@@ -1,8 +1,9 @@
 //! The PReServ service: message translator + plug-in dispatch.
 //!
-//! This is the top layer of Figure 3: envelopes arrive from the wire, the translator decodes
-//! the PReP message in the body, routes it to the plug-in that declares it handles the
-//! envelope's action, and wraps the plug-in's response back into an envelope. Registering the
+//! This is the top layer of Figure 3: envelopes arrive from the wire, the translator
+//! ([`pasoa_core::prepwire`], shared with the cluster tier's router) decodes the PReP message
+//! in the body, the service routes it to the plug-in that declares it handles the envelope's
+//! action, and wraps the plug-in's response back into an envelope. Registering the
 //! service on a [`pasoa_wire::ServiceHost`] makes it reachable by every recorder and reasoner
 //! in the process, exactly as deploying the servlet in Tomcat made it reachable over HTTP.
 
@@ -269,25 +270,10 @@ impl MessageHandler for PreservService {
             };
         }
         let trace = request.trace_ctx();
-        // Record submissions may arrive in the packed binary form (see
-        // [`pasoa_core::prepwire`]); answer those in kind, everything else in JSON.
-        let packed = request.body.name == prepwire::RECORD_ELEMENT;
-        let message: PrepMessage = if packed {
-            PrepMessage::Record(
-                prepwire::record_from_element(&request.body)
-                    .map_err(|e| WireError::Payload(format!("packed record: {e}")))?,
-            )
-        } else {
-            request.json_payload()?
-        };
+        let message = prepwire::decode_request(&request)?;
         let response = self.dispatch_traced(&action, &message, trace.as_ref())?;
         match response {
-            crate::plugins::PluginResponse::Ack(ack) if packed => {
-                Ok(Envelope::response(&action).with_body(prepwire::ack_to_element(&ack)))
-            }
-            crate::plugins::PluginResponse::Ack(ack) => {
-                Envelope::response(&action).with_json_payload(&ack)
-            }
+            crate::plugins::PluginResponse::Ack(ack) => prepwire::ack_envelope(&request, &ack),
             crate::plugins::PluginResponse::Query(q) => {
                 Envelope::response(&action).with_json_payload(&q)
             }

@@ -251,14 +251,6 @@ impl<'a> Parser<'a> {
         self.input.get(self.pos).copied()
     }
 
-    fn bump(&mut self) -> Option<u8> {
-        let b = self.peek();
-        if b.is_some() {
-            self.pos += 1;
-        }
-        b
-    }
-
     fn skip_whitespace(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
             self.pos += 1;
@@ -361,23 +353,6 @@ impl<'a> Parser<'a> {
                 }
             }
         }
-    }
-
-    #[allow(dead_code)]
-    fn remaining(&self) -> usize {
-        self.input.len() - self.pos
-    }
-}
-
-#[allow(unused)]
-fn unused(_: &mut Parser<'_>) {
-    // Keep `bump` exercised for future extension without a warning.
-}
-
-impl Parser<'_> {
-    #[allow(dead_code)]
-    fn consume_one(&mut self) -> Option<u8> {
-        self.bump()
     }
 }
 

@@ -1,11 +1,11 @@
 //! Workflow definitions: DAGs of named activity nodes.
 //!
 //! This plays the role of the VDL/DAGMan workflow description: nodes name the activity they
-//! invoke, edges carry data from a producer node to a consumer node. The definition is
-//! validated (unknown nodes, cycles) before execution, and the engine consumes the topological
-//! ordering computed here.
+//! invoke, edges carry data from a producer node to a consumer node. Unknown nodes are rejected
+//! as edges are added; [`Workflow::to_dag`] lowers the definition onto [`pasoa_dag::Dag`], which
+//! owns ordering, reachability and cycle rejection.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::activity::Activity;
@@ -137,95 +137,9 @@ impl Workflow {
         self.nodes.get(id).cloned()
     }
 
-    /// The producers feeding a node, in declaration order.
-    pub fn producers(&self, id: &NodeId) -> &[NodeId] {
-        self.inputs.get(id).map(|v| v.as_slice()).unwrap_or(&[])
-    }
-
     /// All node ids, sorted.
     pub fn node_ids(&self) -> Vec<NodeId> {
         self.nodes.keys().cloned().collect()
-    }
-
-    /// Nodes with no outgoing edges (the workflow results).
-    pub fn sinks(&self) -> Vec<NodeId> {
-        let mut has_consumer: BTreeSet<&NodeId> = BTreeSet::new();
-        for producers in self.inputs.values() {
-            for p in producers {
-                has_consumer.insert(p);
-            }
-        }
-        self.nodes
-            .keys()
-            .filter(|id| !has_consumer.contains(id))
-            .cloned()
-            .collect()
-    }
-
-    /// Topological levels: level 0 contains the sources; every node appears in the first level
-    /// after all of its producers. Nodes within one level are independent and may run in
-    /// parallel. Returns [`WorkflowError::Cycle`] if the graph is cyclic.
-    pub fn levels(&self) -> Result<Vec<Vec<NodeId>>, WorkflowError> {
-        let mut indegree: BTreeMap<NodeId, usize> =
-            self.nodes.keys().map(|id| (id.clone(), 0)).collect();
-        let mut consumers: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
-        for (consumer, producers) in &self.inputs {
-            for producer in producers {
-                *indegree.get_mut(consumer).expect("validated") += 1;
-                consumers
-                    .entry(producer.clone())
-                    .or_default()
-                    .push(consumer.clone());
-            }
-        }
-        let mut current: Vec<NodeId> = indegree
-            .iter()
-            .filter(|(_, &d)| d == 0)
-            .map(|(id, _)| id.clone())
-            .collect();
-        let mut levels = Vec::new();
-        let mut seen = 0usize;
-        while !current.is_empty() {
-            seen += current.len();
-            let mut next = Vec::new();
-            for node in &current {
-                if let Some(cs) = consumers.get(node) {
-                    for consumer in cs {
-                        let d = indegree.get_mut(consumer).expect("validated");
-                        *d -= 1;
-                        if *d == 0 {
-                            next.push(consumer.clone());
-                        }
-                    }
-                }
-            }
-            levels.push(std::mem::take(&mut current));
-            current = next;
-        }
-        if seen != self.nodes.len() {
-            return Err(WorkflowError::Cycle);
-        }
-        Ok(levels)
-    }
-
-    /// A flat topological order (concatenation of the levels).
-    pub fn topological_order(&self) -> Result<Vec<NodeId>, WorkflowError> {
-        Ok(self.levels()?.into_iter().flatten().collect())
-    }
-
-    /// A textual description of the graph structure, recorded as the `workflow` actor-state
-    /// p-assertion for the session.
-    pub fn describe(&self) -> String {
-        let mut out = format!("workflow {}\n", self.name);
-        for (consumer, producers) in &self.inputs {
-            if producers.is_empty() {
-                out.push_str(&format!("  {consumer} <- (source)\n"));
-            } else {
-                let names: Vec<&str> = producers.iter().map(|p| p.as_str()).collect();
-                out.push_str(&format!("  {consumer} <- {}\n", names.join(", ")));
-            }
-        }
-        out
     }
 
     /// Lower this definition into a frozen [`pasoa_dag::Dag`] ready for the parallel
@@ -244,30 +158,6 @@ impl Workflow {
             }
         }
         Ok(spec.build()?)
-    }
-
-    /// Breadth-first reachability from `start` following data-flow edges forwards.
-    pub fn reachable_from(&self, start: &NodeId) -> BTreeSet<NodeId> {
-        let mut consumers: BTreeMap<&NodeId, Vec<&NodeId>> = BTreeMap::new();
-        for (consumer, producers) in &self.inputs {
-            for producer in producers {
-                consumers.entry(producer).or_default().push(consumer);
-            }
-        }
-        let mut out = BTreeSet::new();
-        let mut queue = VecDeque::new();
-        queue.push_back(start.clone());
-        while let Some(node) = queue.pop_front() {
-            if !out.insert(node.clone()) {
-                continue;
-            }
-            if let Some(cs) = consumers.get(&node) {
-                for c in cs {
-                    queue.push_back((*c).clone());
-                }
-            }
-        }
-        out
     }
 }
 
@@ -308,15 +198,11 @@ mod tests {
 
     #[test]
     fn build_and_inspect() {
-        let (wf, a, b, _c, d) = diamond();
+        let (wf, _a, b, _c, _d) = diamond();
         assert_eq!(wf.node_count(), 4);
         assert_eq!(wf.edge_count(), 4);
-        assert_eq!(wf.producers(&d).len(), 2);
-        assert_eq!(wf.producers(&a).len(), 0);
         assert!(wf.activity(&b).is_some());
         assert!(wf.activity(&NodeId::new("zz")).is_none());
-        assert_eq!(wf.sinks(), vec![d.clone()]);
-        assert!(wf.describe().contains("diamond"));
     }
 
     #[test]
@@ -335,40 +221,6 @@ mod tests {
             wf.add_edge(&NodeId::new("ghost"), &a).unwrap_err(),
             WorkflowError::UnknownNode("ghost".into())
         );
-    }
-
-    #[test]
-    fn levels_respect_dependencies() {
-        let (wf, a, b, c, d) = diamond();
-        let levels = wf.levels().unwrap();
-        assert_eq!(levels.len(), 3);
-        assert_eq!(levels[0], vec![a.clone()]);
-        let mid: BTreeSet<_> = levels[1].iter().cloned().collect();
-        assert_eq!(mid, BTreeSet::from([b.clone(), c.clone()]));
-        assert_eq!(levels[2], vec![d.clone()]);
-        let order = wf.topological_order().unwrap();
-        let pos = |n: &NodeId| order.iter().position(|x| x == n).unwrap();
-        assert!(pos(&a) < pos(&b) && pos(&b) < pos(&d) && pos(&c) < pos(&d));
-    }
-
-    #[test]
-    fn cycles_are_detected() {
-        let mut wf = Workflow::new("cyclic");
-        let a = wf.add_node("a", noop("a")).unwrap();
-        let b = wf.add_node("b", noop("b")).unwrap();
-        wf.add_edge(&a, &b).unwrap();
-        wf.add_edge(&b, &a).unwrap();
-        assert_eq!(wf.levels().unwrap_err(), WorkflowError::Cycle);
-        assert_eq!(wf.topological_order().unwrap_err(), WorkflowError::Cycle);
-    }
-
-    #[test]
-    fn reachability_follows_data_flow() {
-        let (wf, a, b, _c, d) = diamond();
-        let from_a = wf.reachable_from(&a);
-        assert_eq!(from_a.len(), 4);
-        let from_b = wf.reachable_from(&b);
-        assert_eq!(from_b, BTreeSet::from([b.clone(), d.clone()]));
     }
 
     #[test]

@@ -384,6 +384,7 @@ mod tests {
     mod pasoa_preserv_test_support {
         use super::*;
         use pasoa_core::prep::{PrepMessage, QueryRequest, RecordAck};
+        use pasoa_core::prepwire;
         use pasoa_wire::{Envelope, ServiceHost, TransportConfig, WireResult};
         use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -394,8 +395,7 @@ mod tests {
 
         impl pasoa_wire::MessageHandler for CountingStore {
             fn handle(&self, request: Envelope) -> WireResult<Envelope> {
-                let prep: PrepMessage = request.json_payload()?;
-                match prep {
+                match prepwire::decode_request(&request)? {
                     PrepMessage::Record(msg) => {
                         self.assertions.fetch_add(msg.len(), Ordering::SeqCst);
                         let ack = RecordAck {
@@ -403,7 +403,7 @@ mod tests {
                             accepted: msg.assertions.len(),
                             rejected: vec![],
                         };
-                        Envelope::response("record").with_json_payload(&ack)
+                        prepwire::ack_envelope(&request, &ack)
                     }
                     PrepMessage::RegisterGroup(_) => {
                         self.groups.fetch_add(1, Ordering::SeqCst);

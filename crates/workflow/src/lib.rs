@@ -10,8 +10,8 @@
 //! * [`activity`] — the [`activity::Activity`] trait every workflow step implements, plus the
 //!   invocation context through which activities see the provenance recorder (re-exported
 //!   from `pasoa-dag`);
-//! * [`dag`] — workflow definitions: named nodes, data-flow edges, cycle detection and
-//!   topological ordering, plus the lowering onto `pasoa-dag` ([`dag::Workflow::to_dag`]);
+//! * [`dag`] — workflow definitions: named nodes and data-flow edges, lowered onto `pasoa-dag`
+//!   ([`dag::Workflow::to_dag`]), which owns ordering and cycle rejection;
 //! * [`scheduler`] — the grid-overhead model (scheduling delay + data staging) and the
 //!   granularity partitioner that groups fine-grained tasks into coarser jobs;
 //! * [`engine`] — the execution engine: lowers the workflow onto the `pasoa-dag` parallel
