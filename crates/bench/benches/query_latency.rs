@@ -4,8 +4,7 @@
 //! indexes make single-session and lineage-closure answers cost O(result). This bench pins
 //! that gap at 10k and 100k stored assertions — same corpus, same target session, the planner
 //! forced down each path — plus the paginated scatter-gather page cost on a 4-shard cluster.
-//! The closing summary prints the measured speedups (recorded into `BENCH_query.json` by the
-//! `record_query_baseline` example).
+//! The closing summary prints the measured speedups.
 
 use std::sync::Arc;
 use std::time::Instant;

@@ -1,8 +1,4 @@
-//! Shared corpus and deployments for the query-latency measurements.
-//!
-//! Both the `query_latency` Criterion bench and the `record_query_baseline` example (which
-//! writes `BENCH_query.json`) build their stores and workloads here, so the recorded baseline
-//! always measures exactly what the bench measures.
+//! Corpus and deployments of the `query_latency` Criterion bench.
 
 use std::sync::Arc;
 

@@ -307,7 +307,7 @@ impl PreservCluster {
                         &config.service_name,
                         net_client_config(),
                     )
-                    // Callers' retries/evictions/coalescing land in the caller host's
+                    // Callers' retries and pool evictions land in the caller host's
                     // registry, where a co-located load generator reads them.
                     .with_observability(host.registry()),
                 );

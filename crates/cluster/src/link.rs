@@ -69,9 +69,8 @@ impl ShardLink {
             Ok(envelopes) => envelopes,
             Err(error) => return messages.iter().map(|_| Err(error.clone())).collect(),
         };
-        // A lone envelope takes the single-call path, where a socket proxy may coalesce it
-        // with other callers' requests; several cross the socket as ONE multi-envelope frame
-        // instead of one write per message.
+        // A lone envelope takes the single-call path; several cross the socket as ONE
+        // multi-envelope frame instead of one write per message.
         let responses = match envelopes.len() {
             1 => vec![transport.call(envelopes.pop().expect("one envelope"))],
             _ => transport.call_many(envelopes),

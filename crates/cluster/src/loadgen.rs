@@ -112,8 +112,6 @@ pub struct LoadReport {
     /// Pooled connections evicted during the run (`net.client.pool_evictions` delta). The
     /// clients always counted these, but no report ever surfaced them.
     pub pool_evictions: u64,
-    /// Calls that rode a coalesced multi-envelope frame (`net.client.coalesced_calls` delta).
-    pub coalesced_calls: u64,
     /// Batched shard flushes the router committed during the run (`router.flush.batches`
     /// delta) — zero when the router runs on a different host (TCP deployments), where the
     /// router's registry is not reachable from the caller's.
@@ -146,11 +144,11 @@ impl std::fmt::Display for LoadReport {
         if !self.faults_injected.is_empty() {
             writeln!(f, "faults injected: {}", self.faults_injected.join(", "))?;
         }
-        if self.net_retries + self.pool_evictions + self.coalesced_calls > 0 {
+        if self.net_retries + self.pool_evictions > 0 {
             writeln!(
                 f,
-                "net: {} retries, {} pool evictions, {} coalesced calls",
-                self.net_retries, self.pool_evictions, self.coalesced_calls
+                "net: {} retries, {} pool evictions",
+                self.net_retries, self.pool_evictions
             )?;
         }
         if self.router_flushes > 0 {
@@ -281,7 +279,6 @@ impl LoadGenerator {
             faults_injected: trigger.fired(),
             net_retries: delta("net.client.retries"),
             pool_evictions: delta("net.client.pool_evictions"),
-            coalesced_calls: delta("net.client.coalesced_calls"),
             router_flushes: delta("router.flush.batches"),
         }
     }

@@ -3,8 +3,9 @@
 //! The cheap predicates (session, actor) are pure functions of the event and run at enqueue
 //! time, so non-matching events never cost a queue slot. The lineage predicate needs the
 //! store's adjacency index and runs at delivery time instead: by then the event's own edge is
-//! committed (it rode the same batch), so a backward walk from the event's effect — the very
-//! traversal [`pasoa_query::QueryEngine::lineage_closure`] performs — decides membership.
+//! committed (it rode the same batch), so a backward walk from the event's effect —
+//! [`pasoa_preserv::lineage::walk_back`], the very traversal the query engine's lineage closure
+//! performs — decides membership.
 
 use std::sync::Arc;
 
@@ -12,6 +13,7 @@ use serde::{Deserialize, Serialize};
 
 use pasoa_core::ids::{DataId, SessionId};
 use pasoa_core::passertion::{PAssertion, RecordedAssertion};
+use pasoa_preserv::lineage::walk_back;
 use pasoa_preserv::ProvenanceStore;
 
 use crate::event::{FeedEvent, FeedEventBody};
@@ -111,9 +113,9 @@ pub trait LineageResolver: Send + Sync {
     ) -> Result<bool, FeedError>;
 }
 
-/// [`LineageResolver`] over a provenance store's adjacency index: a backward breadth-first
-/// walk over [`ProvenanceStore::edges_for_effect`], reading only reachable edges — the same
-/// access path (and the same answer) as the query engine's `lineage_closure`.
+/// [`LineageResolver`] over a provenance store's adjacency index:
+/// [`pasoa_preserv::lineage::walk_back`] from the effect, reading only reachable edges and
+/// stopping at the first one that names `target` as a cause.
 pub struct StoreLineageResolver {
     store: Arc<ProvenanceStore>,
 }
@@ -132,26 +134,13 @@ impl LineageResolver for StoreLineageResolver {
         effect: &DataId,
         target: &DataId,
     ) -> Result<bool, FeedError> {
-        let mut visited = std::collections::BTreeSet::new();
-        let mut queue = vec![effect.clone()];
-        while let Some(current) = queue.pop() {
-            if current.as_str() == target.as_str() {
-                return Ok(true);
-            }
-            if !visited.insert(current.as_str().to_string()) {
-                continue;
-            }
-            for edge in self
-                .store
-                .edges_for_effect(session, &current)
-                .map_err(|e| FeedError::Storage(e.to_string()))?
-            {
-                for cause in &edge.causes {
-                    queue.push(cause.clone());
-                }
-            }
+        if effect == target {
+            return Ok(true);
         }
-        Ok(false)
+        walk_back(&self.store, session, effect, |edge| {
+            edge.causes.contains(target)
+        })
+        .map_err(|e| FeedError::Storage(e.to_string()))
     }
 }
 
@@ -176,7 +165,7 @@ mod tests {
     use crate::event::{event_identity, FeedEvent, FeedEventBody};
     use pasoa_core::ids::{ActorId, InteractionKey};
     use pasoa_core::passertion::{PAssertion, RecordedAssertion, RelationshipPAssertion};
-    use pasoa_preserv::MemoryBackend;
+    use pasoa_preserv::{LineageGraph, MemoryBackend};
 
     fn rel(session: &str, effect: &str, causes: &[&str]) -> RecordedAssertion {
         RecordedAssertion {
@@ -267,5 +256,40 @@ mod tests {
         assert!(filter
             .delivery_matches(&overflow, &NoLineageResolver)
             .unwrap());
+
+        // Oracle: the early-exit walk answers exactly what building the session graph and
+        // tracing the effect's ancestry answers — on the chain above and on a diamond
+        // (p -> {l, r} -> q), for every (effect, target) pair including unrelated ones.
+        for (effect, causes) in [
+            ("data:l", &["data:p"][..]),
+            ("data:r", &["data:p"]),
+            ("data:q", &["data:l", "data:r"]),
+        ] {
+            store.record(&rel("session:f", effect, causes)).unwrap();
+        }
+        let session = SessionId::new("session:f");
+        let ids = [
+            "data:x",
+            "data:b",
+            "data:c",
+            "data:d",
+            "data:other",
+            "data:p",
+            "data:l",
+            "data:r",
+            "data:q",
+            "data:nowhere",
+        ];
+        for effect in ids.map(DataId::new) {
+            let ancestry = LineageGraph::trace(&store, &session, &effect).unwrap();
+            for target in ids.map(DataId::new) {
+                let reaches = effect == target || ancestry.is_ancestor(&target, &effect);
+                assert_eq!(
+                    resolver.derives_from(&session, &effect, &target).unwrap(),
+                    reaches,
+                    "{effect:?} from {target:?}"
+                );
+            }
+        }
     }
 }

@@ -48,7 +48,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use pasoa_obs::{Counter, Histogram, Registry};
+use pasoa_obs::{Counter, Registry};
 
 use pasoa_wire::{Envelope, FaultInjector, MessageHandler, ServiceHost, WireError, WireResult};
 
@@ -78,12 +78,6 @@ pub struct NetClientConfig {
     /// to [`frame::VERSION_TEXT`] to emulate an old textual-only peer (the negotiation then
     /// settles on textual frames in both directions).
     pub max_wire_version: u8,
-    /// Coalesce concurrent single calls into shared multi-envelope frames: while one
-    /// caller's exchange is in flight, other callers' requests queue, and the next exchange
-    /// ships the whole queue as ONE frame (one write, one read, one response frame) instead
-    /// of one socket round trip per caller. Sequential callers are unaffected — an empty
-    /// queue degrades to the plain single-call path.
-    pub coalesce: bool,
 }
 
 impl Default for NetClientConfig {
@@ -96,7 +90,6 @@ impl Default for NetClientConfig {
             pool_capacity: 8,
             pool_idle_timeout: Duration::from_secs(10),
             max_wire_version: MAX_VERSION,
-            coalesce: false,
         }
     }
 }
@@ -122,9 +115,6 @@ pub struct NetClientStats {
     /// Pooled connections dropped without being reused: idle-expired prunes (at check-in
     /// and checkout) plus pool clears after a stale-connection detection.
     pub pool_evictions: u64,
-    /// Calls that shared a coalesced multi-envelope frame with at least one concurrent
-    /// caller (counted per call, so one shared frame of N requests adds N).
-    pub coalesced_calls: u64,
 }
 
 /// The client's instrument handles, backed by a `pasoa-obs` registry (by default its own;
@@ -140,10 +130,6 @@ struct ClientObs {
     bytes_sent: Counter,
     bytes_received: Counter,
     pool_evictions: Counter,
-    coalesced_calls: Counter,
-    /// Distribution of coalesced frame sizes (requests per shared frame, ≥ 2 by
-    /// construction).
-    coalesce_group: Histogram,
 }
 
 impl ClientObs {
@@ -157,8 +143,6 @@ impl ClientObs {
             bytes_sent: registry.counter("net.client.bytes_sent"),
             bytes_received: registry.counter("net.client.bytes_received"),
             pool_evictions: registry.counter("net.client.pool_evictions"),
-            coalesced_calls: registry.counter("net.client.coalesced_calls"),
-            coalesce_group: registry.histogram("net.client.coalesce_group"),
             registry,
         }
     }
@@ -189,46 +173,6 @@ struct PooledConn {
     idle_since: Instant,
 }
 
-/// One caller's place in a coalesced exchange: its request rides the leader's frame, and the
-/// result comes back through the slot.
-struct PendingCall {
-    request: Envelope,
-    slot: Arc<CallSlot>,
-}
-
-/// Where a coalesced caller parks until the leader fills in its result. Built on
-/// `std::sync` directly because the condvar must pair with the mutex it waits on.
-#[derive(Default)]
-struct CallSlot {
-    result: std::sync::Mutex<Option<WireResult<Envelope>>>,
-    ready: std::sync::Condvar,
-}
-
-impl CallSlot {
-    fn fill(&self, result: WireResult<Envelope>) {
-        *self.result.lock().expect("call slot poisoned") = Some(result);
-        self.ready.notify_one();
-    }
-
-    fn wait(&self) -> WireResult<Envelope> {
-        let mut guard = self.result.lock().expect("call slot poisoned");
-        while guard.is_none() {
-            guard = self.ready.wait(guard).expect("call slot poisoned");
-        }
-        guard
-            .take()
-            .expect("loop exits only once the result is set")
-    }
-}
-
-/// Cross-caller coalescing state: requests queued while another caller's exchange is in
-/// flight, plus whether a leader is currently draining the queue.
-#[derive(Default)]
-struct CoalesceState {
-    queue: Vec<PendingCall>,
-    leader_active: bool,
-}
-
 /// A pooled client towards one remote service.
 pub struct NetClient {
     addr: SocketAddr,
@@ -238,7 +182,6 @@ pub struct NetClient {
     /// Reusable serialization buffers (frame encode + response payload), so steady-state
     /// calls stop allocating per exchange.
     buffers: Mutex<Vec<Vec<u8>>>,
-    coalescer: Mutex<CoalesceState>,
     counters: ClientObs,
     on_down: Option<FaultInjector>,
 }
@@ -253,7 +196,6 @@ impl NetClient {
             config,
             pool: Mutex::new(Vec::new()),
             buffers: Mutex::new(Vec::new()),
-            coalescer: Mutex::new(CoalesceState::default()),
             counters: ClientObs::new(Registry::new()),
             on_down: None,
         }
@@ -302,7 +244,6 @@ impl NetClient {
             bytes_sent: self.counters.bytes_sent.get(),
             bytes_received: self.counters.bytes_received.get(),
             pool_evictions: self.counters.pool_evictions.get(),
-            coalesced_calls: self.counters.coalesced_calls.get(),
         }
     }
 
@@ -313,75 +254,12 @@ impl NetClient {
     /// or corruption problem is NOT evidence the host is dead, so it never feeds the fault
     /// injector or triggers a failover.
     pub fn call(&self, request: &Envelope) -> WireResult<Envelope> {
-        if !self.config.coalesce {
-            return self.call_single(request);
-        }
-        self.call_coalesced(request.clone())
-    }
-
-    /// One plain request/response exchange, no coalescing.
-    fn call_single(&self, request: &Envelope) -> WireResult<Envelope> {
         let mut scratch = self.take_buffer();
         let mut payload_buf = self.take_buffer();
         let result = self.call_buffered(request, &mut scratch, &mut payload_buf);
         self.put_buffer(scratch);
         self.put_buffer(payload_buf);
         result
-    }
-
-    /// [`Self::call`] through the cross-caller coalescer: enqueue the request; if another
-    /// caller's exchange is in flight, park until that leader ships the queue — this
-    /// request included — as one multi-envelope frame. Otherwise become the leader and
-    /// drain the queue (starting with this request, possibly joined by callers that arrive
-    /// during the exchange) until it is empty.
-    fn call_coalesced(&self, request: Envelope) -> WireResult<Envelope> {
-        let slot = Arc::new(CallSlot::default());
-        let lead = {
-            let mut state = self.coalescer.lock();
-            state.queue.push(PendingCall {
-                request,
-                slot: Arc::clone(&slot),
-            });
-            if state.leader_active {
-                false
-            } else {
-                state.leader_active = true;
-                true
-            }
-        };
-        if !lead {
-            return slot.wait();
-        }
-        loop {
-            let batch = {
-                let mut state = self.coalescer.lock();
-                if state.queue.is_empty() {
-                    // Checked under the same lock callers enqueue under, so nobody can
-                    // slip into the queue after this leader steps down without becoming
-                    // (or finding) a leader themselves.
-                    state.leader_active = false;
-                    break;
-                }
-                std::mem::take(&mut state.queue)
-            };
-            if batch.len() == 1 {
-                let PendingCall { request, slot } = batch.into_iter().next().expect("one call");
-                slot.fill(self.call_single(&request));
-                continue;
-            }
-            self.counters.coalesced_calls.add(batch.len() as u64);
-            self.counters.coalesce_group.record(batch.len() as u64);
-            let (requests, slots): (Vec<_>, Vec<_>) = batch
-                .into_iter()
-                .map(|pending| (pending.request, pending.slot))
-                .unzip();
-            let results = self.call_many(&requests);
-            for (slot, result) in slots.iter().zip(results) {
-                slot.fill(result);
-            }
-        }
-        // The leader's own request was in the first batch it drained, so this never blocks.
-        slot.wait()
     }
 
     /// Send `requests` and collect one result per request, in order. On a connection
@@ -793,11 +671,7 @@ impl std::fmt::Debug for NetClient {
 
 impl MessageHandler for NetClient {
     fn handle(&self, request: Envelope) -> WireResult<Envelope> {
-        if !self.config.coalesce {
-            return self.call_single(&request);
-        }
-        // Already owns the envelope — skip the clone `call` pays for a borrowed request.
-        self.call_coalesced(request)
+        self.call(&request)
     }
 
     fn handle_many(&self, requests: Vec<Envelope>) -> Vec<WireResult<Envelope>> {

@@ -562,58 +562,3 @@ fn shutdown_drains_in_flight_requests() {
     // ...and new connections are refused.
     assert!(std::net::TcpStream::connect(addr).is_err());
 }
-
-#[test]
-fn concurrent_callers_coalesce_into_shared_frames() {
-    struct SlowEcho;
-    impl MessageHandler for SlowEcho {
-        fn handle(&self, request: Envelope) -> WireResult<Envelope> {
-            // Long enough on the wire that the other barrier-released callers are queued
-            // on the coalescer before the first exchange returns.
-            std::thread::sleep(std::time::Duration::from_millis(40));
-            Ok(Envelope::response("echo").with_body(request.body))
-        }
-        fn name(&self) -> &str {
-            "echo"
-        }
-    }
-    let backend = ServiceHost::new();
-    backend.register("echo", Arc::new(SlowEcho));
-    let server = NetServer::bind("127.0.0.1:0", &backend, NetServerConfig::default()).unwrap();
-    let client = Arc::new(pasoa_net::NetClient::new(
-        server.local_addr(),
-        "echo",
-        NetClientConfig {
-            coalesce: true,
-            ..NetClientConfig::default()
-        },
-    ));
-
-    let barrier = Arc::new(std::sync::Barrier::new(8));
-    let handles: Vec<_> = (0..8)
-        .map(|i| {
-            let client = Arc::clone(&client);
-            let barrier = Arc::clone(&barrier);
-            std::thread::spawn(move || {
-                barrier.wait();
-                let request = Envelope::request("echo", "ping")
-                    .with_body(pasoa_wire::XmlElement::new("data").text(format!("hello-{i}")));
-                let response = client.call(&request).unwrap();
-                // Each caller gets ITS response back, not a neighbour's from the shared frame.
-                assert_eq!(response.body.text_content(), format!("hello-{i}"));
-            })
-        })
-        .collect();
-    for handle in handles {
-        handle.join().unwrap();
-    }
-
-    // The first caller's exchange holds the wire for 40ms, so the stragglers queue up and
-    // ship as shared multi-envelope frames instead of eight sequential round trips.
-    let stats = client.stats();
-    assert_eq!(stats.calls, 8);
-    assert!(
-        stats.coalesced_calls >= 2,
-        "expected shared frames, got {stats:?}"
-    );
-}

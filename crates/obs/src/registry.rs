@@ -305,12 +305,12 @@ mod tests {
         let b = parent.child();
         a.counter("net.client.retries").add(2);
         b.counter("net.client.retries").add(4);
-        a.histogram("net.client.coalesce_group").record(3);
-        b.histogram("net.client.coalesce_group").record(5);
+        a.histogram("router.flush.batch_size").record(3);
+        b.histogram("router.flush.batch_size").record(5);
         let snap = parent.snapshot();
         assert_eq!(snap.counter("net.client.retries"), 7);
         assert_eq!(
-            snap.histogram("net.client.coalesce_group").map(|h| h.count),
+            snap.histogram("router.flush.batch_size").map(|h| h.count),
             Some(2)
         );
         // The children keep their own views too.

@@ -35,6 +35,7 @@ use pasoa_core::ids::DataId;
 use pasoa_core::passertion::{PAssertion, RecordedAssertion};
 
 use crate::keys;
+use crate::store::{corrupt, StoreError};
 
 /// Key of the index version marker.
 pub const VERSION_KEY: &[u8] = b"x/!v";
@@ -106,6 +107,16 @@ impl EdgeRecord {
             relation: rel.relation.clone(),
         }
     }
+
+    /// The stored form of an adjacency entry's value — with [`Self::from_stored`], the only
+    /// place that knows it.
+    pub(crate) fn to_stored(&self) -> Vec<u8> {
+        serde_json::to_vec(self).expect("edge record serializes")
+    }
+
+    pub(crate) fn from_stored(value: &[u8]) -> Result<Self, StoreError> {
+        serde_json::from_slice(value).map_err(corrupt)
+    }
 }
 
 /// The global sort key of assertion `seq` of `interaction`: `"<escaped interaction>/<seq>"`.
@@ -120,53 +131,15 @@ pub fn assertion_key_for_sort_key(sort_key: &str) -> Vec<u8> {
     format!("{}{sort_key}", keys::ASSERTION_PREFIX).into_bytes()
 }
 
-/// Recover the sort key from a primary assertion key (`a/<interaction>/<seq>`).
-pub fn sort_key_from_assertion_key(key: &[u8]) -> Option<String> {
-    let text = std::str::from_utf8(key).ok()?;
-    text.strip_prefix(keys::ASSERTION_PREFIX)
-        .map(str::to_string)
+/// Key of the entry for the assertion `sort_key` points at, under `component` (a session,
+/// actor or relation) of the assertion-index keyspace `keyspace` (`x/s/`, `x/a/` or `x/r/`).
+pub fn entry_key(keyspace: &str, component: &str, sort_key: &str) -> Vec<u8> {
+    format!("{keyspace}{}/{sort_key}", keys::escape_component(component)).into_bytes()
 }
 
-/// By-session index key for assertion `seq` of `interaction` under `session`.
-pub fn session_entry_key(session: &str, sort_key: &str) -> Vec<u8> {
-    format!(
-        "{SESSION_IDX_PREFIX}{}/{sort_key}",
-        keys::escape_component(session)
-    )
-    .into_bytes()
-}
-
-/// Prefix of all by-session index entries of `session`.
-pub fn session_idx_prefix(session: &str) -> Vec<u8> {
-    format!("{SESSION_IDX_PREFIX}{}/", keys::escape_component(session)).into_bytes()
-}
-
-/// By-actor index key for assertion `seq` of `interaction` asserted by `actor`.
-pub fn actor_entry_key(actor: &str, sort_key: &str) -> Vec<u8> {
-    format!(
-        "{ACTOR_IDX_PREFIX}{}/{sort_key}",
-        keys::escape_component(actor)
-    )
-    .into_bytes()
-}
-
-/// Prefix of all by-actor index entries of `actor`.
-pub fn actor_idx_prefix(actor: &str) -> Vec<u8> {
-    format!("{ACTOR_IDX_PREFIX}{}/", keys::escape_component(actor)).into_bytes()
-}
-
-/// By-relation index key for relationship assertion `seq` carrying `relation`.
-pub fn relation_entry_key(relation: &str, sort_key: &str) -> Vec<u8> {
-    format!(
-        "{RELATION_IDX_PREFIX}{}/{sort_key}",
-        keys::escape_component(relation)
-    )
-    .into_bytes()
-}
-
-/// Prefix of all by-relation index entries of `relation`.
-pub fn relation_idx_prefix(relation: &str) -> Vec<u8> {
-    format!("{RELATION_IDX_PREFIX}{}/", keys::escape_component(relation)).into_bytes()
+/// Prefix of all entries of `component` in the assertion-index keyspace `keyspace`.
+pub fn entry_prefix(keyspace: &str, component: &str) -> Vec<u8> {
+    format!("{keyspace}{}/", keys::escape_component(component)).into_bytes()
 }
 
 /// Adjacency index key for the edge produced by assertion `seq` with effect `effect` under
@@ -196,7 +169,8 @@ pub fn edge_effect_prefix(session: &str, effect: &str) -> Vec<u8> {
     .into_bytes()
 }
 
-/// Derive the sort key an index entry key carries, given the entry's scan prefix.
+/// Derive the sort key a key carries after `prefix`: an index entry's scan prefix, or `a/`
+/// for a primary assertion key.
 pub fn sort_key_from_entry(entry_key: &[u8], prefix: &[u8]) -> Option<String> {
     if !entry_key.starts_with(prefix) {
         return None;
@@ -217,22 +191,19 @@ pub fn stage_assertion_entries(
 ) {
     let interaction = recorded.assertion.interaction_key().as_str();
     let sort = sort_key(interaction, seq);
-    entries.push((
-        session_entry_key(recorded.session.as_str(), &sort),
-        Vec::new(),
-    ));
+    let session = recorded.session.as_str();
+    entries.push((entry_key(SESSION_IDX_PREFIX, session, &sort), Vec::new()));
     if let PAssertion::Relationship(rel) = &recorded.assertion {
         let edge = EdgeRecord::from_relationship(rel);
         entries.push((
-            edge_entry_key(recorded.session.as_str(), rel.effect.as_str(), seq),
-            serde_json::to_vec(&edge).expect("edge record serializes"),
+            edge_entry_key(session, rel.effect.as_str(), seq),
+            edge.to_stored(),
         ));
-        entries.push((relation_entry_key(&rel.relation, &sort), Vec::new()));
+        let relation = entry_key(RELATION_IDX_PREFIX, &rel.relation, &sort);
+        entries.push((relation, Vec::new()));
     }
-    entries.push((
-        actor_entry_key(recorded.assertion.asserter().as_str(), &sort),
-        Vec::new(),
-    ));
+    let actor = recorded.assertion.asserter().as_str();
+    entries.push((entry_key(ACTOR_IDX_PREFIX, actor, &sort), Vec::new()));
 }
 
 #[cfg(test)]
@@ -246,25 +217,27 @@ mod tests {
         let sort = sort_key("interaction:run/7", 42);
         let primary = assertion_key_for_sort_key(&sort);
         assert_eq!(primary, keys::assertion_key("interaction:run/7", 42));
-        assert_eq!(sort_key_from_assertion_key(&primary).unwrap(), sort);
-        assert_eq!(sort_key_from_assertion_key(b"g/nope"), None);
+        let base = keys::ASSERTION_PREFIX.as_bytes();
+        assert_eq!(sort_key_from_entry(&primary, base).unwrap(), sort);
+        assert_eq!(sort_key_from_entry(b"g/nope", base), None);
     }
 
     #[test]
     fn index_entry_keys_sort_like_primary_keys() {
-        let a = session_entry_key("session:1", &sort_key("interaction:1", 5));
-        let b = session_entry_key("session:1", &sort_key("interaction:1", 50));
-        let c = session_entry_key("session:1", &sort_key("interaction:2", 0));
+        let entry = |sort: String| entry_key(SESSION_IDX_PREFIX, "session:1", &sort);
+        let a = entry(sort_key("interaction:1", 5));
+        let b = entry(sort_key("interaction:1", 50));
+        let c = entry(sort_key("interaction:2", 0));
         assert!(a < b && b < c);
-        assert!(a.starts_with(&session_idx_prefix("session:1")));
-        assert!(!a.starts_with(&session_idx_prefix("session:10")));
+        assert!(a.starts_with(&entry_prefix(SESSION_IDX_PREFIX, "session:1")));
+        assert!(!a.starts_with(&entry_prefix(SESSION_IDX_PREFIX, "session:10")));
     }
 
     #[test]
     fn sort_key_recovered_from_entry_keys() {
         let sort = sort_key("interaction:9", 3);
-        let prefix = actor_idx_prefix("engine");
-        let entry = actor_entry_key("engine", &sort);
+        let prefix = entry_prefix(ACTOR_IDX_PREFIX, "engine");
+        let entry = entry_key(ACTOR_IDX_PREFIX, "engine", &sort);
         assert_eq!(sort_key_from_entry(&entry, &prefix).unwrap(), sort);
         assert_eq!(sort_key_from_entry(&entry, b"x/s/other/"), None);
     }
@@ -300,7 +273,7 @@ mod tests {
         assert!(entries[1].0.starts_with(EDGE_IDX_PREFIX.as_bytes()));
         assert!(entries[2].0.starts_with(RELATION_IDX_PREFIX.as_bytes()));
         assert!(entries[3].0.starts_with(ACTOR_IDX_PREFIX.as_bytes()));
-        let edge: EdgeRecord = serde_json::from_slice(&entries[1].1).unwrap();
+        let edge = EdgeRecord::from_stored(&entries[1].1).unwrap();
         assert_eq!(edge.effect, DataId::new("data:out"));
         assert_eq!(edge.causes, vec![DataId::new("data:in")]);
         assert_eq!(edge.relation, "compressed-from");

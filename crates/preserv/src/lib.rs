@@ -25,6 +25,7 @@
 //! persist provenance beyond the life of the application that produced it: reopening a file or
 //! database backend recovers every p-assertion.
 
+pub mod access;
 pub mod backend;
 pub mod index;
 pub mod keys;
@@ -33,6 +34,7 @@ pub mod plugins;
 pub mod service;
 pub mod store;
 
+pub use access::AccessPath;
 pub use backend::{BackendKind, FileBackend, KvBackend, MemoryBackend, StorageBackend};
 pub use index::EdgeRecord;
 pub use lineage::{LineageGraph, LineageNode};

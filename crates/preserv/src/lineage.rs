@@ -5,6 +5,11 @@
 //! were used to produce which output unambiguously ... even if multiple workflows were run
 //! simultaneously". Relationship p-assertions carry exactly that edge information; this module
 //! assembles them into a queryable derivation graph.
+//!
+//! Two ways to an ancestry, one answer: [`LineageGraph::trace`] builds the whole session graph
+//! and filters it (the oracle), while [`walk_back`] — the single backward walk over the
+//! adjacency index, shared by the query engine's closure and the change feed's lineage filter —
+//! reads only the edges reachable from its starting point.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -12,7 +17,34 @@ use serde::{Deserialize, Serialize};
 
 use pasoa_core::ids::{DataId, SessionId};
 
+use crate::access::AccessPath;
+use crate::index::EdgeRecord;
 use crate::store::{ProvenanceStore, StoreError};
+
+/// Walk derivation edges backwards from `from` through
+/// [`ProvenanceStore::edges_for_effect`], handing each reachable edge to `visit` exactly once;
+/// `visit` returning `true` ends the walk early. Returns whether it was ended early.
+pub fn walk_back(
+    store: &ProvenanceStore,
+    session: &SessionId,
+    from: &DataId,
+    mut visit: impl FnMut(&EdgeRecord) -> bool,
+) -> Result<bool, StoreError> {
+    let mut visited = BTreeSet::new();
+    let mut queue = vec![from.clone()];
+    while let Some(current) = queue.pop() {
+        if !visited.insert(current.as_str().to_string()) {
+            continue;
+        }
+        for edge in store.edges_for_effect(session, &current)? {
+            if visit(&edge) {
+                return Ok(true);
+            }
+            queue.extend(edge.causes.iter().cloned());
+        }
+    }
+    Ok(false)
+}
 
 /// One node of the lineage graph: a data item and the items it was directly derived from.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -33,23 +65,45 @@ pub struct LineageGraph {
 }
 
 impl LineageGraph {
-    /// Build the full derivation graph of a session from its relationship p-assertions.
-    ///
-    /// The edges come from [`ProvenanceStore::session_edges`] — the lineage adjacency index
-    /// when the store maintains indexes, the bulk-retrieval scan otherwise — so building the
-    /// graph no longer re-deserializes every assertion of the session just to discard the
-    /// non-relationship ones.
+    /// Build the full derivation graph of a session from its relationship p-assertions,
+    /// through the access path the store's own configuration gives lineage edges.
     pub fn trace_session(store: &ProvenanceStore, session: &SessionId) -> Result<Self, StoreError> {
+        let path = AccessPath::for_lineage(store.indexes_enabled());
+        Self::trace_session_via(store, session, path)
+    }
+
+    /// [`Self::trace_session`] through a caller-chosen access path (see
+    /// [`ProvenanceStore::session_edges`]).
+    pub fn trace_session_via(
+        store: &ProvenanceStore,
+        session: &SessionId,
+        path: AccessPath,
+    ) -> Result<Self, StoreError> {
         let mut graph = LineageGraph::default();
-        for edge in store.session_edges(session)? {
+        for edge in store.session_edges(session, path)? {
             graph.absorb_edge(&edge);
         }
         Ok(graph)
     }
 
+    /// The ancestry of `target` gathered by [`walk_back`]: only reachable edges are read, so
+    /// the cost is proportional to the answer, not to the session. Equals [`Self::trace`].
+    pub fn trace_reachable(
+        store: &ProvenanceStore,
+        session: &SessionId,
+        target: &DataId,
+    ) -> Result<Self, StoreError> {
+        let mut graph = LineageGraph::default();
+        walk_back(store, session, target, |edge| {
+            graph.absorb_edge(edge);
+            false
+        })?;
+        Ok(graph)
+    }
+
     /// Fold one derivation edge into the graph, deduplicating repeated causes and relation
     /// labels exactly as repeated relationship p-assertions always were.
-    pub fn absorb_edge(&mut self, edge: &crate::index::EdgeRecord) {
+    pub fn absorb_edge(&mut self, edge: &EdgeRecord) {
         let node = self
             .nodes
             .entry(edge.effect.as_str().to_string())
@@ -79,8 +133,8 @@ impl LineageGraph {
     }
 
     /// The subgraph reachable from `target` by following derivation edges backwards — the
-    /// lineage-closure filter [`Self::trace`] applies, exposed so an index-driven traversal
-    /// can be checked against the full-graph answer.
+    /// lineage-closure filter [`Self::trace`] applies, exposed so the index-driven
+    /// [`Self::trace_reachable`] can be checked against the full-graph answer.
     pub fn closure_of(&self, target: &DataId) -> LineageGraph {
         let mut keep = BTreeSet::new();
         let mut queue = VecDeque::new();

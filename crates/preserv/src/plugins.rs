@@ -161,15 +161,6 @@ impl LineageQueryPlugin {
     pub fn new(store: Arc<ProvenanceStore>) -> Self {
         LineageQueryPlugin { store }
     }
-
-    /// Trace the ancestry of `data_id` within `session`.
-    pub fn trace(
-        &self,
-        session: &pasoa_core::ids::SessionId,
-        data_id: &pasoa_core::ids::DataId,
-    ) -> Result<LineageGraph, StoreError> {
-        LineageGraph::trace(&self.store, session, data_id)
-    }
 }
 
 impl PlugIn for LineageQueryPlugin {

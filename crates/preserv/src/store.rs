@@ -5,22 +5,41 @@
 //! provenance beyond the life of a Grid application": reopening a store over a persistent
 //! backend recovers everything, and the store keeps its counters consistent by rebuilding them
 //! from the backend at open time.
+//!
+//! ## The read path
+//!
+//! Every assertion-producing read is one call of one cursor primitive: `(request, access
+//! path, after, limit) → (sort key, assertion)*`. The path comes from the
+//! [`AccessPath::for_request`] table — consulted with this store's own configuration by the
+//! plain entry points ([`ProvenanceStore::query`], [`ProvenanceStore::query_page`], the
+//! `assertions_*` answers), or handed in by a caller that forces one
+//! ([`ProvenanceStore::query_via`], [`ProvenanceStore::query_page_via`],
+//! [`ProvenanceStore::assertions_via`] — the `pasoa-query` planner, and every equivalence test
+//! comparing an index against the [`AccessPath::FullScan`] oracle). An unpaged answer is
+//! simply every page at once. Stored documents and edge records are each encoded and decoded
+//! by exactly one function pair.
 
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use pasoa_core::group::Group;
-use pasoa_core::ids::{InteractionKey, SessionId};
+use pasoa_core::ids::{ActorId, DataId, InteractionKey, SessionId};
 use pasoa_core::passertion::{PAssertion, RecordedAssertion};
 use pasoa_core::prep::{
     PagedQuery, QueryRequest, QueryResponse, ShardQueryPage, StoreStatistics, MAX_PAGE_SIZE,
 };
 
+use crate::access::AccessPath;
 use crate::backend::{BackendError, StorageBackend};
 use crate::index::{self, EdgeRecord, IndexMarker};
 use crate::keys;
+
+/// One page of the cursor primitive: `(sort key, assertion)` pairs in global sort-key order,
+/// plus whether the result set is exhausted.
+type AssertionPage = (Vec<(String, RecordedAssertion)>, bool);
 
 /// Error produced by store operations.
 #[derive(Debug)]
@@ -128,17 +147,15 @@ pub struct ProvenanceStore {
     /// Monotonic sequence number appended to assertion keys so multiple assertions about the
     /// same interaction never collide.
     sequence: AtomicU64,
-    interaction_count: AtomicU64,
-    interaction_assertions: AtomicU64,
-    actor_state_assertions: AtomicU64,
-    relationship_assertions: AtomicU64,
-    group_count: AtomicU64,
-    content_bytes: AtomicU64,
+    /// What [`Self::statistics`] reports, kept current by every committed write.
+    stats: Mutex<StoreStatistics>,
     /// Whether secondary indexes are maintained and served (see [`StoreOptions`]).
     maintain_indexes: bool,
     /// What the open-time consistency check did.
     index_report: Mutex<IndexReport>,
-    /// Optional hook staging extra entries (change-feed jobs) into every record batch.
+    /// Optional hook staging extra entries (change-feed jobs) into every record batch. Its
+    /// lock doubles as the commit lock: interaction-marker checks, staging and the backend
+    /// commit of one batch happen under it.
     stager: Mutex<Option<Arc<dyn RecordStager>>>,
 }
 
@@ -161,12 +178,7 @@ impl ProvenanceStore {
         let store = ProvenanceStore {
             backend,
             sequence: AtomicU64::new(0),
-            interaction_count: AtomicU64::new(0),
-            interaction_assertions: AtomicU64::new(0),
-            actor_state_assertions: AtomicU64::new(0),
-            relationship_assertions: AtomicU64::new(0),
-            group_count: AtomicU64::new(0),
-            content_bytes: AtomicU64::new(0),
+            stats: Mutex::new(StoreStatistics::default()),
             maintain_indexes: options.maintain_indexes,
             index_report: Mutex::new(IndexReport::default()),
             stager: Mutex::new(None),
@@ -181,49 +193,32 @@ impl ProvenanceStore {
     }
 
     fn rebuild_counters(&self) -> Result<(), StoreError> {
-        let interactions = self
-            .backend
-            .count_prefix(keys::INTERACTION_PREFIX.as_bytes())?;
-        self.interaction_count
-            .store(interactions as u64, Ordering::Relaxed);
-        let groups = self.backend.count_prefix(keys::GROUP_PREFIX.as_bytes())?;
-        self.group_count.store(groups as u64, Ordering::Relaxed);
-
+        let mut stats = StoreStatistics {
+            interactions: self
+                .backend
+                .count_prefix(keys::INTERACTION_PREFIX.as_bytes())?
+                as u64,
+            groups: self.backend.count_prefix(keys::GROUP_PREFIX.as_bytes())? as u64,
+            ..StoreStatistics::default()
+        };
         let mut max_seq = 0u64;
-        let mut interaction_assertions = 0u64;
-        let mut actor_state = 0u64;
-        let mut relationship = 0u64;
-        let mut bytes = 0u64;
         for (key, value) in self
             .backend
             .scan_prefix_values(keys::ASSERTION_PREFIX.as_bytes())?
         {
-            if let Some(seq) = key
-                .rsplit(|&b| b == b'/')
-                .next()
-                .and_then(|s| std::str::from_utf8(s).ok())
-                .and_then(|s| s.parse::<u64>().ok())
-            {
+            if let Ok(seq) = key_seq(&key) {
                 max_seq = max_seq.max(seq + 1);
             }
-            let recorded: RecordedAssertion =
-                serde_json::from_slice(&value).map_err(|e| StoreError::Corrupt(e.to_string()))?;
-            bytes += recorded.assertion.content_len() as u64;
-            match recorded.assertion {
-                PAssertion::Interaction(_) => interaction_assertions += 1,
-                PAssertion::ActorState(_) => actor_state += 1,
-                PAssertion::Relationship(_) => relationship += 1,
-            }
+            tally(&mut stats, &decode_document(&value)?.assertion);
         }
         self.sequence.store(max_seq, Ordering::Relaxed);
-        self.interaction_assertions
-            .store(interaction_assertions, Ordering::Relaxed);
-        self.actor_state_assertions
-            .store(actor_state, Ordering::Relaxed);
-        self.relationship_assertions
-            .store(relationship, Ordering::Relaxed);
-        self.content_bytes.store(bytes, Ordering::Relaxed);
+        *self.stats.lock() = stats;
         Ok(())
+    }
+
+    fn index_marker_is_current(&self) -> Result<bool, StoreError> {
+        let marker = self.backend.get(index::VERSION_KEY)?;
+        Ok(marker.is_some_and(|payload| IndexMarker::payload_is_current(&payload)))
     }
 
     /// Verify the secondary indexes account for every stored assertion, rebuilding them when
@@ -232,11 +227,7 @@ impl ProvenanceStore {
         let assertions = self
             .backend
             .count_prefix(keys::ASSERTION_PREFIX.as_bytes())?;
-        let marker_ok = self
-            .backend
-            .get(index::VERSION_KEY)?
-            .map(|payload| IndexMarker::payload_is_current(&payload))
-            .unwrap_or(false);
+        let marker_ok = self.index_marker_is_current()?;
         let by_session = self
             .backend
             .count_prefix(index::SESSION_IDX_PREFIX.as_bytes())?;
@@ -276,9 +267,7 @@ impl ProvenanceStore {
             .backend
             .scan_prefix_values(keys::ASSERTION_PREFIX.as_bytes())?
         {
-            let recorded: RecordedAssertion =
-                serde_json::from_slice(&value).map_err(|e| StoreError::Corrupt(e.to_string()))?;
-            index::stage_assertion_entries(&mut entries, &recorded, key_seq(&key)?);
+            index::stage_assertion_entries(&mut entries, &decode_document(&value)?, key_seq(&key)?);
         }
         entries.push((
             index::VERSION_KEY.to_vec(),
@@ -299,12 +288,7 @@ impl ProvenanceStore {
     /// index maintenance would otherwise leave a *stale* index that a later indexed open
     /// trusts. Downgrading the marker forces that open to rebuild.
     fn mark_indexes_disabled(&self) -> Result<(), StoreError> {
-        let currently_valid = self
-            .backend
-            .get(index::VERSION_KEY)?
-            .map(|payload| IndexMarker::payload_is_current(&payload))
-            .unwrap_or(false);
-        if currently_valid {
+        if self.index_marker_is_current()? {
             self.backend
                 .put(index::VERSION_KEY, &IndexMarker::disabled().payload())?;
         }
@@ -354,25 +338,20 @@ impl ProvenanceStore {
             return Ok(0);
         }
         let mut entries: Vec<(Vec<u8>, Vec<u8>)> = Vec::with_capacity(recorded.len() * 6);
-        let mut markers_in_batch = std::collections::BTreeSet::new();
-        let mut new_interactions = 0u64;
-        let mut interaction_assertions = 0u64;
-        let mut actor_state = 0u64;
-        let mut relationship = 0u64;
-        let mut bytes = 0u64;
+        // Where in `entries` the interaction markers sit, one per distinct interaction of the
+        // batch. Whether each is new is only decided under the commit lock.
+        let mut marker_slots: Vec<usize> = Vec::new();
+        let mut markers_in_batch = BTreeSet::new();
 
         for r in recorded {
             let interaction = r.assertion.interaction_key().as_str();
             let seq = self.sequence.fetch_add(1, Ordering::Relaxed);
-            let payload = serde_json::to_vec(r).map_err(|e| StoreError::Corrupt(e.to_string()))?;
-            entries.push((keys::assertion_key(interaction, seq), payload));
+            entries.push((keys::assertion_key(interaction, seq), encode_document(r)?));
 
-            // Maintain the interaction marker and session index. The marker existence check
-            // must consider both the backend and markers staged earlier in this batch.
             let marker = keys::interaction_key(interaction);
-            if markers_in_batch.insert(marker.clone()) && self.backend.get(&marker)?.is_none() {
+            if markers_in_batch.insert(marker.clone()) {
+                marker_slots.push(entries.len());
                 entries.push((marker, Vec::new()));
-                new_interactions += 1;
             }
             entries.push((
                 keys::session_member_key(r.session.as_str(), interaction),
@@ -385,42 +364,50 @@ impl ProvenanceStore {
                 // assertion.
                 index::stage_assertion_entries(&mut entries, r, seq);
             }
-
-            match &r.assertion {
-                PAssertion::Interaction(_) => interaction_assertions += 1,
-                PAssertion::ActorState(_) => actor_state += 1,
-                PAssertion::Relationship(_) => relationship += 1,
-            }
-            bytes += r.assertion.content_len() as u64;
         }
+
+        // Everything above (encoding included) ran unlocked; the marker existence check and
+        // the commit are one critical section, so two recorders documenting the same fresh
+        // interaction — the canonical PReP case of sender and receiver — cannot both find the
+        // marker missing and both count the interaction as new. Markers that already exist
+        // are dropped from the batch rather than rewritten.
+        let stager = self.stager.lock();
+        let mut existing = Vec::new();
+        for &slot in &marker_slots {
+            if self.backend.get(&entries[slot].0)?.is_some() {
+                existing.push(slot);
+            }
+        }
+        let new_interactions = (marker_slots.len() - existing.len()) as u64;
+        let mut existing = existing.into_iter().peekable();
+        let mut slot = 0;
+        entries.retain(|_| {
+            let stale = existing.next_if_eq(&slot).is_some();
+            slot += 1;
+            !stale
+        });
 
         // Stager entries (change-feed jobs) ride the same group commit, appended after every
         // assertion document: an acked batch durably carries its change events, and a torn
-        // batch prefix can never contain a job whose assertion was lost. The stager lock is
-        // held across the commit so the stager's allocation order is the commit order (keeps
+        // batch prefix can never contain a job whose assertion was lost. Holding the lock
+        // across the commit makes the stager's allocation order the commit order (keeps
         // per-subscriber queues gap-free), and a failed commit rolls the allocation back.
-        let stager_guard = self.stager.lock();
-        if let Some(stager) = stager_guard.as_ref() {
+        if let Some(stager) = stager.as_ref() {
             stager.stage_batch(recorded, &mut entries)?;
-            if let Err(e) = self.backend.put_many(&entries) {
-                stager.stage_aborted();
-                return Err(e.into());
-            }
-            drop(stager_guard);
-        } else {
-            drop(stager_guard);
-            self.backend.put_many(&entries)?;
         }
+        if let Err(e) = self.backend.put_many(&entries) {
+            if let Some(stager) = stager.as_ref() {
+                stager.stage_aborted();
+            }
+            return Err(e.into());
+        }
+        drop(stager);
 
-        self.interaction_count
-            .fetch_add(new_interactions, Ordering::Relaxed);
-        self.interaction_assertions
-            .fetch_add(interaction_assertions, Ordering::Relaxed);
-        self.actor_state_assertions
-            .fetch_add(actor_state, Ordering::Relaxed);
-        self.relationship_assertions
-            .fetch_add(relationship, Ordering::Relaxed);
-        self.content_bytes.fetch_add(bytes, Ordering::Relaxed);
+        let mut stats = self.stats.lock();
+        stats.interactions += new_interactions;
+        for r in recorded {
+            tally(&mut stats, &r.assertion);
+        }
         Ok(recorded.len())
     }
 
@@ -428,10 +415,10 @@ impl ProvenanceStore {
     pub fn register_group(&self, group: &Group) -> Result<(), StoreError> {
         let key = keys::group_key(group.kind.label(), &group.id);
         let existed = self.backend.get(&key)?.is_some();
-        let payload = serde_json::to_vec(group).map_err(|e| StoreError::Corrupt(e.to_string()))?;
+        let payload = serde_json::to_vec(group).map_err(corrupt)?;
         self.backend.put(&key, &payload)?;
         if !existed {
-            self.group_count.fetch_add(1, Ordering::Relaxed);
+            self.stats.lock().groups += 1;
         }
         Ok(())
     }
@@ -441,56 +428,24 @@ impl ProvenanceStore {
         &self,
         interaction: &InteractionKey,
     ) -> Result<Vec<RecordedAssertion>, StoreError> {
-        let prefix = keys::assertion_prefix(interaction.as_str());
-        let mut out = Vec::new();
-        for (_, value) in self.backend.scan_prefix_values(&prefix)? {
-            out.push(
-                serde_json::from_slice(&value).map_err(|e| StoreError::Corrupt(e.to_string()))?,
-            );
-        }
-        Ok(out)
+        self.assertions(&QueryRequest::ByInteraction(interaction.clone()))
     }
 
     /// All p-assertions recorded under `session`, in `(interaction key, recording order)`
-    /// order — served by the by-session secondary index when enabled, by a bulk-retrieval scan
-    /// otherwise. Both paths answer identically (the equivalence proptests pin this).
+    /// order.
     pub fn assertions_for_session(
         &self,
         session: &SessionId,
     ) -> Result<Vec<RecordedAssertion>, StoreError> {
-        if self.maintain_indexes {
-            self.assertions_for_session_via_index(session)
-        } else {
-            self.assertions_filtered_scan(&QueryRequest::BySession(session.clone()))
-        }
-    }
-
-    /// [`Self::assertions_for_session`] forced through the by-session index.
-    pub fn assertions_for_session_via_index(
-        &self,
-        session: &SessionId,
-    ) -> Result<Vec<RecordedAssertion>, StoreError> {
-        self.fetch_via_entries(&index::session_idx_prefix(session.as_str()))
+        self.assertions(&QueryRequest::BySession(session.clone()))
     }
 
     /// All p-assertions asserted by `actor`, in `(interaction key, recording order)` order.
     pub fn assertions_by_actor(
         &self,
-        actor: &pasoa_core::ids::ActorId,
+        actor: &ActorId,
     ) -> Result<Vec<RecordedAssertion>, StoreError> {
-        if self.maintain_indexes {
-            self.assertions_by_actor_via_index(actor)
-        } else {
-            self.assertions_filtered_scan(&QueryRequest::ByActor(actor.clone()))
-        }
-    }
-
-    /// [`Self::assertions_by_actor`] forced through the by-actor index.
-    pub fn assertions_by_actor_via_index(
-        &self,
-        actor: &pasoa_core::ids::ActorId,
-    ) -> Result<Vec<RecordedAssertion>, StoreError> {
-        self.fetch_via_entries(&index::actor_idx_prefix(actor.as_str()))
+        self.assertions(&QueryRequest::ByActor(actor.clone()))
     }
 
     /// All relationship p-assertions carrying `relation`, in `(interaction key, recording
@@ -499,35 +454,114 @@ impl ProvenanceStore {
         &self,
         relation: &str,
     ) -> Result<Vec<RecordedAssertion>, StoreError> {
-        if self.maintain_indexes {
-            self.assertions_by_relation_via_index(relation)
-        } else {
-            self.assertions_filtered_scan(&QueryRequest::ByRelation(relation.to_string()))
-        }
+        self.assertions(&QueryRequest::ByRelation(relation.to_string()))
     }
 
-    /// [`Self::assertions_by_relation`] forced through the by-relation index.
-    pub fn assertions_by_relation_via_index(
+    /// Actor-state p-assertions of a given kind label for one interaction.
+    pub fn actor_state_by_kind(
         &self,
-        relation: &str,
+        interaction: &InteractionKey,
+        kind: &str,
     ) -> Result<Vec<RecordedAssertion>, StoreError> {
-        self.fetch_via_entries(&index::relation_idx_prefix(relation))
+        self.assertions(&QueryRequest::ActorStateByKind {
+            interaction: interaction.clone(),
+            kind: kind.to_string(),
+        })
     }
 
-    /// Resolve every entry under an index prefix to its p-assertion, in entry order (which is
-    /// the primary keyspace's `(escaped interaction, seq)` order by construction).
-    fn fetch_via_entries(&self, prefix: &[u8]) -> Result<Vec<RecordedAssertion>, StoreError> {
-        let mut out = Vec::new();
-        for entry in self.backend.scan_prefix(prefix)? {
-            let sort = index::sort_key_from_entry(&entry, prefix).ok_or_else(|| {
-                StoreError::Corrupt(format!(
-                    "malformed index entry {}",
-                    String::from_utf8_lossy(&entry)
-                ))
-            })?;
-            out.push(self.fetch_assertion(&sort)?);
+    /// The access path this store's own configuration gives `request`.
+    fn access_path(&self, request: &QueryRequest) -> AccessPath {
+        AccessPath::for_request(request, self.indexes_enabled())
+    }
+
+    fn assertions(&self, request: &QueryRequest) -> Result<Vec<RecordedAssertion>, StoreError> {
+        self.assertions_via(request, self.access_path(request))
+    }
+
+    /// The full answer of an assertion-producing request through a caller-chosen access path:
+    /// every page of the cursor primitive at once. Every path that can serve a request
+    /// answers bit-identically (the equivalence proptests pin this); [`AccessPath::FullScan`]
+    /// is the paper's bulk retrieval and the oracle the others are compared against.
+    pub fn assertions_via(
+        &self,
+        request: &QueryRequest,
+        path: AccessPath,
+    ) -> Result<Vec<RecordedAssertion>, StoreError> {
+        let (items, _) = self.cursor(request, path, None, usize::MAX)?;
+        Ok(items.into_iter().map(|(_, recorded)| recorded).collect())
+    }
+
+    /// Refuse a secondary-index path on a store that does not maintain indexes: whatever its
+    /// index keyspaces hold is stale by definition.
+    fn require_indexes(&self, path: AccessPath) -> Result<(), StoreError> {
+        if path.needs_index() && !self.maintain_indexes {
+            return Err(StoreError::InvalidRequest(format!(
+                "{} requested but the store was opened without index maintenance",
+                path.label()
+            )));
         }
-        Ok(out)
+        Ok(())
+    }
+
+    /// The cursor primitive every assertion-producing read goes through: up to `limit`
+    /// `(sort key, assertion)` pairs of `request` whose sort key is strictly greater than
+    /// `after`, in global sort-key order, read through `path` — which must be the scan or the
+    /// request's own row of the access-path table. The per-page cost is O(limit) through a key
+    /// prefix (modulo filtering for `ActorStateByKind`), O(store) through the scan.
+    fn cursor(
+        &self,
+        request: &QueryRequest,
+        path: AccessPath,
+        after: Option<&str>,
+        limit: usize,
+    ) -> Result<AssertionPage, StoreError> {
+        let Some(prefix) = key_prefix(request) else {
+            return Err(StoreError::InvalidRequest(format!(
+                "{request:?} does not produce a p-assertion stream"
+            )));
+        };
+        if path == AccessPath::FullScan {
+            return self.cursor_scan(request, after, limit);
+        }
+        if path != AccessPath::for_request(request, true) {
+            return Err(StoreError::InvalidRequest(format!(
+                "{} cannot serve {request:?}",
+                path.label()
+            )));
+        }
+        self.require_indexes(path)?;
+        // A key is `<base><sort key>`: primary keys drop `a/`, index entries their whole prefix.
+        let base = match path {
+            AccessPath::AssertionPrefix => keys::ASSERTION_PREFIX.as_bytes(),
+            _ => prefix.as_slice(),
+        };
+        let mut after_key = after.map(|sort| [base, sort.as_bytes()].concat());
+        let mut items = Vec::new();
+        // Raw pages are fetched until the page fills or the prefix is exhausted; only
+        // `ActorStateByKind` ever filters anything out of one.
+        loop {
+            let mut raw = self
+                .backend
+                .scan_prefix_page(&prefix, after_key.as_deref(), limit)?;
+            let exhausted = raw.len() < limit;
+            for key in &raw {
+                let sort = index::sort_key_from_entry(key, base).ok_or_else(|| {
+                    StoreError::Corrupt(format!("malformed key {}", String::from_utf8_lossy(key)))
+                })?;
+                let recorded = self.fetch_assertion(&sort)?;
+                if request_matches(request, &recorded) {
+                    items.push((sort, recorded));
+                }
+            }
+            if items.len() >= limit {
+                items.truncate(limit);
+                return Ok((items, false));
+            }
+            if exhausted {
+                return Ok((items, true));
+            }
+            after_key = raw.pop();
+        }
     }
 
     /// Fetch the p-assertion a sort key points at. A dangling entry is corruption by
@@ -535,60 +569,42 @@ impl ProvenanceStore {
     fn fetch_assertion(&self, sort_key: &str) -> Result<RecordedAssertion, StoreError> {
         let key = index::assertion_key_for_sort_key(sort_key);
         let value = self.backend.get(&key)?.ok_or_else(|| {
-            StoreError::Corrupt(format!(
-                "index entry points at missing assertion {sort_key}"
-            ))
+            StoreError::Corrupt(format!("no assertion stored under sort key {sort_key}"))
         })?;
-        serde_json::from_slice(&value).map_err(|e| StoreError::Corrupt(e.to_string()))
+        decode_document(&value)
     }
 
-    /// Whether `recorded` matches an assertion-producing request — the predicate the scan
-    /// fallback applies to the full bulk retrieval.
-    fn scan_filter(request: &QueryRequest, recorded: &RecordedAssertion) -> bool {
-        match request {
-            QueryRequest::ByInteraction(key) => recorded.assertion.interaction_key() == key,
-            QueryRequest::BySession(session) => recorded.session.as_str() == session.as_str(),
-            QueryRequest::ByActor(actor) => {
-                recorded.assertion.asserter().as_str() == actor.as_str()
-            }
-            QueryRequest::ByRelation(relation) => matches!(
-                &recorded.assertion,
-                PAssertion::Relationship(rel) if rel.relation == *relation
-            ),
-            QueryRequest::ActorStateByKind { interaction, kind } => matches!(
-                &recorded.assertion,
-                PAssertion::ActorState(state)
-                    if recorded.assertion.interaction_key() == interaction
-                        && state.kind.label() == kind
-            ),
-            _ => false,
-        }
-    }
-
-    /// The paper's bulk-retrieval path, kept as the planner's explicit fallback and the
-    /// equivalence oracle: deserialize every stored assertion and filter. Errors on requests
-    /// that do not produce assertions.
-    pub fn assertions_filtered_scan(
+    /// The cursor over [`AccessPath::FullScan`], the paper's bulk retrieval: one pass over
+    /// every stored assertion per page, filtered and windowed to the same `(after, limit]`
+    /// slice the prefix paths serve.
+    fn cursor_scan(
         &self,
         request: &QueryRequest,
-    ) -> Result<Vec<RecordedAssertion>, StoreError> {
-        if !request.is_pageable() {
-            return Err(StoreError::InvalidRequest(format!(
-                "{request:?} does not produce a p-assertion stream"
-            )));
-        }
-        let mut out = Vec::new();
-        for (_, value) in self
+        after: Option<&str>,
+        limit: usize,
+    ) -> Result<AssertionPage, StoreError> {
+        let mut items = Vec::new();
+        for (key, value) in self
             .backend
             .scan_prefix_values(keys::ASSERTION_PREFIX.as_bytes())?
         {
-            let recorded: RecordedAssertion =
-                serde_json::from_slice(&value).map_err(|e| StoreError::Corrupt(e.to_string()))?;
-            if Self::scan_filter(request, &recorded) {
-                out.push(recorded);
+            let Some(sort) = index::sort_key_from_entry(&key, keys::ASSERTION_PREFIX.as_bytes())
+            else {
+                continue;
+            };
+            if after.is_some_and(|after| sort.as_str() <= after) {
+                continue;
             }
+            let recorded = decode_document(&value)?;
+            if !request_matches(request, &recorded) {
+                continue;
+            }
+            if items.len() >= limit {
+                return Ok((items, false));
+            }
+            items.push((sort, recorded));
         }
-        Ok(out)
+        Ok((items, true))
     }
 
     /// The interactions recorded under `session`, in key order.
@@ -649,244 +665,86 @@ impl ProvenanceStore {
         let prefix = keys::group_kind_prefix(kind);
         let mut out = Vec::new();
         for (_, value) in self.backend.scan_prefix_values(&prefix)? {
-            out.push(
-                serde_json::from_slice(&value).map_err(|e| StoreError::Corrupt(e.to_string()))?,
-            );
+            out.push(serde_json::from_slice(&value).map_err(corrupt)?);
         }
         Ok(out)
     }
 
     /// The lineage edges recorded under `session`, in recording order — what the lineage
-    /// traversals consume. Served by the adjacency index when enabled; the fallback extracts
-    /// them from the bulk session retrieval.
-    pub fn session_edges(&self, session: &SessionId) -> Result<Vec<EdgeRecord>, StoreError> {
-        if self.maintain_indexes {
-            self.session_edges_via_index(session)
-        } else {
-            self.session_edges_scan(session)
-        }
-    }
-
-    /// [`Self::session_edges`] forced through the adjacency index.
-    pub fn session_edges_via_index(
+    /// traversals consume — through [`AccessPath::EdgeIndex`] (the adjacency index) or
+    /// [`AccessPath::FullScan`] (extracted from the bulk session retrieval).
+    pub fn session_edges(
         &self,
         session: &SessionId,
+        path: AccessPath,
     ) -> Result<Vec<EdgeRecord>, StoreError> {
-        let prefix = index::edge_session_prefix(session.as_str());
         let mut edges: Vec<(u64, EdgeRecord)> = Vec::new();
-        for (key, value) in self.backend.scan_prefix_values(&prefix)? {
-            edges.push((key_seq(&key)?, decode_edge(&value)?));
-        }
-        // The adjacency keyspace orders by (effect, seq); recording order is plain seq order.
-        edges.sort_by_key(|(seq, _)| *seq);
-        Ok(edges.into_iter().map(|(_, edge)| edge).collect())
-    }
-
-    /// [`Self::session_edges`] forced through the bulk-retrieval scan.
-    pub fn session_edges_scan(&self, session: &SessionId) -> Result<Vec<EdgeRecord>, StoreError> {
-        let mut edges: Vec<(u64, EdgeRecord)> = Vec::new();
-        for (key, value) in self
-            .backend
-            .scan_prefix_values(keys::ASSERTION_PREFIX.as_bytes())?
-        {
-            let recorded: RecordedAssertion =
-                serde_json::from_slice(&value).map_err(|e| StoreError::Corrupt(e.to_string()))?;
-            if recorded.session.as_str() != session.as_str() {
-                continue;
+        match path {
+            AccessPath::EdgeIndex => {
+                self.require_indexes(path)?;
+                let prefix = index::edge_session_prefix(session.as_str());
+                for (key, value) in self.backend.scan_prefix_values(&prefix)? {
+                    edges.push((key_seq(&key)?, EdgeRecord::from_stored(&value)?));
+                }
             }
-            if let PAssertion::Relationship(rel) = &recorded.assertion {
-                edges.push((key_seq(&key)?, EdgeRecord::from_relationship(rel)));
+            AccessPath::FullScan => {
+                let request = QueryRequest::BySession(session.clone());
+                for (sort, recorded) in self.cursor(&request, path, None, usize::MAX)?.0 {
+                    if let PAssertion::Relationship(rel) = &recorded.assertion {
+                        edges.push((
+                            key_seq(sort.as_bytes())?,
+                            EdgeRecord::from_relationship(rel),
+                        ));
+                    }
+                }
+            }
+            other => {
+                return Err(StoreError::InvalidRequest(format!(
+                    "{} cannot serve lineage edges",
+                    other.label()
+                )))
             }
         }
+        // Both keyspaces order by something else first; recording order is plain seq order.
         edges.sort_by_key(|(seq, _)| *seq);
         Ok(edges.into_iter().map(|(_, edge)| edge).collect())
     }
 
     /// The derivation edges of one `(session, effect)` pair, in recording order — the per-node
-    /// lookup a backward lineage traversal performs. Falls back to filtering the session's
-    /// edges when indexes are disabled.
+    /// lookup a backward lineage traversal performs. Without the adjacency index it filters
+    /// the session's scanned edges.
     pub fn edges_for_effect(
         &self,
         session: &SessionId,
-        effect: &pasoa_core::ids::DataId,
+        effect: &DataId,
     ) -> Result<Vec<EdgeRecord>, StoreError> {
-        if !self.maintain_indexes {
-            return Ok(self
-                .session_edges_scan(session)?
-                .into_iter()
-                .filter(|edge| edge.effect.as_str() == effect.as_str())
-                .collect());
+        let path = AccessPath::for_lineage(self.indexes_enabled());
+        if path != AccessPath::EdgeIndex {
+            let mut edges = self.session_edges(session, path)?;
+            edges.retain(|edge| edge.effect.as_str() == effect.as_str());
+            return Ok(edges);
         }
         let prefix = index::edge_effect_prefix(session.as_str(), effect.as_str());
         let mut edges = Vec::new();
         for (_, value) in self.backend.scan_prefix_values(&prefix)? {
-            edges.push(decode_edge(&value)?);
+            edges.push(EdgeRecord::from_stored(&value)?);
         }
         // One (session, effect) prefix orders by seq already.
         Ok(edges)
     }
 
-    /// One bounded page of an assertion-producing request: up to `limit` `(sort key,
-    /// assertion)` pairs whose sort key is strictly greater than `after`, in global sort-key
-    /// order, plus whether the result set is exhausted. This is the primitive under the
-    /// cursor-carrying [`Self::query_page`]; the per-page cost is O(limit) through the indexes
-    /// (modulo filtering for `ActorStateByKind`).
-    pub fn assertions_page(
-        &self,
-        request: &QueryRequest,
-        after: Option<&str>,
-        limit: usize,
-    ) -> Result<(Vec<(String, RecordedAssertion)>, bool), StoreError> {
-        if !request.is_pageable() {
-            return Err(StoreError::InvalidRequest(format!(
-                "{request:?} does not produce a p-assertion stream and cannot be paginated"
-            )));
-        }
-        if !self.maintain_indexes {
-            return self.assertions_page_scan(request, after, limit);
-        }
-        match request {
-            QueryRequest::ByInteraction(key) => {
-                // The primary keyspace is already interaction-ordered; page it directly.
-                self.page_primary_prefix(&keys::assertion_prefix(key.as_str()), after, limit)
-            }
-            QueryRequest::ActorStateByKind { interaction, .. } => {
-                // Page the interaction's assertions and filter; keep fetching raw pages until
-                // the page fills or the interaction is exhausted.
-                let prefix = keys::assertion_prefix(interaction.as_str());
-                let mut items = Vec::new();
-                let mut cursor = after.map(str::to_string);
-                loop {
-                    let (raw, exhausted) =
-                        self.page_primary_prefix(&prefix, cursor.as_deref(), limit)?;
-                    cursor = raw.last().map(|(sort, _)| sort.clone());
-                    for (sort, recorded) in raw {
-                        if Self::scan_filter(request, &recorded) {
-                            items.push((sort, recorded));
-                        }
-                    }
-                    if items.len() >= limit {
-                        items.truncate(limit);
-                        return Ok((items, false));
-                    }
-                    if exhausted {
-                        return Ok((items, true));
-                    }
-                }
-            }
-            QueryRequest::BySession(session) => {
-                self.page_index_prefix(&index::session_idx_prefix(session.as_str()), after, limit)
-            }
-            QueryRequest::ByActor(actor) => {
-                self.page_index_prefix(&index::actor_idx_prefix(actor.as_str()), after, limit)
-            }
-            QueryRequest::ByRelation(relation) => {
-                self.page_index_prefix(&index::relation_idx_prefix(relation), after, limit)
-            }
-            _ => unreachable!("is_pageable() admitted the request"),
-        }
-    }
-
-    /// One bounded page straight off the primary keyspace (sort keys are primary-key derived).
-    fn page_primary_prefix(
-        &self,
-        prefix: &[u8],
-        after: Option<&str>,
-        limit: usize,
-    ) -> Result<(Vec<(String, RecordedAssertion)>, bool), StoreError> {
-        let after_key = after.map(index::assertion_key_for_sort_key);
-        let keys = self
-            .backend
-            .scan_prefix_page(prefix, after_key.as_deref(), limit)?;
-        let exhausted = keys.len() < limit;
-        let mut items = Vec::with_capacity(keys.len());
-        for key in keys {
-            let sort = index::sort_key_from_assertion_key(&key).ok_or_else(|| {
-                StoreError::Corrupt(format!(
-                    "malformed assertion key {}",
-                    String::from_utf8_lossy(&key)
-                ))
-            })?;
-            let value = self.backend.get(&key)?.ok_or_else(|| {
-                StoreError::Corrupt(format!("assertion {sort} vanished mid-page"))
-            })?;
-            let recorded =
-                serde_json::from_slice(&value).map_err(|e| StoreError::Corrupt(e.to_string()))?;
-            items.push((sort, recorded));
-        }
-        Ok((items, exhausted))
-    }
-
-    /// One bounded page through a secondary-index prefix.
-    fn page_index_prefix(
-        &self,
-        prefix: &[u8],
-        after: Option<&str>,
-        limit: usize,
-    ) -> Result<(Vec<(String, RecordedAssertion)>, bool), StoreError> {
-        let after_entry: Option<Vec<u8>> = after.map(|sort| {
-            let mut entry = prefix.to_vec();
-            entry.extend_from_slice(sort.as_bytes());
-            entry
-        });
-        let entries = self
-            .backend
-            .scan_prefix_page(prefix, after_entry.as_deref(), limit)?;
-        let exhausted = entries.len() < limit;
-        let mut items = Vec::with_capacity(entries.len());
-        for entry in entries {
-            let sort = index::sort_key_from_entry(&entry, prefix).ok_or_else(|| {
-                StoreError::Corrupt(format!(
-                    "malformed index entry {}",
-                    String::from_utf8_lossy(&entry)
-                ))
-            })?;
-            let recorded = self.fetch_assertion(&sort)?;
-            items.push((sort, recorded));
-        }
-        Ok((items, exhausted))
-    }
-
-    /// The scan fallback of [`Self::assertions_page`]: one full bulk retrieval per page,
-    /// filtered and windowed to the same `(after, limit]` slice the indexed path serves.
-    fn assertions_page_scan(
-        &self,
-        request: &QueryRequest,
-        after: Option<&str>,
-        limit: usize,
-    ) -> Result<(Vec<(String, RecordedAssertion)>, bool), StoreError> {
-        let mut items = Vec::new();
-        let mut more = false;
-        for (key, value) in self
-            .backend
-            .scan_prefix_values(keys::ASSERTION_PREFIX.as_bytes())?
-        {
-            let sort = match index::sort_key_from_assertion_key(&key) {
-                Some(sort) => sort,
-                None => continue,
-            };
-            if let Some(after) = after {
-                if sort.as_str() <= after {
-                    continue;
-                }
-            }
-            let recorded: RecordedAssertion =
-                serde_json::from_slice(&value).map_err(|e| StoreError::Corrupt(e.to_string()))?;
-            if !Self::scan_filter(request, &recorded) {
-                continue;
-            }
-            if items.len() >= limit {
-                more = true;
-                break;
-            }
-            items.push((sort, recorded));
-        }
-        Ok((items, !more))
-    }
-
-    /// Serve one cursor-carrying page request, validating its bounds loudly: a page size of
-    /// zero or beyond [`MAX_PAGE_SIZE`] is refused, never clamped or truncated.
+    /// Serve one cursor-carrying page request through the store's own access path.
     pub fn query_page(&self, paged: &PagedQuery) -> Result<ShardQueryPage, StoreError> {
+        self.query_page_via(paged, self.access_path(&paged.request))
+    }
+
+    /// Serve one cursor-carrying page request through `path`, validating its bounds loudly: a
+    /// page size of zero or beyond [`MAX_PAGE_SIZE`] is refused, never clamped or truncated.
+    pub fn query_page_via(
+        &self,
+        paged: &PagedQuery,
+        path: AccessPath,
+    ) -> Result<ShardQueryPage, StoreError> {
         if paged.page_size == 0 || paged.page_size > MAX_PAGE_SIZE {
             return Err(StoreError::InvalidRequest(format!(
                 "page size {} outside 1..={MAX_PAGE_SIZE}",
@@ -894,88 +752,47 @@ impl ProvenanceStore {
             )));
         }
         let after = paged.cursor.as_ref().map(|cursor| cursor.after.as_str());
-        let (items, exhausted) = self.assertions_page(&paged.request, after, paged.page_size)?;
+        let (items, exhausted) = self.cursor(&paged.request, path, after, paged.page_size)?;
         Ok(ShardQueryPage { items, exhausted })
-    }
-
-    /// Actor-state p-assertions of a given kind label for one interaction.
-    pub fn actor_state_by_kind(
-        &self,
-        interaction: &InteractionKey,
-        kind: &str,
-    ) -> Result<Vec<RecordedAssertion>, StoreError> {
-        Ok(self
-            .assertions_for_interaction(interaction)?
-            .into_iter()
-            .filter(|r| match &r.assertion {
-                PAssertion::ActorState(a) => a.kind.label() == kind,
-                _ => false,
-            })
-            .collect())
     }
 
     /// Current store statistics.
     pub fn statistics(&self) -> StoreStatistics {
-        StoreStatistics {
-            interaction_passertions: self.interaction_assertions.load(Ordering::Relaxed),
-            actor_state_passertions: self.actor_state_assertions.load(Ordering::Relaxed),
-            relationship_passertions: self.relationship_assertions.load(Ordering::Relaxed),
-            interactions: self.interaction_count.load(Ordering::Relaxed),
-            groups: self.group_count.load(Ordering::Relaxed),
-            content_bytes: self.content_bytes.load(Ordering::Relaxed),
-        }
+        *self.stats.lock()
     }
 
-    /// Answer a protocol-level query.
+    /// Answer a protocol-level query through the store's own access path.
     pub fn query(&self, request: &QueryRequest) -> Result<QueryResponse, StoreError> {
-        let response = match request {
-            QueryRequest::ByInteraction(key) => {
-                let assertions = self.assertions_for_interaction(key)?;
-                if assertions.is_empty() {
-                    QueryResponse::Empty
-                } else {
-                    QueryResponse::Assertions(assertions)
-                }
-            }
-            QueryRequest::BySession(session) => {
-                let assertions = self.assertions_for_session(session)?;
-                if assertions.is_empty() {
-                    QueryResponse::Empty
-                } else {
-                    QueryResponse::Assertions(assertions)
-                }
-            }
-            QueryRequest::ByActor(actor) => {
-                let assertions = self.assertions_by_actor(actor)?;
-                if assertions.is_empty() {
-                    QueryResponse::Empty
-                } else {
-                    QueryResponse::Assertions(assertions)
-                }
-            }
-            QueryRequest::ByRelation(relation) => {
-                let assertions = self.assertions_by_relation(relation)?;
-                if assertions.is_empty() {
-                    QueryResponse::Empty
-                } else {
-                    QueryResponse::Assertions(assertions)
-                }
-            }
-            QueryRequest::ListInteractions { limit } => {
+        self.query_via(request, self.access_path(request))
+    }
+
+    /// Answer a protocol-level query through `path`. Listings, groups and statistics have a
+    /// single path each; everything else is an assertion stream and goes to the cursor
+    /// primitive, which refuses a path that cannot serve the request.
+    pub fn query_via(
+        &self,
+        request: &QueryRequest,
+        path: AccessPath,
+    ) -> Result<QueryResponse, StoreError> {
+        Ok(match (path, request) {
+            (AccessPath::InteractionMarkers, QueryRequest::ListInteractions { limit }) => {
                 QueryResponse::Interactions(self.list_interactions(*limit)?)
             }
-            QueryRequest::GroupsByKind(kind) => QueryResponse::Groups(self.groups_by_kind(kind)?),
-            QueryRequest::ActorStateByKind { interaction, kind } => {
-                let assertions = self.actor_state_by_kind(interaction, kind)?;
+            (AccessPath::GroupPrefix, QueryRequest::GroupsByKind(kind)) => {
+                QueryResponse::Groups(self.groups_by_kind(kind)?)
+            }
+            (AccessPath::Counters, QueryRequest::Statistics) => {
+                QueryResponse::Statistics(self.statistics())
+            }
+            _ => {
+                let assertions = self.assertions_via(request, path)?;
                 if assertions.is_empty() {
                     QueryResponse::Empty
                 } else {
                     QueryResponse::Assertions(assertions)
                 }
             }
-            QueryRequest::Statistics => QueryResponse::Statistics(self.statistics()),
-        };
-        Ok(response)
+        })
     }
 
     /// Force pending writes to stable storage.
@@ -999,8 +816,74 @@ fn key_seq(key: &[u8]) -> Result<u64, StoreError> {
         })
 }
 
-fn decode_edge(value: &[u8]) -> Result<EdgeRecord, StoreError> {
-    serde_json::from_slice(value).map_err(|e| StoreError::Corrupt(e.to_string()))
+/// Count one stored assertion into `stats`.
+fn tally(stats: &mut StoreStatistics, assertion: &PAssertion) {
+    match assertion {
+        PAssertion::Interaction(_) => stats.interaction_passertions += 1,
+        PAssertion::ActorState(_) => stats.actor_state_passertions += 1,
+        PAssertion::Relationship(_) => stats.relationship_passertions += 1,
+    }
+    stats.content_bytes += assertion.content_len() as u64;
+}
+
+pub(crate) fn corrupt(e: impl std::fmt::Display) -> StoreError {
+    StoreError::Corrupt(e.to_string())
+}
+
+/// The stored form of a p-assertion document — with [`decode_document`], the only place that
+/// knows it.
+fn encode_document(recorded: &RecordedAssertion) -> Result<Vec<u8>, StoreError> {
+    serde_json::to_vec(recorded).map_err(corrupt)
+}
+
+fn decode_document(value: &[u8]) -> Result<RecordedAssertion, StoreError> {
+    serde_json::from_slice(value).map_err(corrupt)
+}
+
+/// The key prefix a pageable request's own (non-scan) access path reads: its interaction's
+/// slice of the primary keyspace, or its slice of a secondary index. `None` for requests that
+/// do not produce a p-assertion stream.
+fn key_prefix(request: &QueryRequest) -> Option<Vec<u8>> {
+    Some(match request {
+        QueryRequest::ByInteraction(interaction)
+        | QueryRequest::ActorStateByKind { interaction, .. } => {
+            keys::assertion_prefix(interaction.as_str())
+        }
+        QueryRequest::BySession(session) => {
+            index::entry_prefix(index::SESSION_IDX_PREFIX, session.as_str())
+        }
+        QueryRequest::ByActor(actor) => {
+            index::entry_prefix(index::ACTOR_IDX_PREFIX, actor.as_str())
+        }
+        QueryRequest::ByRelation(relation) => {
+            index::entry_prefix(index::RELATION_IDX_PREFIX, relation)
+        }
+        QueryRequest::ListInteractions { .. }
+        | QueryRequest::GroupsByKind(_)
+        | QueryRequest::Statistics => return None,
+    })
+}
+
+/// Whether `recorded` belongs to the answer of an assertion-producing request — the predicate
+/// the scan applies to the full bulk retrieval, and the prefix paths to what their prefix
+/// over-approximates.
+fn request_matches(request: &QueryRequest, recorded: &RecordedAssertion) -> bool {
+    match request {
+        QueryRequest::ByInteraction(key) => recorded.assertion.interaction_key() == key,
+        QueryRequest::BySession(session) => recorded.session.as_str() == session.as_str(),
+        QueryRequest::ByActor(actor) => recorded.assertion.asserter().as_str() == actor.as_str(),
+        QueryRequest::ByRelation(relation) => matches!(
+            &recorded.assertion,
+            PAssertion::Relationship(rel) if rel.relation == *relation
+        ),
+        QueryRequest::ActorStateByKind { interaction, kind } => matches!(
+            &recorded.assertion,
+            PAssertion::ActorState(state)
+                if recorded.assertion.interaction_key() == interaction
+                    && state.kind.label() == kind
+        ),
+        _ => false,
+    }
 }
 
 #[cfg(test)]
@@ -1248,7 +1131,9 @@ mod tests {
         ];
         for request in requests {
             let indexed = store.query(&request).unwrap();
-            let scanned = store.assertions_filtered_scan(&request).unwrap();
+            let scanned = store
+                .assertions_via(&request, AccessPath::FullScan)
+                .unwrap();
             match indexed {
                 QueryResponse::Assertions(indexed) => assert_eq!(indexed, scanned, "{request:?}"),
                 QueryResponse::Empty => assert!(scanned.is_empty(), "{request:?}"),
@@ -1278,9 +1163,25 @@ mod tests {
             unindexed.assertions_for_session(&session).unwrap()
         );
         assert_eq!(
-            indexed.session_edges(&session).unwrap(),
-            unindexed.session_edges(&session).unwrap()
+            indexed
+                .session_edges(&session, AccessPath::EdgeIndex)
+                .unwrap(),
+            unindexed
+                .session_edges(&session, AccessPath::FullScan)
+                .unwrap()
         );
+        // An index-less store refuses a forced index path instead of serving stale entries.
+        assert!(matches!(
+            unindexed.session_edges(&session, AccessPath::EdgeIndex),
+            Err(StoreError::InvalidRequest(_))
+        ));
+        assert!(matches!(
+            unindexed.assertions_via(
+                &QueryRequest::BySession(session.clone()),
+                AccessPath::SessionIndex
+            ),
+            Err(StoreError::InvalidRequest(_))
+        ));
     }
 
     #[test]
@@ -1310,10 +1211,10 @@ mod tests {
             ))
             .unwrap();
         let via_index = store
-            .session_edges_via_index(&SessionId::new("session:E"))
+            .session_edges(&SessionId::new("session:E"), AccessPath::EdgeIndex)
             .unwrap();
         let via_scan = store
-            .session_edges_scan(&SessionId::new("session:E"))
+            .session_edges(&SessionId::new("session:E"), AccessPath::FullScan)
             .unwrap();
         assert_eq!(via_index, via_scan);
         assert_eq!(via_index.len(), 3);
@@ -1338,7 +1239,12 @@ mod tests {
             let mut after: Option<String> = None;
             loop {
                 let (items, exhausted) = store
-                    .assertions_page(&request, after.as_deref(), page_size)
+                    .cursor(
+                        &request,
+                        AccessPath::SessionIndex,
+                        after.as_deref(),
+                        page_size,
+                    )
                     .unwrap();
                 assert!(items.len() <= page_size);
                 after = items.last().map(|(sort, _)| sort.clone());
@@ -1418,7 +1324,10 @@ mod tests {
         assert!(report.entries_rebuilt > 0);
         // The rebuilt index serves the assertion recorded while indexing was off.
         let found = store
-            .assertions_for_session_via_index(&SessionId::new("session:C"))
+            .assertions_via(
+                &QueryRequest::BySession(SessionId::new("session:C")),
+                AccessPath::SessionIndex,
+            )
             .unwrap();
         assert_eq!(found.len(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1463,6 +1372,69 @@ mod tests {
         let store = ProvenanceStore::open(Arc::new(FileBackend::open(&dir).unwrap())).unwrap();
         assert_eq!(store.statistics().actor_state_passertions, 1);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A memory backend that dawdles after reading an interaction marker, so recorders
+    /// released together have all performed their marker existence check before any of them
+    /// commits — unless check and commit are one critical section.
+    struct SlowMarkerReads(MemoryBackend);
+
+    impl StorageBackend for SlowMarkerReads {
+        fn put(&self, key: &[u8], value: &[u8]) -> Result<(), BackendError> {
+            self.0.put(key, value)
+        }
+        fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, BackendError> {
+            let found = self.0.get(key);
+            if key.starts_with(keys::INTERACTION_PREFIX.as_bytes()) {
+                std::thread::sleep(std::time::Duration::from_millis(2));
+            }
+            found
+        }
+        fn scan_prefix(&self, prefix: &[u8]) -> Result<Vec<Vec<u8>>, BackendError> {
+            self.0.scan_prefix(prefix)
+        }
+        fn delete_many(&self, keys: &[Vec<u8>]) -> Result<(), BackendError> {
+            self.0.delete_many(keys)
+        }
+        fn kind(&self) -> crate::backend::BackendKind {
+            self.0.kind()
+        }
+    }
+
+    #[test]
+    fn concurrent_recorders_of_one_interaction_count_it_once() {
+        const THREADS: usize = 4;
+        const ROUNDS: usize = 5;
+        let backend: Arc<dyn StorageBackend> = Arc::new(SlowMarkerReads(MemoryBackend::new()));
+        let store = Arc::new(ProvenanceStore::open(Arc::clone(&backend)).unwrap());
+        let barrier = Arc::new(std::sync::Barrier::new(THREADS));
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let (store, barrier) = (Arc::clone(&store), Arc::clone(&barrier));
+                scope.spawn(move || {
+                    // Sender, receiver and friends each document the same fresh interaction.
+                    for round in 0..ROUNDS {
+                        barrier.wait();
+                        store
+                            .record(&script_assertion(
+                                "session:shared",
+                                &format!("interaction:shared:{round}"),
+                                &format!("view {t}"),
+                            ))
+                            .unwrap();
+                    }
+                });
+            }
+        });
+        let listed = store.list_interactions(None).unwrap().len() as u64;
+        assert_eq!(listed, ROUNDS as u64);
+        assert_eq!(store.statistics().interactions, listed);
+        assert_eq!(
+            store.statistics().actor_state_passertions,
+            (THREADS * ROUNDS) as u64
+        );
+        let reopened = ProvenanceStore::open(backend).unwrap();
+        assert_eq!(reopened.statistics().interactions, listed);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use pasoa_core::passertion::{
     RelationshipPAssertion, ViewKind,
 };
 use pasoa_core::prep::{QueryRequest, QueryResponse};
-use pasoa_preserv::{KvBackend, LineageGraph, ProvenanceStore};
+use pasoa_preserv::{AccessPath, KvBackend, LineageGraph, ProvenanceStore};
 
 fn scratch(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -71,13 +71,15 @@ fn assert_index_equals_scan(store: &ProvenanceStore, session: &str) {
             QueryResponse::Empty => Vec::new(),
             other => panic!("unexpected response {other:?}"),
         };
-        let scanned = store.assertions_filtered_scan(&request).unwrap();
+        let scanned = store
+            .assertions_via(&request, AccessPath::FullScan)
+            .unwrap();
         assert_eq!(indexed, scanned, "index/scan divergence on {request:?}");
     }
     // Lineage through the adjacency index vs through the scan.
     assert_eq!(
-        store.session_edges_via_index(&sid).unwrap(),
-        store.session_edges_scan(&sid).unwrap(),
+        store.session_edges(&sid, AccessPath::EdgeIndex).unwrap(),
+        store.session_edges(&sid, AccessPath::FullScan).unwrap(),
         "adjacency index diverged from the scan"
     );
     let _ = LineageGraph::trace_session(store, &sid).unwrap();

@@ -1,25 +1,50 @@
-//! Executing compiled plans against a [`ProvenanceStore`].
+//! Running planned queries against a [`ProvenanceStore`].
+//!
+//! The engine is not an executor of its own: it plans (the store's access-path table with
+//! the engine's [`PlanMode`] overlaid), counts the plan, and hands the planned path to the
+//! store's single read primitive — for queries, pages and lineage alike.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use pasoa_core::ids::{DataId, SessionId};
 use pasoa_core::prep::{PagedQuery, QueryRequest, QueryResponse, ShardQueryPage};
-use pasoa_obs::Registry;
+use pasoa_obs::{Counter, Histogram, Registry};
 use pasoa_preserv::{LineageGraph, ProvenanceStore};
 
-use crate::plan::{AccessPath, Explain};
+use crate::plan::{AccessPath, Explain, QueryPlan};
 use crate::planner::{PlanMode, Planner};
 use crate::QueryError;
 
-/// The query engine: plans a request, executes the plan, and can explain itself.
+/// The engine's instruments, resolved once so no query looks one up by name.
+struct EngineObs {
+    registry: Registry,
+    /// `query.plan.<label>`, indexed by `AccessPath as usize`.
+    plans: [Counter; AccessPath::ALL.len()],
+    pages_served: Counter,
+    page_len: Histogram,
+}
+
+impl EngineObs {
+    fn new(registry: Registry) -> Self {
+        EngineObs {
+            plans: AccessPath::ALL
+                .map(|path| registry.counter(&format!("query.plan.{}", path.label()))),
+            pages_served: registry.counter("query.pages_served"),
+            page_len: registry.histogram("query.page_len"),
+            registry,
+        }
+    }
+}
+
+/// The query engine: plans a request, has the store serve it through the planned path, and
+/// can explain itself.
 ///
 /// The engine never changes what a query *answers* — every access path returns bit-identical
 /// results (pinned by the equivalence proptests) — only what it *costs*.
 pub struct QueryEngine {
     store: Arc<ProvenanceStore>,
     planner: Planner,
-    obs: Registry,
+    obs: EngineObs,
 }
 
 impl QueryEngine {
@@ -33,19 +58,19 @@ impl QueryEngine {
         QueryEngine {
             store,
             planner: Planner::new(mode),
-            obs: Registry::new(),
+            obs: EngineObs::new(Registry::new()),
         }
     }
 
     /// Fold this engine's metrics (`query.plan.*` choices, pages served) into `registry`.
     pub fn with_observability(mut self, registry: &Registry) -> Self {
-        self.obs = registry.child();
+        self.obs = EngineObs::new(registry.child());
         self
     }
 
     /// The registry the engine's instruments write into.
     pub fn registry(&self) -> &Registry {
-        &self.obs
+        &self.obs.registry
     }
 
     /// The store under the engine.
@@ -53,17 +78,25 @@ impl QueryEngine {
         &self.store
     }
 
-    fn note_plan(&self, path: crate::plan::AccessPath) {
-        self.obs
-            .counter(&format!("query.plan.{}", path.label()))
-            .inc();
+    fn plan(&self, request: &QueryRequest) -> Result<QueryPlan, QueryError> {
+        self.planner.plan(self.store.indexes_enabled(), request)
+    }
+
+    fn plan_lineage(&self) -> Result<QueryPlan, QueryError> {
+        self.planner.plan_lineage(self.store.indexes_enabled())
+    }
+
+    /// Count a plan that is about to run and return its path.
+    fn chosen(&self, plan: QueryPlan) -> AccessPath {
+        self.obs.plans[plan.path as usize].inc();
+        plan.path
     }
 
     /// What plan `request` would run under, without running it.
     pub fn explain(&self, request: &QueryRequest) -> Result<Explain, QueryError> {
         Ok(Explain {
             request: format!("{request:?}"),
-            plan: self.planner.plan(self.store.indexes_enabled(), request)?,
+            plan: self.plan(request)?,
         })
     }
 
@@ -75,134 +108,46 @@ impl QueryEngine {
             } else {
                 "LineageSession".into()
             },
-            plan: self
-                .planner
-                .plan_lineage(self.store.indexes_enabled(), closure)?,
+            plan: self.plan_lineage()?,
         })
     }
 
-    /// Plan and execute one protocol query.
+    /// Plan one protocol query and have the store answer it through the planned path.
     pub fn query(&self, request: &QueryRequest) -> Result<QueryResponse, QueryError> {
-        let plan = self.planner.plan(self.store.indexes_enabled(), request)?;
-        self.note_plan(plan.path);
-        let response = match plan.path {
-            AccessPath::SessionIndex => {
-                let QueryRequest::BySession(session) = request else {
-                    unreachable!("planner maps only BySession to the session index")
-                };
-                assertions_response(self.store.assertions_for_session_via_index(session)?)
-            }
-            AccessPath::ActorIndex => {
-                let QueryRequest::ByActor(actor) = request else {
-                    unreachable!("planner maps only ByActor to the actor index")
-                };
-                assertions_response(self.store.assertions_by_actor_via_index(actor)?)
-            }
-            AccessPath::RelationIndex => {
-                let QueryRequest::ByRelation(relation) = request else {
-                    unreachable!("planner maps only ByRelation to the relation index")
-                };
-                assertions_response(self.store.assertions_by_relation_via_index(relation)?)
-            }
-            AccessPath::FullScan => {
-                assertions_response(self.store.assertions_filtered_scan(request)?)
-            }
-            AccessPath::AssertionPrefix => match request {
-                QueryRequest::ByInteraction(key) => {
-                    assertions_response(self.store.assertions_for_interaction(key)?)
-                }
-                QueryRequest::ActorStateByKind { interaction, kind } => {
-                    assertions_response(self.store.actor_state_by_kind(interaction, kind)?)
-                }
-                _ => unreachable!("planner maps only interaction requests to the prefix"),
-            },
-            AccessPath::InteractionMarkers => {
-                let QueryRequest::ListInteractions { limit } = request else {
-                    unreachable!("planner maps only listings to the markers")
-                };
-                QueryResponse::Interactions(self.store.list_interactions(*limit)?)
-            }
-            AccessPath::GroupPrefix => {
-                let QueryRequest::GroupsByKind(kind) = request else {
-                    unreachable!("planner maps only group requests to the group prefix")
-                };
-                QueryResponse::Groups(self.store.groups_by_kind(kind)?)
-            }
-            AccessPath::Counters => QueryResponse::Statistics(self.store.statistics()),
-            AccessPath::EdgeIndex => {
-                unreachable!("protocol queries never plan to the edge index")
-            }
-        };
-        Ok(response)
+        let path = self.chosen(self.plan(request)?);
+        Ok(self.store.query_via(request, path)?)
     }
 
-    /// Serve one bounded page. Pagination always runs the store's own (index or scan)
-    /// configuration: both serve the same `(after, limit]` windows of the same global order.
+    /// Serve one bounded page through the planned path: every path serves the same
+    /// `(after, limit]` windows of the same global order.
     pub fn page(&self, paged: &PagedQuery) -> Result<ShardQueryPage, QueryError> {
-        let page = self.store.query_page(paged)?;
-        self.obs.counter("query.pages_served").inc();
-        self.obs
-            .histogram("query.page_len")
-            .record(page.items.len() as u64);
+        let path = self.chosen(self.plan(&paged.request)?);
+        let page = self.store.query_page_via(paged, path)?;
+        self.obs.pages_served.inc();
+        self.obs.page_len.record(page.items.len() as u64);
         Ok(page)
     }
 
     /// The session's full derivation graph, through the planned path.
     pub fn lineage_session(&self, session: &SessionId) -> Result<LineageGraph, QueryError> {
-        let plan = self
-            .planner
-            .plan_lineage(self.store.indexes_enabled(), false)?;
-        self.note_plan(plan.path);
-        let edges = match plan.path {
-            AccessPath::EdgeIndex => self.store.session_edges_via_index(session)?,
-            _ => self.store.session_edges_scan(session)?,
-        };
-        let mut graph = LineageGraph::default();
-        for edge in &edges {
-            graph.absorb_edge(edge);
-        }
-        Ok(graph)
+        let path = self.chosen(self.plan_lineage()?);
+        Ok(LineageGraph::trace_session_via(&self.store, session, path)?)
     }
 
     /// The lineage closure of one data item: the subgraph reachable backwards from `target`.
     /// Through the adjacency index this reads only the reachable edges — cost proportional to
-    /// the answer, not to the session (let alone the store).
+    /// the answer, not to the session (let alone the store); through the scan it is the
+    /// session graph, filtered.
     pub fn lineage_closure(
         &self,
         session: &SessionId,
         target: &DataId,
     ) -> Result<LineageGraph, QueryError> {
-        let plan = self
-            .planner
-            .plan_lineage(self.store.indexes_enabled(), true)?;
-        self.note_plan(plan.path);
-        if plan.path != AccessPath::EdgeIndex {
-            return Ok(self.lineage_session(session)?.closure_of(target));
-        }
-        let mut graph = LineageGraph::default();
-        let mut visited: BTreeSet<String> = BTreeSet::new();
-        let mut queue: Vec<DataId> = vec![target.clone()];
-        while let Some(current) = queue.pop() {
-            if !visited.insert(current.as_str().to_string()) {
-                continue;
-            }
-            for edge in self.store.edges_for_effect(session, &current)? {
-                for cause in &edge.causes {
-                    queue.push(cause.clone());
-                }
-                graph.absorb_edge(&edge);
-            }
-        }
-        Ok(graph)
-    }
-}
-
-fn assertions_response(
-    assertions: Vec<pasoa_core::passertion::RecordedAssertion>,
-) -> QueryResponse {
-    if assertions.is_empty() {
-        QueryResponse::Empty
-    } else {
-        QueryResponse::Assertions(assertions)
+        let path = self.chosen(self.plan_lineage()?);
+        Ok(if path == AccessPath::EdgeIndex {
+            LineageGraph::trace_reachable(&self.store, session, target)?
+        } else {
+            LineageGraph::trace_session_via(&self.store, session, path)?.closure_of(target)
+        })
     }
 }

@@ -8,9 +8,12 @@
 //!
 //! * a [`Planner`] compiles each [`pasoa_core::prep::QueryRequest`] — and lineage requests —
 //!   into a [`QueryPlan`] naming the access path: a secondary index, the interaction-ordered
-//!   primary keyspace, or the explicit bulk-retrieval fallback;
-//! * a [`QueryEngine`] executes the plan, serves cursor-carrying pages, and runs
-//!   lineage-closure traversals that read only reachable edges;
+//!   primary keyspace, or the explicit bulk-retrieval fallback. The request→path table and
+//!   its fallback rule are the store's own ([`AccessPath::for_request`]); the planner only
+//!   overlays its [`PlanMode`] (Auto / ForceScan oracle / ForceIndex);
+//! * a [`QueryEngine`] hands the planned path to the store's single read primitive — for
+//!   queries, cursor-carrying pages and lineage alike, so a forced mode applies to all three
+//!   — and runs lineage closures that read only reachable edges;
 //! * [`Explain`] reports the chosen plan (and why) without executing it.
 //!
 //! Plans change cost, never answers: every access path returns bit-identical results, pinned

@@ -2,52 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-/// How a query will touch storage: one of the store's access paths.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum AccessPath {
-    /// Bounded lookup through the by-session secondary index (`x/s/`).
-    SessionIndex,
-    /// Bounded lookup through the by-actor secondary index (`x/a/`).
-    ActorIndex,
-    /// Bounded lookup through the by-relation secondary index (`x/r/`).
-    RelationIndex,
-    /// Backward traversal over the lineage adjacency index (`x/e/`).
-    EdgeIndex,
-    /// Prefix scan of the primary assertion keyspace (`a/<interaction>/`), which is already
-    /// interaction-ordered — the primary keyspace acts as its own index here.
-    AssertionPrefix,
-    /// The paper's bulk retrieval: deserialize every stored assertion and filter.
-    FullScan,
-    /// Keys-only scan of the interaction markers (`i/`).
-    InteractionMarkers,
-    /// Prefix scan of the group keyspace (`g/<kind>/`).
-    GroupPrefix,
-    /// In-memory counter read; touches no keyspace.
-    Counters,
-}
-
-impl AccessPath {
-    /// Short name used in `Explain` output and logs.
-    pub fn label(self) -> &'static str {
-        match self {
-            AccessPath::SessionIndex => "session-index",
-            AccessPath::ActorIndex => "actor-index",
-            AccessPath::RelationIndex => "relation-index",
-            AccessPath::EdgeIndex => "edge-index",
-            AccessPath::AssertionPrefix => "assertion-prefix",
-            AccessPath::FullScan => "full-scan",
-            AccessPath::InteractionMarkers => "interaction-markers",
-            AccessPath::GroupPrefix => "group-prefix",
-            AccessPath::Counters => "counters",
-        }
-    }
-
-    /// Whether this path's cost is bounded by the result (an index) rather than by the store
-    /// size (a scan).
-    pub fn is_indexed(self) -> bool {
-        !matches!(self, AccessPath::FullScan | AccessPath::InteractionMarkers)
-    }
-}
+pub use pasoa_preserv::AccessPath;
 
 /// A compiled query: the chosen access path and why it was chosen.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -82,15 +37,6 @@ impl std::fmt::Display for Explain {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn labels_and_index_classification() {
-        assert_eq!(AccessPath::SessionIndex.label(), "session-index");
-        assert!(AccessPath::SessionIndex.is_indexed());
-        assert!(AccessPath::AssertionPrefix.is_indexed());
-        assert!(!AccessPath::FullScan.is_indexed());
-        assert!(!AccessPath::InteractionMarkers.is_indexed());
-    }
 
     #[test]
     fn explain_renders_path_and_reason() {

@@ -1,4 +1,9 @@
 //! Compiling [`QueryRequest`]s and lineage requests into [`QueryPlan`]s.
+//!
+//! The request→access-path table — including the rule that a store without indexes falls
+//! back to the bulk-retrieval scan — is `pasoa-preserv`'s ([`AccessPath::for_request`],
+//! [`AccessPath::for_lineage`]). The planner only overlays its [`PlanMode`] on that table and
+//! says why.
 
 use pasoa_core::prep::QueryRequest;
 
@@ -36,124 +41,66 @@ impl Planner {
         self.mode
     }
 
-    fn indexed(path: AccessPath) -> QueryPlan {
-        QueryPlan {
-            path,
-            reason: "secondary index maintained by the store".into(),
-        }
-    }
-
-    fn scan(reason: &str) -> QueryPlan {
-        QueryPlan {
-            path: AccessPath::FullScan,
-            reason: reason.into(),
-        }
-    }
-
-    /// The only access path a request has regardless of indexes (markers, groups, counters,
-    /// and the interaction-ordered primary keyspace).
-    fn sole_path(request: &QueryRequest) -> Option<QueryPlan> {
-        let (path, reason) = match request {
-            QueryRequest::ByInteraction(_) | QueryRequest::ActorStateByKind { .. } => (
-                AccessPath::AssertionPrefix,
-                "primary keyspace is interaction-ordered",
-            ),
-            QueryRequest::ListInteractions { .. } => (
-                AccessPath::InteractionMarkers,
-                "keys-only scan of the interaction markers",
-            ),
-            QueryRequest::GroupsByKind(_) => {
-                (AccessPath::GroupPrefix, "groups are stored kind-first")
-            }
-            QueryRequest::Statistics => (AccessPath::Counters, "served from in-memory counters"),
-            _ => return None,
-        };
-        Some(QueryPlan {
-            path,
-            reason: reason.into(),
-        })
-    }
-
     /// Compile one protocol query against a store that does (or does not) maintain indexes.
+    /// Requests with a single access path (listings, groups, counters) ignore the mode.
     pub fn plan(
         &self,
         indexes_enabled: bool,
         request: &QueryRequest,
     ) -> Result<QueryPlan, QueryError> {
-        let index_path = match request {
-            QueryRequest::BySession(_) => Some(AccessPath::SessionIndex),
-            QueryRequest::ByActor(_) => Some(AccessPath::ActorIndex),
-            QueryRequest::ByRelation(_) => Some(AccessPath::RelationIndex),
-            _ => None,
-        };
-        match self.mode {
-            PlanMode::ForceScan => match request {
-                request if request.is_pageable() => {
-                    Ok(Self::scan("scan forced by the caller (oracle mode)"))
-                }
-                request => Ok(Self::sole_path(request).expect("non-pageable requests have one")),
-            },
-            PlanMode::ForceIndex => {
-                if let Some(plan) = Self::sole_path(request) {
-                    return Ok(plan);
-                }
-                let path = index_path.expect("requests without a sole path have an index path");
-                if indexes_enabled {
-                    Ok(Self::indexed(path))
-                } else {
-                    Err(QueryError::IndexUnavailable(format!(
-                        "{} required but the store was opened without index maintenance",
-                        path.label()
-                    )))
-                }
-            }
-            PlanMode::Auto => {
-                if let Some(plan) = Self::sole_path(request) {
-                    return Ok(plan);
-                }
-                let path = index_path.expect("requests without a sole path have an index path");
-                if indexes_enabled {
-                    Ok(Self::indexed(path))
-                } else {
-                    Ok(Self::scan(
-                        "store opened without index maintenance; falling back to bulk retrieval",
-                    ))
-                }
-            }
-        }
+        self.overlay(indexes_enabled, request.is_pageable(), |indexes| {
+            AccessPath::for_request(request, indexes)
+        })
     }
 
-    /// Compile a lineage request (`closure` = targeted ancestry rather than the whole
-    /// session graph).
-    pub fn plan_lineage(
+    /// Compile a lineage request (session graph or targeted ancestry: both read the same
+    /// edges, the closure just reads fewer of them).
+    pub fn plan_lineage(&self, indexes_enabled: bool) -> Result<QueryPlan, QueryError> {
+        self.overlay(indexes_enabled, true, AccessPath::for_lineage)
+    }
+
+    /// Overlay the mode on one row of the store's table (`table(indexes)` is the row's path
+    /// for a store that does or does not maintain indexes; `scannable` whether the bulk
+    /// retrieval can serve it at all).
+    fn overlay(
         &self,
         indexes_enabled: bool,
-        closure: bool,
+        scannable: bool,
+        table: impl Fn(bool) -> AccessPath,
     ) -> Result<QueryPlan, QueryError> {
-        let what = if closure {
-            "backward traversal over the adjacency index, reading only reachable edges"
-        } else {
-            "session's adjacency entries, no full-assertion deserialization"
+        let path = match self.mode {
+            PlanMode::ForceScan if scannable => AccessPath::FullScan,
+            PlanMode::ForceIndex => table(true),
+            _ => table(indexes_enabled),
         };
-        match self.mode {
-            PlanMode::ForceScan => Ok(Self::scan(
-                "scan forced by the caller: edges extracted from the bulk session retrieval",
-            )),
-            PlanMode::ForceIndex if !indexes_enabled => Err(QueryError::IndexUnavailable(
-                "edge-index required but the store was opened without index maintenance".into(),
-            )),
-            PlanMode::ForceIndex => Ok(QueryPlan {
-                path: AccessPath::EdgeIndex,
-                reason: what.into(),
-            }),
-            PlanMode::Auto if indexes_enabled => Ok(QueryPlan {
-                path: AccessPath::EdgeIndex,
-                reason: what.into(),
-            }),
-            PlanMode::Auto => Ok(Self::scan(
-                "store opened without index maintenance; falling back to bulk retrieval",
-            )),
+        if path.needs_index() && !indexes_enabled {
+            return Err(QueryError::IndexUnavailable(format!(
+                "{} required but the store was opened without index maintenance",
+                path.label()
+            )));
         }
+        let reason = match path {
+            AccessPath::FullScan if self.mode == PlanMode::ForceScan => {
+                "scan forced by the caller (oracle mode)"
+            }
+            AccessPath::FullScan => {
+                "store opened without index maintenance; falling back to bulk retrieval"
+            }
+            AccessPath::SessionIndex | AccessPath::ActorIndex | AccessPath::RelationIndex => {
+                "secondary index maintained by the store"
+            }
+            AccessPath::EdgeIndex => {
+                "lineage adjacency index: edge records only, no full-assertion deserialization"
+            }
+            AccessPath::AssertionPrefix => "primary keyspace is interaction-ordered",
+            AccessPath::InteractionMarkers => "keys-only scan of the interaction markers",
+            AccessPath::GroupPrefix => "groups are stored kind-first",
+            AccessPath::Counters => "served from in-memory counters",
+        };
+        Ok(QueryPlan {
+            path,
+            reason: reason.into(),
+        })
     }
 }
 
@@ -233,9 +180,9 @@ mod tests {
                 .path,
             AccessPath::AssertionPrefix
         );
-        assert!(planner.plan_lineage(false, true).is_err());
+        assert!(planner.plan_lineage(false).is_err());
         assert_eq!(
-            planner.plan_lineage(true, true).unwrap().path,
+            planner.plan_lineage(true).unwrap().path,
             AccessPath::EdgeIndex
         );
     }
@@ -255,7 +202,7 @@ mod tests {
             );
         }
         assert_eq!(
-            planner.plan_lineage(true, false).unwrap().path,
+            planner.plan_lineage(true).unwrap().path,
             AccessPath::FullScan
         );
     }

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use pasoa_core::ids::{ActorId, DataId, InteractionKey, SessionId};
 use pasoa_core::passertion::{PAssertion, RecordedAssertion, RelationshipPAssertion};
-use pasoa_core::prep::QueryRequest;
+use pasoa_core::prep::{PagedQuery, QueryRequest};
 use pasoa_preserv::{MemoryBackend, ProvenanceStore, StorageBackend, StoreOptions};
 use pasoa_query::{AccessPath, PlanMode, QueryEngine, QueryError};
 
@@ -72,10 +72,19 @@ fn explain_names_the_fallback_on_an_unindexed_store() {
         .unwrap();
     assert_eq!(explain.plan.path, AccessPath::FullScan);
     assert!(explain.plan.reason.contains("without index maintenance"));
-    // ForceIndex refuses instead of silently scanning.
+    // ForceIndex refuses instead of silently scanning — pages included.
     let forced = QueryEngine::with_mode(store, PlanMode::ForceIndex);
+    let request = QueryRequest::BySession(SessionId::new("session:L"));
     assert!(matches!(
-        forced.query(&QueryRequest::BySession(SessionId::new("session:L"))),
+        forced.query(&request),
+        Err(QueryError::IndexUnavailable(_))
+    ));
+    assert!(matches!(
+        forced.page(&PagedQuery {
+            request,
+            cursor: None,
+            page_size: 10,
+        }),
         Err(QueryError::IndexUnavailable(_))
     ));
 }
@@ -96,4 +105,23 @@ fn closure_reads_only_the_reachable_subgraph() {
         .lineage_closure(&session, &DataId::new("data:unknown"))
         .unwrap();
     assert!(empty.is_empty());
+}
+
+#[test]
+fn forced_modes_apply_to_pages() {
+    let page = PagedQuery {
+        request: QueryRequest::BySession(SessionId::new("session:L")),
+        cursor: None,
+        page_size: 2,
+    };
+    for (mode, label) in [
+        (PlanMode::ForceScan, "query.plan.full-scan"),
+        (PlanMode::ForceIndex, "query.plan.session-index"),
+    ] {
+        let engine = QueryEngine::with_mode(chain_store(), mode);
+        let served = engine.page(&page).unwrap();
+        assert_eq!(served.items.len(), 2);
+        assert!(!served.exhausted);
+        assert_eq!(engine.registry().snapshot().counter(label), 1, "{label}");
+    }
 }

@@ -121,7 +121,6 @@ proptest! {
     #[test]
     fn indexed_scan_and_paginated_answers_are_bit_identical(
         specs in prop::collection::vec(assertion_strategy(), 1..60),
-        page_size in 1usize..7,
     ) {
         let store = Arc::new(ProvenanceStore::open(Arc::new(MemoryBackend::new())).unwrap());
         store.record_all(&build(&specs)).unwrap();
@@ -138,27 +137,35 @@ proptest! {
             prop_assert_eq!(&via_index, &expected, "index diverged on {:?}", &request);
             prop_assert_eq!(&via_scan, &expected, "scan diverged on {:?}", &request);
 
-            // Paginated: concatenated pages reproduce the full answer exactly.
-            let mut paged = Vec::new();
-            let mut cursor: Option<PageCursor> = None;
-            loop {
-                let page = auto
-                    .page(&PagedQuery {
-                        request: request.clone(),
-                        cursor: cursor.clone(),
-                        page_size,
-                    })
-                    .unwrap();
-                prop_assert!(page.items.len() <= page_size);
-                cursor = page.items.last().map(|(sort, _)| PageCursor {
-                    after: sort.clone(),
-                });
-                paged.extend(page.items.into_iter().map(|(_, recorded)| recorded));
-                if page.exhausted {
-                    break;
+            // Paginated, through the index and through the scan, from one-item pages to a
+            // page larger than the whole answer: concatenated pages reproduce it exactly.
+            for (mode, engine) in [("index", &forced_index), ("scan", &forced_scan)] {
+                for page_size in [1, 2, 7, expected.len() + 1] {
+                    let mut paged = Vec::new();
+                    let mut cursor: Option<PageCursor> = None;
+                    loop {
+                        let page = engine
+                            .page(&PagedQuery {
+                                request: request.clone(),
+                                cursor: cursor.clone(),
+                                page_size,
+                            })
+                            .unwrap();
+                        prop_assert!(page.items.len() <= page_size);
+                        cursor = page.items.last().map(|(sort, _)| PageCursor {
+                            after: sort.clone(),
+                        });
+                        paged.extend(page.items.into_iter().map(|(_, recorded)| recorded));
+                        if page.exhausted {
+                            break;
+                        }
+                    }
+                    prop_assert_eq!(
+                        &paged, &expected,
+                        "{} pages of {} diverged on {:?}", mode, page_size, &request
+                    );
                 }
             }
-            prop_assert_eq!(&paged, &expected, "pagination diverged on {:?}", &request);
         }
     }
 

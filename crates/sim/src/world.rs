@@ -36,7 +36,9 @@ use pasoa_feed::{
 };
 use pasoa_kvdb::{Db, DbOptions};
 use pasoa_obs::{Registry, TraceIdGen};
-use pasoa_preserv::{KvBackend, LineageGraph, MemoryBackend, ProvenanceStore, StorageBackend};
+use pasoa_preserv::{
+    AccessPath, KvBackend, LineageGraph, MemoryBackend, ProvenanceStore, StorageBackend,
+};
 use pasoa_query::{PlanMode, QueryEngine};
 use pasoa_wire::{Envelope, ServiceHost, SimClock, Transport, TransportConfig};
 
@@ -1333,12 +1335,12 @@ impl SimWorld {
         for store in self.cluster.live_stores() {
             indexed_per_shard.push(
                 store
-                    .assertions_for_session_via_index(sid)
+                    .assertions_via(&request, AccessPath::SessionIndex)
                     .map_err(|e| Violation::new("availability", e.to_string()))?,
             );
             scanned_per_shard.push(
                 store
-                    .assertions_filtered_scan(&request)
+                    .assertions_via(&request, AccessPath::FullScan)
                     .map_err(|e| Violation::new("availability", e.to_string()))?,
             );
         }
