@@ -20,11 +20,11 @@ use pasoa_preserv::{
     LineageGraph, MemoryBackend, PreservService, ProvenanceStore, ServiceConfig, StorageBackend,
     StoreError,
 };
-use pasoa_wire::{Envelope, ServiceHost, StatsService, TransportConfig, STATS_SNAPSHOT_ACTION};
+use pasoa_wire::{Envelope, ServiceHost, StatsService, STATS_SNAPSHOT_ACTION};
 use serde::{Deserialize, Serialize};
 
 use crate::merge;
-use crate::router::{InternalHop, RouterConfig, ShardRouter};
+use crate::router::ShardRouter;
 
 /// How the cluster's services are reached.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -65,8 +65,9 @@ pub struct ClusterConfig {
     pub virtual_nodes: usize,
     /// Total copies of every flushed batch (primary + replicas); 1 disables replication.
     pub replication: usize,
-    /// Ceiling on unpaginated query responses (see
-    /// [`crate::router::RouterConfig::max_response_assertions`]).
+    /// Ceiling on the p-assertions a single (unpaginated) query response may carry. A merged
+    /// answer above this errors loudly, naming the paginated path, rather than silently
+    /// truncating or shipping an unbounded message.
     pub max_response_assertions: usize,
     /// Name the router registers under (what clients address).
     pub service_name: String,
@@ -133,14 +134,6 @@ impl ClusterConfig {
     }
 }
 
-/// One shard's TCP endpoint: its listening server (the shard's own backend host serves only
-/// that shard, so shutting the server down is indistinguishable from the shard's machine
-/// dying).
-struct ShardNet {
-    name: String,
-    server: NetServer,
-}
-
 /// A deployed provenance store cluster: the shards, their router, and direct query access.
 pub struct PreservCluster {
     /// The caller-facing host (where clients' transports are bound).
@@ -152,8 +145,10 @@ pub struct PreservCluster {
     shards: RwLock<Vec<Arc<PreservService>>>,
     /// Per-shard feed queues, in shard-index order (empty when the feed tier is disabled).
     feeds: RwLock<Vec<Arc<FeedQueue>>>,
-    /// Per-shard TCP servers, in shard-index order (empty for the in-process transport).
-    net: RwLock<Vec<ShardNet>>,
+    /// Per-shard TCP servers, in shard-index order (empty for the in-process transport). A
+    /// shard's backend host serves only that shard, so shutting its server down is
+    /// indistinguishable from the shard's machine dying.
+    net: RwLock<Vec<NetServer>>,
     /// The router's own TCP server (None for the in-process transport).
     router_server: Option<NetServer>,
     config: ClusterConfig,
@@ -163,9 +158,7 @@ impl PreservCluster {
     /// Deploy a cluster of in-memory shards on `host` and register the router under the
     /// provenance store's well-known service name.
     pub fn deploy_in_memory(host: &ServiceHost, shards: usize) -> Result<Arc<Self>, StoreError> {
-        Self::deploy_with(host, ClusterConfig::with_shards(shards), |_| {
-            Ok(Arc::new(MemoryBackend::new()) as Arc<dyn StorageBackend>)
-        })
+        Self::deploy_with(host, ClusterConfig::with_shards(shards), memory_backend)
     }
 
     /// Deploy a fault-tolerant in-memory cluster: every flushed batch is committed on its
@@ -176,9 +169,8 @@ impl PreservCluster {
         shards: usize,
         replication: usize,
     ) -> Result<Arc<Self>, StoreError> {
-        Self::deploy_with(host, ClusterConfig::replicated(shards, replication), |_| {
-            Ok(Arc::new(MemoryBackend::new()) as Arc<dyn StorageBackend>)
-        })
+        let config = ClusterConfig::replicated(shards, replication);
+        Self::deploy_with(host, config, memory_backend)
     }
 
     /// Deploy a cluster whose shard `i` persists in `dir/shard-i` through the database
@@ -201,9 +193,8 @@ impl PreservCluster {
     /// socket clients, and the caller's host holds a TCP proxy to the router under the
     /// provenance store's well-known name. See [`ClusterTransport::Tcp`].
     pub fn deploy_tcp(host: &ServiceHost, shards: usize) -> Result<Arc<Self>, StoreError> {
-        Self::deploy_with(host, ClusterConfig::with_shards(shards).over_tcp(), |_| {
-            Ok(Arc::new(MemoryBackend::new()) as Arc<dyn StorageBackend>)
-        })
+        let config = ClusterConfig::with_shards(shards).over_tcp();
+        Self::deploy_with(host, config, memory_backend)
     }
 
     /// [`Self::deploy_tcp`] with synchronous replication: killing any single shard's server —
@@ -214,11 +205,8 @@ impl PreservCluster {
         shards: usize,
         replication: usize,
     ) -> Result<Arc<Self>, StoreError> {
-        Self::deploy_with(
-            host,
-            ClusterConfig::replicated(shards, replication).over_tcp(),
-            |_| Ok(Arc::new(MemoryBackend::new()) as Arc<dyn StorageBackend>),
-        )
+        let config = ClusterConfig::replicated(shards, replication).over_tcp();
+        Self::deploy_with(host, config, memory_backend)
     }
 
     /// Deploy a cluster with an explicit configuration and per-shard backend factory.
@@ -240,49 +228,17 @@ impl PreservCluster {
         let mut router_shards = Vec::with_capacity(config.shards);
         let mut net = Vec::with_capacity(config.shards);
         for index in 0..config.shards {
-            let name = format!("{}{index}", config.shard_name_prefix);
             let backend = backend_for_shard(index)?;
-            let service =
-                PreservService::with_backend(Arc::clone(&backend))?.with_config(ServiceConfig {
-                    service_name: name.clone(),
-                });
-            // Each shard's instruments fold into the registry of the host actually serving
-            // it: the shared fabric in process, the shard's own backend host over TCP — the
-            // same tree a `stats` request against that host reports.
-            let service = match config.transport {
-                ClusterTransport::InProcess => {
-                    let service = Arc::new(service.with_observability(fabric.registry()));
-                    service.register(&fabric);
-                    service
-                }
-                ClusterTransport::Tcp => {
-                    let (service, endpoint) = serve_shard_tcp(&fabric, &name, service, &config)?;
-                    net.push(endpoint);
-                    service
-                }
-            };
+            let (name, service, server) =
+                start_shard(&fabric, &config, index, Arc::clone(&backend))?;
+            net.extend(server);
             if let Some(options) = &config.feed {
                 feeds.push(attach_feed(&service, backend, options)?);
             }
             router_shards.push((name, Arc::clone(&service)));
             shards.push(service);
         }
-        let router = Arc::new(ShardRouter::new(
-            &fabric,
-            router_shards,
-            RouterConfig {
-                batch_size: config.batch_size,
-                virtual_nodes: config.virtual_nodes,
-                replication: config.replication,
-                max_response_assertions: config.max_response_assertions,
-                internal_hop: match config.transport {
-                    ClusterTransport::InProcess => InternalHop::Direct,
-                    // Over TCP every internal hop must be a real envelope, which the shard's
-                    // fabric proxy ships over the socket.
-                    ClusterTransport::Tcp => InternalHop::Wire,
-                },
-            },
-        ));
+        let router = Arc::new(ShardRouter::new(&fabric, router_shards, &config));
         router.register(&fabric, &config.service_name);
         // The well-known `stats` service reports the fabric's whole registry — the router's
         // child plus (in process) every shard's. Over TCP the router's server makes it
@@ -305,7 +261,7 @@ impl PreservCluster {
                     NetClient::new(
                         server.local_addr(),
                         &config.service_name,
-                        net_client_config(),
+                        NetClientConfig::default(),
                     )
                     // Callers' retries and pool evictions land in the caller host's
                     // registry, where a co-located load generator reads them.
@@ -358,7 +314,7 @@ impl PreservCluster {
 
     /// The loopback address `shard`'s server listens on, when deployed over TCP.
     pub fn shard_server_addr(&self, shard: usize) -> Option<SocketAddr> {
-        self.net.read().get(shard).map(|n| n.server.local_addr())
+        self.net.read().get(shard).map(|server| server.local_addr())
     }
 
     /// Kill `shard`'s TCP server — a *real* socket kill: in-flight requests drain, further
@@ -368,8 +324,8 @@ impl PreservCluster {
     pub fn shutdown_shard_server(&self, shard: usize) -> bool {
         let net = self.net.read();
         match net.get(shard) {
-            Some(endpoint) if !endpoint.server.is_shut_down() => {
-                endpoint.server.shutdown();
+            Some(server) if !server.is_shut_down() => {
+                server.shutdown();
                 true
             }
             _ => false,
@@ -379,17 +335,17 @@ impl PreservCluster {
     /// Scatter-gather every live shard's observability snapshot plus the router's own.
     ///
     /// Each shard is asked with the same [`STATS_SNAPSHOT_ACTION`] envelope the `stats`
-    /// service answers everywhere; through the fabric transport the request dispatches in
-    /// process or crosses the shard's TCP socket, whichever the deployment uses — so the
-    /// gathered structure is identical across transports (the acceptance bar for remote
-    /// monitoring: no side channel, no transport-specific shape).
+    /// service answers everywhere; dispatched on the fabric, the request is handled in process
+    /// or crosses the shard's TCP socket, whichever the deployment uses — so the gathered
+    /// structure is identical across transports (the acceptance bar for remote monitoring: no
+    /// side channel, no transport-specific shape).
     pub fn stats_snapshot(&self) -> Result<ClusterStatsSnapshot, StoreError> {
-        let transport = self.fabric.transport(TransportConfig::free());
         let names = self.router.shard_names();
         let mut shards = Vec::new();
         for shard in self.router.live_shards() {
-            let response = transport
-                .call(Envelope::request(&names[shard], STATS_SNAPSHOT_ACTION))
+            let response = self
+                .fabric
+                .dispatch(Envelope::request(&names[shard], STATS_SNAPSHOT_ACTION))
                 .map_err(wire_to_store)?;
             shards.push(pasoa_wire::stats::decode_snapshot(&response).map_err(wire_to_store)?);
         }
@@ -402,11 +358,11 @@ impl PreservCluster {
     /// Traffic counters of every TCP server — shards in index order, then the router's —
     /// as `(service name, stats)`. Empty for the in-process transport.
     pub fn net_server_stats(&self) -> Vec<(String, NetServerStats)> {
-        let mut stats: Vec<(String, NetServerStats)> = self
-            .net
-            .read()
-            .iter()
-            .map(|endpoint| (endpoint.name.clone(), endpoint.server.stats()))
+        let names = self.router.shard_names();
+        let net = self.net.read();
+        let mut stats: Vec<(String, NetServerStats)> = names
+            .into_iter()
+            .zip(net.iter().map(NetServer::stats))
             .collect();
         if let Some(server) = &self.router_server {
             stats.push((self.config.service_name.clone(), server.stats()));
@@ -448,36 +404,23 @@ impl PreservCluster {
         // calls cannot interleave and leave `self.shards` ordered differently from the
         // router's ring indices.
         let mut shards = self.shards.write();
-        let name = format!("{}{}", self.config.shard_name_prefix, shards.len());
-        let service =
-            PreservService::with_backend(Arc::clone(&backend))?.with_config(ServiceConfig {
-                service_name: name.clone(),
-            });
         // Make the service reachable before the router can route to it.
-        let (service, tcp_endpoint) = match self.config.transport {
-            ClusterTransport::InProcess => {
-                let service = Arc::new(service.with_observability(self.fabric.registry()));
-                service.register(&self.fabric);
-                (service, None)
-            }
-            ClusterTransport::Tcp => {
-                let (service, endpoint) =
-                    serve_shard_tcp(&self.fabric, &name, service, &self.config)?;
-                (service, Some(endpoint))
-            }
-        };
+        let (name, service, server) = start_shard(
+            &self.fabric,
+            &self.config,
+            shards.len(),
+            Arc::clone(&backend),
+        )?;
         if let Err(error) = self.router.add_shard(name.clone(), Arc::clone(&service)) {
             // Roll back reachability: the fabric must not keep a proxy (or service) for a
             // shard the router never adopted, and `self.net` must stay index-aligned with
-            // `self.shards` — pushing the endpoint before this point would leave
+            // `self.shards` — pushing the server before this point would leave
             // `shard_server_addr`/`shutdown_shard_server` resolving wrong servers forever
-            // after one failed add. (The endpoint's listener shuts down when it drops.)
+            // after one failed add. (The server's listener shuts down when it drops.)
             self.fabric.deregister(&name);
             return Err(wire_to_store(error));
         }
-        if let Some(endpoint) = tcp_endpoint {
-            self.net.write().push(endpoint);
-        }
+        self.net.write().extend(server);
         if let Some(options) = &self.config.feed {
             self.feeds
                 .write()
@@ -513,45 +456,38 @@ impl PreservCluster {
 
     // -- Direct scatter-gather queries (bypassing the wire, for reasoners and tests) --------
 
+    /// Flush (read-your-writes), then ask every live shard's store the same question, in
+    /// shard order. The gather holds the router's failover lock shared so a concurrent
+    /// promotion cannot replay a dying shard's data into a successor mid-iteration (which
+    /// would double it).
+    fn gather<T>(
+        &self,
+        ask: impl Fn(&ProvenanceStore) -> Result<T, StoreError>,
+    ) -> Result<Vec<T>, StoreError> {
+        self.flush()?;
+        let _gather = self.router.gather_guard();
+        self.live_stores().iter().map(|store| ask(store)).collect()
+    }
+
     /// All p-assertions recorded under `session`, merged identically to a single store.
     pub fn assertions_for_session(
         &self,
         session: &SessionId,
     ) -> Result<Vec<RecordedAssertion>, StoreError> {
-        self.flush()?;
-        // Gathers hold the router's failover lock shared so a concurrent promotion cannot
-        // replay a dying shard's data into a successor mid-iteration (which would double it).
-        let _gather = self.router.gather_guard();
-        let per_shard = self
-            .live_stores()
-            .iter()
-            .map(|store| store.assertions_for_session(session))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(merge::merge_assertions(per_shard))
+        self.gather(|store| store.assertions_for_session(session))
+            .map(merge::merge_assertions)
     }
 
     /// Merged statistics across every live shard.
     pub fn statistics(&self) -> Result<StoreStatistics, StoreError> {
-        self.flush()?;
-        let _gather = self.router.gather_guard();
-        Ok(merge::merge_statistics(
-            self.live_stores()
-                .iter()
-                .map(|store| store.statistics())
-                .collect(),
-        ))
+        self.gather(|store| Ok(store.statistics()))
+            .map(merge::merge_statistics)
     }
 
     /// Groups of a kind across every live shard, in single-store key order.
     pub fn groups_by_kind(&self, kind: &str) -> Result<Vec<Group>, StoreError> {
-        self.flush()?;
-        let _gather = self.router.gather_guard();
-        let per_shard = self
-            .live_stores()
-            .iter()
-            .map(|store| store.groups_by_kind(kind))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(merge::merge_groups(per_shard))
+        self.gather(|store| store.groups_by_kind(kind))
+            .map(merge::merge_groups)
     }
 
     /// All interaction keys across live shards, globally sorted, optionally limited.
@@ -559,27 +495,15 @@ impl PreservCluster {
         &self,
         limit: Option<usize>,
     ) -> Result<Vec<pasoa_core::ids::InteractionKey>, StoreError> {
-        self.flush()?;
-        let _gather = self.router.gather_guard();
-        let per_shard = self
-            .live_stores()
-            .iter()
-            .map(|store| store.list_interactions(None))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(merge::merge_interactions(per_shard, limit))
+        self.gather(|store| store.list_interactions(None))
+            .map(|per_shard| merge::merge_interactions(per_shard, limit))
     }
 
     /// The session's derivation graph, merged across live shards (normally resident on one
     /// shard, thanks to session co-location).
     pub fn lineage_session(&self, session: &SessionId) -> Result<LineageGraph, StoreError> {
-        self.flush()?;
-        let _gather = self.router.gather_guard();
-        let per_shard = self
-            .live_stores()
-            .iter()
-            .map(|store| LineageGraph::trace_session(store, session))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(merge::merge_lineage(per_shard))
+        self.gather(|store| LineageGraph::trace_session(store, session))
+            .map(merge::merge_lineage)
     }
 }
 
@@ -605,34 +529,49 @@ impl ClusterStatsSnapshot {
     }
 }
 
-/// Serve one shard over TCP: the shard gets a private backend host (so the server exposes
-/// exactly that shard, as a dedicated machine would), a loopback listener, and a pooled proxy
-/// under its name on the fabric so the router reaches it through real sockets. Connection
-/// failures are reported to the fabric's fault injector, which is what the router's failure
-/// detection scans.
-fn serve_shard_tcp(
+/// The backend factory of the in-memory deployments.
+fn memory_backend(_shard: usize) -> Result<Arc<dyn StorageBackend>, StoreError> {
+    Ok(Arc::new(MemoryBackend::new()))
+}
+
+/// Bring shard `index` up over `backend` and make it reachable on `fabric`. In process the
+/// service registers on the fabric itself. Over TCP the shard gets a private backend host (so
+/// its server exposes exactly that shard, as a dedicated machine would), a loopback listener
+/// (the returned server), and a pooled proxy under its name on the fabric so the router
+/// reaches it through real sockets; connection failures are reported to the fabric's fault
+/// injector, which is what the router's failure detection scans. Either way the shard's
+/// instruments (and its backend's kvdb latencies) fold into the registry of the host actually
+/// serving it — the tree a `stats` request against that host reports, over TCP alongside the
+/// server's own `net.server.*` counters.
+fn start_shard(
     fabric: &ServiceHost,
-    name: &str,
-    service: PreservService,
     config: &ClusterConfig,
-) -> Result<(Arc<PreservService>, ShardNet), StoreError> {
-    let backend_host = ServiceHost::new();
-    // The shard's instruments (and its backend's kvdb latencies) fold into the backend
-    // host's registry — the tree this shard's server reports through its `stats` service,
-    // alongside the server's own `net.server.*` counters.
-    let service = Arc::new(service.with_observability(backend_host.registry()));
-    service.register(&backend_host);
-    StatsService::install(&backend_host, name);
-    let server = NetServer::bind(("127.0.0.1", 0), &backend_host, net_server_config(config))
-        .map_err(bind_to_store)?;
-    register_remote(fabric, name, server.local_addr(), net_client_config());
-    Ok((
-        service,
-        ShardNet {
-            name: name.to_string(),
-            server,
-        },
-    ))
+    index: usize,
+    backend: Arc<dyn StorageBackend>,
+) -> Result<(String, Arc<PreservService>, Option<NetServer>), StoreError> {
+    let name = format!("{}{index}", config.shard_name_prefix);
+    let service = PreservService::with_backend(backend)?.with_config(ServiceConfig {
+        service_name: name.clone(),
+    });
+    let serving_host = match config.transport {
+        ClusterTransport::InProcess => fabric.clone(),
+        ClusterTransport::Tcp => ServiceHost::new(),
+    };
+    let service = Arc::new(service.with_observability(serving_host.registry()));
+    service.register(&serving_host);
+    let server = match config.transport {
+        ClusterTransport::InProcess => None,
+        ClusterTransport::Tcp => {
+            StatsService::install(&serving_host, &name);
+            let server =
+                NetServer::bind(("127.0.0.1", 0), &serving_host, net_server_config(config))
+                    .map_err(bind_to_store)?;
+            let addr = server.local_addr();
+            register_remote(fabric, &name, addr, NetClientConfig::default());
+            Some(server)
+        }
+    };
+    Ok((name, service, server))
 }
 
 /// Server tuning for cluster deployments: [`ClusterConfig::net_workers`] workers (default
@@ -643,10 +582,6 @@ fn net_server_config(config: &ClusterConfig) -> NetServerConfig {
         workers: config.net_workers.max(1),
         ..Default::default()
     }
-}
-
-fn net_client_config() -> NetClientConfig {
-    NetClientConfig::default()
 }
 
 /// Open a shard's feed queue over the shard's own backend and wire all three couplings: the

@@ -30,23 +30,50 @@
 //!   ring; only future sessions map to it, while already-pinned sessions stay put.
 //! * **Scenario driving.** [`LoadGenerator`] runs many concurrent recorders against whatever
 //!   deployment is registered and reports throughput, latency percentiles and shard balance.
+//!
+//! # Module map: which file owns which decision
+//!
+//! | file | owns |
+//! |---|---|
+//! | `ring.rs` | the hash: key → shard, and the ring walk from a shard |
+//! | `placement.rs` | where a session lives: ring + historical rings + liveness + pins; the one placement rule `live_successors` (replica targets, promotion target, dead-owner routing, hold re-homing) |
+//! | `shard.rs` | one row of the shard table: name, service, replica hold, buffer, flusher |
+//! | `replication.rs` | what replicas hold: `ReplicaHold`, re-homing across a ring change, promotion replay |
+//! | `merge.rs` | how per-shard answers become one (unpaged merges, the page fence) |
+//! | `link.rs` | how a message reaches a shard (in process or as envelopes) |
+//! | `router.rs` | message handling: `handle`, record → buffer → `send_buffer`, `flush`, `scatter` |
+//! | `router/failover.rs` | what happens when a shard dies: detection, promotion, replay retries |
+//! | `cluster.rs` | deployment: shards + router on one host, in process or over TCP |
+//!
+//! # Lock order
+//!
+//! Where more than one is held: the router's **failover** lock (shared around a send and its
+//! replica-hold append, and around a gather; exclusive around failure handling and
+//! `add_shard`), then a shard's **flusher** mutex (across a send, so same-shard batches commit
+//! in buffer order), then that shard's **buffer** mutex (only to append, drain or restore —
+//! never across a send), then store locks. The **table** lock (placement + shard table) is a
+//! leaf taken for the length of a look-up — the data-presence probe, which takes flusher,
+//! buffer and store locks, therefore runs outside it. Only a replica hold's own mutexes nest
+//! inside it (`add_shard` re-homes the holds under the table write lock, `hold_snapshot`
+//! reads them under the read lock); nothing takes the table lock while holding one.
 
 pub mod cluster;
 mod link;
 pub mod loadgen;
 pub mod merge;
+mod placement;
+mod replication;
 pub mod ring;
 pub mod router;
+mod shard;
 
 pub use cluster::{
     ClusterConfig, ClusterStatsSnapshot, ClusterTransport, FeedOptions, PreservCluster, StoreHandle,
 };
 pub use loadgen::{FaultPlan, LoadGenConfig, LoadGenerator, LoadReport};
+pub use replication::{HeldSession, HoldSnapshot};
 pub use ring::HashRing;
-pub use router::{
-    FlushError, HeldSession, HoldSnapshot, RouterConfig, RouterStats, ShardRouter,
-    DEFAULT_MAX_RESPONSE_ASSERTIONS,
-};
+pub use router::{FlushError, RouterStats, ShardRouter, DEFAULT_MAX_RESPONSE_ASSERTIONS};
 
 #[cfg(test)]
 mod tests {
@@ -378,6 +405,63 @@ mod tests {
         assert_eq!(cluster.router().stats().rebalances, 1);
     }
 
+    /// Regression: after the first `add_shard` every routed session used to be memoized into
+    /// the pin map, one entry per session forever. Only placements that needed the
+    /// data-presence probe (an older ring maps the session elsewhere) are remembered: the
+    /// sessions that stayed sticky, and the ones the probe let move to the added shard.
+    #[test]
+    fn pins_grow_only_with_sessions_the_rebalance_remapped() {
+        let (host, cluster) = deploy(2);
+        let vnodes = ClusterConfig::default().virtual_nodes;
+        let old_ring = HashRing::with_shards(2, vnodes);
+        let new_ring = HashRing::with_shards(3, vnodes);
+        let remapped = |id: &str| old_ring.shard_for(id) != new_ring.shard_for(id);
+        let pinned = || {
+            let snapshot = cluster.stats_snapshot().unwrap().merged();
+            snapshot.gauge("router.pinned_sessions") as usize
+        };
+
+        let transport = host.transport(TransportConfig::free());
+        let old: Vec<String> = (0..60).map(|s| format!("session:old:{s}")).collect();
+        for id in &old {
+            let recorder = SyncRecorder::new(
+                SessionId::new(id.clone()),
+                ActorId::new("engine"),
+                transport.clone(),
+                IdGenerator::new(id.clone()),
+            );
+            recorder.record(assertion(id, 0)).unwrap();
+        }
+        assert_eq!(
+            pinned(),
+            0,
+            "before any rebalance placement is a pure function"
+        );
+        cluster.add_shard().unwrap();
+
+        let router = cluster.router();
+        for id in &old {
+            assert_eq!(router.shard_for_session(id), old_ring.shard_for(id));
+        }
+        let sticky = old.iter().filter(|id| remapped(id)).count();
+        assert!(
+            sticky > 0,
+            "vacuous test: the rebalance remapped no session"
+        );
+        assert_eq!(pinned(), sticky);
+
+        let fresh: Vec<String> = (0..5000).map(|s| format!("session:fresh:{s}")).collect();
+        for id in &fresh {
+            assert_eq!(router.shard_for_session(id), new_ring.shard_for(id));
+        }
+        let probed = fresh.iter().filter(|id| remapped(id)).count();
+        assert!(
+            probed < fresh.len() / 2,
+            "consistent hashing remaps a minority"
+        );
+        assert_eq!(pinned(), sticky + probed);
+    }
+
     #[test]
     fn load_generator_reports_balanced_dispatch() {
         let (host, cluster) = deploy(4);
@@ -628,7 +712,7 @@ mod tests {
         }
     }
 
-    /// Regression: after a rebalance every routed session is memoized into the pin map. A
+    /// Regression: after a rebalance routed sessions may be memoized into the pin map. A
     /// session whose only data is still buffered (never flushed, so no replica hold exists)
     /// must not stay pinned to its shard when that shard dies — the stale pin would route the
     /// buffered batch back to the dead shard forever, wedging flush and every query.
@@ -636,10 +720,19 @@ mod tests {
     fn buffered_session_pinned_to_a_dead_shard_re_resolves_to_a_live_one() {
         let host = ServiceHost::new();
         let cluster = PreservCluster::deploy_replicated(&host, 4, 2).unwrap();
-        // Rebalance so shard_for_session memoizes a pin for every session it routes.
+        // Rebalance, and pick a session the rebalance remaps: routing it runs the
+        // data-presence probe, so shard_for_session memoizes a pin for it.
         cluster.add_shard().unwrap();
-
-        let session = SessionId::new("session:buffered-pin");
+        let vnodes = ClusterConfig::default().virtual_nodes;
+        let (old_ring, new_ring) = (
+            HashRing::with_shards(4, vnodes),
+            HashRing::with_shards(5, vnodes),
+        );
+        let session = (0..500)
+            .map(|i| format!("session:buffered-pin:{i}"))
+            .find(|id| old_ring.shard_for(id) != new_ring.shard_for(id))
+            .expect("some session id must move when the ring grows");
+        let session = SessionId::new(session);
         let recorder = SyncRecorder::new(
             session.clone(),
             ActorId::new("engine"),
@@ -649,6 +742,8 @@ mod tests {
         // One assertion: stays in the router buffer (default batch_size is 64).
         recorder.record(assertion(session.as_str(), 0)).unwrap();
         let owner = cluster.router().shard_for_session(session.as_str());
+        let pins = cluster.router().stats_snapshot().registry;
+        assert_eq!(pins.gauge("router.pinned_sessions"), 1);
         let owner_name = cluster.router().shard_names()[owner].clone();
         host.fault_injector().kill(owner_name);
 
@@ -762,7 +857,7 @@ mod tests {
         // victim's first live ring successor — the promotion target.
         let session = SessionId::new("session:flaky-replay");
         let victim = cluster.router().shard_for_session(session.as_str());
-        let ring = HashRing::with_shards(3, RouterConfig::default().virtual_nodes);
+        let ring = HashRing::with_shards(3, ClusterConfig::default().virtual_nodes);
         let target = ring.successors_of_shard(victim)[0];
         let recorder = SyncRecorder::new(
             session.clone(),

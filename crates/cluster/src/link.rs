@@ -5,8 +5,12 @@ use pasoa_core::prep::PrepMessage;
 use pasoa_core::prepwire;
 use pasoa_obs::TraceCtx;
 use pasoa_preserv::plugins::PluginResponse;
-use pasoa_preserv::PreservService;
-use pasoa_wire::{Envelope, Transport, WireError, WireResult};
+use pasoa_wire::{
+    Envelope, FaultInjector, ServiceHost, Transport, TransportConfig, WireError, WireResult,
+};
+
+use crate::cluster::ClusterTransport;
+use crate::shard::Shard;
 
 /// Most assertions one `Record` envelope carries over [`ShardLink::Remote`]: well above the
 /// default batch size (so ordinary flushes stay one message), low enough that an accumulated
@@ -14,11 +18,15 @@ use pasoa_wire::{Envelope, Transport, WireError, WireResult};
 /// one giant one.
 const WIRE_RECORD_ASSERTIONS: usize = 256;
 
-/// The router's one path to a shard, fixed at construction from [`crate::router::InternalHop`].
+/// The router's one path to a shard, fixed at construction from the deployment's
+/// [`ClusterTransport`].
 pub(crate) enum ShardLink {
     /// The shard shares the router's process: decoded messages go straight to its plug-in
-    /// dispatcher.
-    Local,
+    /// dispatcher — re-encoding the already-decoded client message would simply double the
+    /// serialization cost of every p-assertion. Carries the host's fault injector: a shard
+    /// it has downed is unreachable, exactly as a crashed remote host would be (over
+    /// [`ShardLink::Remote`] the proxy's host applies the same check on dispatch).
+    Local(FaultInjector),
     /// The shard sits behind a proxy on the router's host: messages travel as envelopes. The
     /// transport is a passthrough one — the proxy's socket framing is the serialization, and
     /// simulating a second one in process would pay the codec twice per message.
@@ -26,38 +34,52 @@ pub(crate) enum ShardLink {
 }
 
 impl ShardLink {
+    /// The link a deployment over `transport` uses; `host` is where the shard proxies live.
+    pub(crate) fn new(transport: ClusterTransport, host: &ServiceHost) -> Self {
+        match transport {
+            ClusterTransport::InProcess => ShardLink::Local(host.fault_injector()),
+            // Over TCP every internal hop must be a real envelope, which the shard's fabric
+            // proxy ships over the socket.
+            ClusterTransport::Tcp => {
+                ShardLink::Remote(host.transport(TransportConfig::passthrough()))
+            }
+        }
+    }
+
     /// Most assertions one `Record` message carries over this link. Handing a message over in
     /// process has no envelope to bound, so a local flush is always one message.
     pub(crate) fn record_assertions(&self) -> usize {
         match self {
-            ShardLink::Local => usize::MAX,
+            ShardLink::Local(_) => usize::MAX,
             ShardLink::Remote(_) => WIRE_RECORD_ASSERTIONS,
         }
     }
 
-    /// Deliver `messages` to the shard registered as `name`, returning one result per message
-    /// in order.
+    /// Deliver `messages` to `shard`, returning one result per message in order.
     pub(crate) fn call(
         &self,
-        name: &str,
-        service: &PreservService,
+        shard: &Shard,
         action: &str,
         messages: &[PrepMessage],
         trace: Option<&TraceCtx>,
     ) -> Vec<WireResult<PluginResponse>> {
         let transport = match self {
-            ShardLink::Local => {
+            ShardLink::Local(faults) => {
+                let down = faults.is_down(&shard.name);
                 return messages
                     .iter()
-                    .map(|message| service.dispatch_traced(action, message, trace))
-                    .collect()
+                    .map(|message| match down {
+                        true => Err(WireError::ServiceDown(shard.name.clone())),
+                        false => shard.service.dispatch_traced(action, message, trace),
+                    })
+                    .collect();
             }
             ShardLink::Remote(transport) => transport,
         };
         let envelopes: WireResult<Vec<Envelope>> = messages
             .iter()
             .map(|message| {
-                let envelope = prepwire::request_envelope(name, action, message)?
+                let envelope = prepwire::request_envelope(&shard.name, action, message)?
                     .with_header("sender", "shard-router");
                 Ok(match trace {
                     Some(trace) => envelope.with_trace(trace),

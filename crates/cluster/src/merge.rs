@@ -10,10 +10,80 @@ use std::collections::BTreeMap;
 
 use pasoa_core::ids::InteractionKey;
 use pasoa_core::passertion::RecordedAssertion;
-use pasoa_core::prep::StoreStatistics;
+use pasoa_core::prep::{
+    PageCursor, QueryPage, QueryRequest, QueryResponse, ShardQueryPage, StoreStatistics,
+};
 use pasoa_core::Group;
 use pasoa_preserv::keys;
 use pasoa_preserv::{LineageGraph, LineageNode};
+use pasoa_wire::{WireError, WireResult};
+
+/// Merge every live shard's wire answer to `request` (in shard order) into the answer a
+/// single store would give. A shard answering with the wrong kind of response is an error.
+pub(crate) fn merge_responses(
+    request: &QueryRequest,
+    responses: Vec<QueryResponse>,
+) -> WireResult<QueryResponse> {
+    Ok(match request {
+        QueryRequest::ByInteraction(_)
+        | QueryRequest::BySession(_)
+        | QueryRequest::ByActor(_)
+        | QueryRequest::ByRelation(_)
+        | QueryRequest::ActorStateByKind { .. } => {
+            let merged = merge_assertions(per_shard(responses, |response| match response {
+                QueryResponse::Assertions(list) => Ok(list),
+                QueryResponse::Empty => Ok(Vec::new()),
+                other => Err(other),
+            })?);
+            if merged.is_empty() {
+                QueryResponse::Empty
+            } else {
+                QueryResponse::Assertions(merged)
+            }
+        }
+        QueryRequest::ListInteractions { limit } => {
+            QueryResponse::Interactions(merge_interactions(
+                per_shard(responses, |response| match response {
+                    QueryResponse::Interactions(list) => Ok(list),
+                    QueryResponse::Empty => Ok(Vec::new()),
+                    other => Err(other),
+                })?,
+                *limit,
+            ))
+        }
+        QueryRequest::GroupsByKind(_) => QueryResponse::Groups(merge_groups(per_shard(
+            responses,
+            |response| match response {
+                QueryResponse::Groups(list) => Ok(list),
+                QueryResponse::Empty => Ok(Vec::new()),
+                other => Err(other),
+            },
+        )?)),
+        QueryRequest::Statistics => {
+            QueryResponse::Statistics(merge_statistics(per_shard(responses, |response| {
+                match response {
+                    QueryResponse::Statistics(stats) => Ok(stats),
+                    other => Err(other),
+                }
+            })?))
+        }
+    })
+}
+
+/// What `pick` extracts from each shard's response; a response it hands back is unexpected.
+fn per_shard<T>(
+    responses: Vec<QueryResponse>,
+    pick: impl Fn(QueryResponse) -> Result<T, QueryResponse>,
+) -> WireResult<Vec<T>> {
+    responses
+        .into_iter()
+        .map(|response| {
+            pick(response).map_err(|other| {
+                WireError::Payload(format!("unexpected shard query response: {other:?}"))
+            })
+        })
+        .collect()
+}
 
 /// Merge per-shard `BySession` / `ByInteraction` answers: group by interaction key, output
 /// interactions in ascending key order, preserving each shard's within-interaction order
@@ -95,6 +165,60 @@ pub fn merge_lineage(per_shard: Vec<LineageGraph>) -> LineageGraph {
         }
     }
     merged
+}
+
+/// Merge bounded per-shard pages into one client page.
+///
+/// Each shard page covers that shard's full `(cursor, last item]` key range, and within one
+/// shard sort keys are unique (the store's sequence disambiguates) — so every item with a key
+/// at or below the *fence* (the minimum last-key over shards that are not exhausted) is
+/// guaranteed fetched, and emitting up to the fence can never skip an item a lagging shard
+/// still holds. Items past the fence are discarded and refetched on the next page. The emit
+/// cap never splits a run of equal keys (they span shards, at most one per shard), so the
+/// single returned cursor key is always a safe resume point. Within one interaction the merge
+/// orders equal-prefix items by `(sort key, shard)`; for session- and interaction-co-located
+/// data — the router's placement invariant — that coincides with the unpaginated merge order.
+pub(crate) fn merge_shard_pages(pages: Vec<ShardQueryPage>, page_size: usize) -> QueryPage {
+    let fence: Option<String> = pages
+        .iter()
+        .filter(|page| !page.exhausted)
+        .filter_map(|page| page.items.last().map(|(sort, _)| sort.clone()))
+        .min();
+    let all_exhausted = pages.iter().all(|page| {
+        // An unexhausted page with no items cannot make progress claims; treat it as drained.
+        page.exhausted || page.items.is_empty()
+    });
+    let mut merged: Vec<(String, usize, RecordedAssertion)> = Vec::new();
+    for (shard, page) in pages.into_iter().enumerate() {
+        for (sort, recorded) in page.items {
+            if fence.as_deref().is_none_or(|fence| sort.as_str() <= fence) {
+                merged.push((sort, shard, recorded));
+            }
+        }
+    }
+    merged.sort_by(|a, b| (a.0.as_str(), a.1).cmp(&(b.0.as_str(), b.1)));
+    let total = merged.len();
+    let mut emit = total.min(page_size);
+    // Never split an equal-key run across pages: the resume key must cover it whole.
+    while emit > 0 && emit < total && merged[emit].0 == merged[emit - 1].0 {
+        emit += 1;
+    }
+    let done = all_exhausted && emit == total;
+    let next = if done {
+        None
+    } else {
+        Some(PageCursor {
+            after: merged[emit - 1].0.clone(),
+        })
+    };
+    QueryPage {
+        assertions: merged
+            .into_iter()
+            .take(emit)
+            .map(|(_, _, recorded)| recorded)
+            .collect(),
+        next,
+    }
 }
 
 #[cfg(test)]
@@ -206,5 +330,85 @@ mod tests {
             merged.nodes["data:x"].relations,
             vec!["derived".to_string()]
         );
+    }
+
+    fn item(sort: &str) -> (String, RecordedAssertion) {
+        (sort.to_string(), assertion("interaction:m", sort))
+    }
+
+    fn tag(page: &QueryPage) -> Vec<String> {
+        page.assertions
+            .iter()
+            .map(|r| match &r.assertion {
+                PAssertion::ActorState(a) => a.content.as_text().unwrap().to_string(),
+                _ => unreachable!(),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fence_holds_back_items_a_lagging_shard_could_still_produce() {
+        // Shard 0 returned a full page up to "c" (not exhausted); shard 1 already produced
+        // "e". "e" must wait: shard 0 may still hold "d".
+        let pages = vec![
+            ShardQueryPage {
+                items: vec![item("a"), item("c")],
+                exhausted: false,
+            },
+            ShardQueryPage {
+                items: vec![item("b"), item("e")],
+                exhausted: true,
+            },
+        ];
+        let merged = merge_shard_pages(pages, 10);
+        assert_eq!(tag(&merged), vec!["a", "b", "c"]);
+        assert_eq!(merged.next.unwrap().after, "c");
+    }
+
+    #[test]
+    fn all_exhausted_pages_drain_completely() {
+        let pages = vec![
+            ShardQueryPage {
+                items: vec![item("a"), item("c")],
+                exhausted: true,
+            },
+            ShardQueryPage {
+                items: vec![item("b")],
+                exhausted: true,
+            },
+        ];
+        let merged = merge_shard_pages(pages, 10);
+        assert_eq!(tag(&merged), vec!["a", "b", "c"]);
+        assert!(merged.next.is_none());
+    }
+
+    #[test]
+    fn emit_cap_never_splits_an_equal_key_run() {
+        // Two shards share sort key "b" (possible only across shards); a page size of 2 must
+        // stretch to include both copies, or resuming after "b" would skip the second.
+        let pages = vec![
+            ShardQueryPage {
+                items: vec![item("a"), item("b")],
+                exhausted: true,
+            },
+            ShardQueryPage {
+                items: vec![item("b"), item("d")],
+                exhausted: true,
+            },
+        ];
+        let merged = merge_shard_pages(pages, 2);
+        assert_eq!(tag(&merged), vec!["a", "b", "b"]);
+        assert_eq!(merged.next.unwrap().after, "b");
+    }
+
+    #[test]
+    fn empty_result_set_is_done_immediately() {
+        let pages = vec![ShardQueryPage {
+            items: vec![],
+            exhausted: true,
+        }];
+        let merged = merge_shard_pages(pages, 4);
+        assert!(merged.assertions.is_empty());
+        assert!(merged.next.is_none());
     }
 }

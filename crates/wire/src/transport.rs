@@ -15,8 +15,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::{Mutex, RwLock};
-use pasoa_obs::Registry;
+use parking_lot::RwLock;
+use pasoa_obs::{Counter, Registry};
 
 use crate::clock::SimClock;
 use crate::envelope::Envelope;
@@ -115,7 +115,8 @@ impl TransportConfig {
     }
 }
 
-/// Traffic counters, kept per transport.
+/// Point-in-time copy of one transport's traffic counters, read from its `wire.transport.*`
+/// instruments.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TransportStats {
     /// Number of request/response exchanges completed.
@@ -142,6 +143,51 @@ impl TransportStats {
             .checked_div(self.calls)
             .map(Duration::from_nanos)
             .unwrap_or(Duration::ZERO)
+    }
+}
+
+/// A transport's instruments, resolved once so a call never looks one up by name. They live
+/// in a [`Registry::child`] of the host registry: [`Transport::stats`] reads this transport's
+/// own tallies, and the host's snapshot sums every transport's under the same names. (A host
+/// built on [`Registry::disabled`] hands its transports a private registry instead, so their
+/// tallies — Figure 4 reads `modelled_nanos` — stay live.)
+#[derive(Clone)]
+struct TransportObs {
+    calls: Counter,
+    bytes_sent: Counter,
+    bytes_received: Counter,
+    failures: Counter,
+    modelled_nanos: Counter,
+}
+
+impl TransportObs {
+    fn new(host: &Registry) -> Self {
+        let registry = if host.is_enabled() {
+            host.child()
+        } else {
+            Registry::new()
+        };
+        TransportObs {
+            calls: registry.counter("wire.transport.calls"),
+            bytes_sent: registry.counter("wire.transport.bytes_sent"),
+            bytes_received: registry.counter("wire.transport.bytes_received"),
+            failures: registry.counter("wire.transport.failures"),
+            modelled_nanos: registry.counter("wire.transport.modelled_nanos"),
+        }
+    }
+
+    /// Tally one exchange's outcome: a response is a completed call (and a failure too if it
+    /// is a fault), an error a failure only.
+    fn tally(&self, outcome: &WireResult<Envelope>) {
+        match outcome {
+            Ok(response) => {
+                self.calls.inc();
+                if response.is_fault() {
+                    self.failures.inc();
+                }
+            }
+            Err(_) => self.failures.inc(),
+        }
     }
 }
 
@@ -344,12 +390,7 @@ impl ServiceHost {
 
     /// Create a client transport bound to this host.
     pub fn transport(&self, config: TransportConfig) -> Transport {
-        Transport {
-            host: self.clone(),
-            config,
-            clock: SimClock::new(),
-            stats: Arc::new(Mutex::new(TransportStats::default())),
-        }
+        self.transport_with_clock(config, SimClock::new())
     }
 
     /// Create a client transport sharing an existing virtual clock.
@@ -358,7 +399,7 @@ impl ServiceHost {
             host: self.clone(),
             config,
             clock,
-            stats: Arc::new(Mutex::new(TransportStats::default())),
+            obs: TransportObs::new(&self.obs),
         }
     }
 }
@@ -369,7 +410,7 @@ pub struct Transport {
     host: ServiceHost,
     config: TransportConfig,
     clock: SimClock,
-    stats: Arc<Mutex<TransportStats>>,
+    obs: TransportObs,
 }
 
 impl std::fmt::Debug for Transport {
@@ -395,7 +436,7 @@ impl Transport {
         let response = match self.host.dispatch(decoded_request) {
             Ok(r) => r,
             Err(e) => {
-                self.stats.lock().failures += 1;
+                self.obs.failures.inc();
                 return Err(e);
             }
         };
@@ -410,17 +451,14 @@ impl Transport {
             .round_trip(request_bytes, response_bytes);
         self.charge(cost);
 
-        let mut stats = self.stats.lock();
-        stats.calls += 1;
-        stats.bytes_sent += request_bytes as u64;
-        stats.bytes_received += response_bytes as u64;
-        stats.modelled_nanos += u64::try_from(cost.as_nanos()).unwrap_or(u64::MAX);
-        if decoded_response.is_fault() {
-            stats.failures += 1;
-        }
-        drop(stats);
-
-        Ok(decoded_response)
+        self.obs.bytes_sent.add(request_bytes as u64);
+        self.obs.bytes_received.add(response_bytes as u64);
+        self.obs
+            .modelled_nanos
+            .add(u64::try_from(cost.as_nanos()).unwrap_or(u64::MAX));
+        let outcome = Ok(decoded_response);
+        self.obs.tally(&outcome);
+        outcome
     }
 
     /// Send a batch of requests, returning one result per request in order. Passthrough
@@ -435,40 +473,16 @@ impl Transport {
             return requests.into_iter().map(|r| self.call(r)).collect();
         }
         let results = self.host.dispatch_many(requests);
-        let mut stats = self.stats.lock();
-        for result in &results {
-            match result {
-                Ok(response) => {
-                    stats.calls += 1;
-                    if response.is_fault() {
-                        stats.failures += 1;
-                    }
-                }
-                Err(_) => stats.failures += 1,
-            }
-        }
-        drop(stats);
+        results.iter().for_each(|result| self.obs.tally(result));
         results
     }
 
     /// Dispatch without the wire simulation: the hop's real codec (TCP frames) does the
     /// serializing, so byte and latency accounting live there, not here.
     fn call_passthrough(&self, request: Envelope) -> WireResult<Envelope> {
-        match self.host.dispatch(request) {
-            Ok(response) => {
-                let mut stats = self.stats.lock();
-                stats.calls += 1;
-                if response.is_fault() {
-                    stats.failures += 1;
-                }
-                drop(stats);
-                Ok(response)
-            }
-            Err(error) => {
-                self.stats.lock().failures += 1;
-                Err(error)
-            }
-        }
+        let outcome = self.host.dispatch(request);
+        self.obs.tally(&outcome);
+        outcome
     }
 
     /// The shared virtual clock (meaningful in [`LatencyMode::Virtual`]).
@@ -478,12 +492,26 @@ impl Transport {
 
     /// Snapshot of the traffic counters.
     pub fn stats(&self) -> TransportStats {
-        *self.stats.lock()
+        TransportStats {
+            calls: self.obs.calls.get(),
+            bytes_sent: self.obs.bytes_sent.get(),
+            bytes_received: self.obs.bytes_received.get(),
+            failures: self.obs.failures.get(),
+            modelled_nanos: self.obs.modelled_nanos.get(),
+        }
     }
 
     /// Reset traffic counters and the virtual clock.
     pub fn reset_stats(&self) {
-        *self.stats.lock() = TransportStats::default();
+        for counter in [
+            &self.obs.calls,
+            &self.obs.bytes_sent,
+            &self.obs.bytes_received,
+            &self.obs.failures,
+            &self.obs.modelled_nanos,
+        ] {
+            counter.reset();
+        }
         self.clock.reset();
     }
 
@@ -671,6 +699,58 @@ mod tests {
         assert_eq!(a.clock().elapsed(), b.clock().elapsed());
         a.reset_stats();
         assert_eq!(b.stats().calls, 0);
+    }
+
+    #[test]
+    fn host_snapshot_sums_every_transports_counters() {
+        let host = host_with_echo();
+        let latency = NetworkProfile::FastLocal.latency_model();
+        let a = host.transport(TransportConfig::virtual_time(latency));
+        let b = host.transport(TransportConfig::passthrough());
+        a.call(Envelope::request("echo", "ping")).unwrap();
+        b.call(Envelope::request("echo", "ping")).unwrap();
+        assert!(b.call(Envelope::request("nowhere", "x")).is_err());
+        // Each transport reads its own tallies ...
+        assert_eq!((a.stats().calls, a.stats().failures), (1, 0));
+        assert_eq!((b.stats().calls, b.stats().failures), (1, 1));
+        // ... and the host's snapshot reports their sums under `wire.transport.*`.
+        let snapshot = host.registry().snapshot();
+        assert_eq!(snapshot.counter("wire.transport.calls"), 2);
+        assert_eq!(snapshot.counter("wire.transport.failures"), 1);
+        assert_eq!(
+            snapshot.counter("wire.transport.bytes_sent"),
+            a.stats().bytes_sent
+        );
+        assert_eq!(
+            snapshot.counter("wire.transport.bytes_received"),
+            a.stats().bytes_received
+        );
+        assert_eq!(
+            snapshot.counter("wire.transport.modelled_nanos"),
+            a.stats().modelled_nanos
+        );
+        assert!(a.stats().modelled_nanos > 0);
+        a.reset_stats();
+        assert_eq!(a.stats(), TransportStats::default());
+        assert_eq!(
+            host.registry().snapshot().counter("wire.transport.calls"),
+            1
+        );
+    }
+
+    #[test]
+    fn a_disabled_host_registry_leaves_transport_stats_live() {
+        let host = ServiceHost::with_registry(Registry::disabled());
+        host.register("echo", Arc::new(Echo));
+        let latency = NetworkProfile::Paper2005.latency_model();
+        let transport = host.transport(TransportConfig::virtual_time(latency));
+        transport.call(Envelope::request("echo", "ping")).unwrap();
+        assert_eq!(transport.stats().calls, 1);
+        assert_eq!(
+            transport.stats().modelled_time(),
+            transport.clock().elapsed()
+        );
+        assert!(host.registry().snapshot().counters.is_empty());
     }
 
     #[test]
