@@ -9,7 +9,7 @@ use parking_lot::RwLock;
 
 use pasoa_core::ids::SessionId;
 use pasoa_core::passertion::RecordedAssertion;
-use pasoa_core::prep::StoreStatistics;
+use pasoa_core::prep::{QueryRequest, StoreStatistics};
 use pasoa_core::Group;
 use pasoa_feed::{FeedClock, FeedConfig, FeedQueue, FeedService, StoreLineageResolver};
 use pasoa_net::{
@@ -469,13 +469,18 @@ impl PreservCluster {
         self.live_stores().iter().map(|store| ask(store)).collect()
     }
 
-    /// All p-assertions recorded under `session`, merged identically to a single store.
+    /// All p-assertions recorded under `session`, merged identically to a single store:
+    /// each shard decodes its own documents, the merge orders them by sort key.
     pub fn assertions_for_session(
         &self,
         session: &SessionId,
     ) -> Result<Vec<RecordedAssertion>, StoreError> {
-        self.gather(|store| store.assertions_for_session(session))
-            .map(merge::merge_assertions)
+        let request = QueryRequest::BySession(session.clone());
+        let per_shard = self.gather(|store| store.decode_documents(store.documents(&request)?))?;
+        Ok(merge::merge_documents(per_shard)
+            .into_iter()
+            .map(|(_, recorded)| recorded)
+            .collect())
     }
 
     /// Merged statistics across every live shard.

@@ -112,8 +112,13 @@ impl ShardLink {
                     PrepMessage::Query(_) if action == "lineage" => {
                         PluginResponse::Lineage(response.json_payload()?)
                     }
-                    PrepMessage::Query(_) => PluginResponse::Query(response.json_payload()?),
-                    PrepMessage::QueryPage(_) => PluginResponse::Page(response.json_payload()?),
+                    // Assertion streams come back in the page carrier, everything else as JSON.
+                    PrepMessage::Query(_) | PrepMessage::QueryPage(_) => {
+                        match prepwire::page_from_response(&response)? {
+                            Some(page) => PluginResponse::Documents(page),
+                            None => PluginResponse::Query(response.json_payload()?),
+                        }
+                    }
                 })
             })
             .collect()

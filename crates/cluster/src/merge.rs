@@ -4,42 +4,30 @@
 //! co-locates a session's p-assertions on one shard), the merged answer is *identical* to what
 //! a single store holding all the data would return: assertions come back grouped by
 //! interaction in ascending key order, interaction lists are globally sorted, groups follow the
-//! store's escaped-key order and statistics are field-wise sums.
-
-use std::collections::BTreeMap;
+//! store's escaped-key order and statistics are field-wise sums. Assertions merge on the sort
+//! keys the shards answer with, never on their contents, so the documents stay in the stored
+//! form the shards read them in.
 
 use pasoa_core::ids::InteractionKey;
-use pasoa_core::passertion::RecordedAssertion;
-use pasoa_core::prep::{
-    PageCursor, QueryPage, QueryRequest, QueryResponse, ShardQueryPage, StoreStatistics,
-};
+use pasoa_core::prep::{QueryRequest, QueryResponse, ShardQueryPage, StoreStatistics};
 use pasoa_core::Group;
 use pasoa_preserv::keys;
 use pasoa_preserv::{LineageGraph, LineageNode};
 use pasoa_wire::{WireError, WireResult};
 
-/// Merge every live shard's wire answer to `request` (in shard order) into the answer a
-/// single store would give. A shard answering with the wrong kind of response is an error.
+/// Merge every live shard's typed answer to a request that produces no p-assertions (in
+/// shard order) into the answer a single store would give. A shard answering with the wrong
+/// kind of response is an error; assertion streams merge in stored form
+/// ([`merge_documents`]).
 pub(crate) fn merge_responses(
     request: &QueryRequest,
     responses: Vec<QueryResponse>,
 ) -> WireResult<QueryResponse> {
     Ok(match request {
-        QueryRequest::ByInteraction(_)
-        | QueryRequest::BySession(_)
-        | QueryRequest::ByActor(_)
-        | QueryRequest::ByRelation(_)
-        | QueryRequest::ActorStateByKind { .. } => {
-            let merged = merge_assertions(per_shard(responses, |response| match response {
-                QueryResponse::Assertions(list) => Ok(list),
-                QueryResponse::Empty => Ok(Vec::new()),
-                other => Err(other),
-            })?);
-            if merged.is_empty() {
-                QueryResponse::Empty
-            } else {
-                QueryResponse::Assertions(merged)
-            }
+        request if request.is_pageable() => {
+            return Err(WireError::Payload(format!(
+                "{request:?} answers in stored form, not as a typed response"
+            )))
         }
         QueryRequest::ListInteractions { limit } => {
             QueryResponse::Interactions(merge_interactions(
@@ -67,6 +55,7 @@ pub(crate) fn merge_responses(
                 }
             })?))
         }
+        _ => unreachable!("every assertion stream is pageable"),
     })
 }
 
@@ -85,20 +74,34 @@ fn per_shard<T>(
         .collect()
 }
 
-/// Merge per-shard `BySession` / `ByInteraction` answers: group by interaction key, output
-/// interactions in ascending key order, preserving each shard's within-interaction order
-/// (shards are visited in index order, matching the store's sequence order for co-located
-/// sessions).
-pub fn merge_assertions(per_shard: Vec<Vec<RecordedAssertion>>) -> Vec<RecordedAssertion> {
-    let mut by_interaction: BTreeMap<Vec<u8>, Vec<RecordedAssertion>> = BTreeMap::new();
-    for shard_results in per_shard {
-        for recorded in shard_results {
-            // Order by the same escaped key the store's prefix scan orders by.
-            let key = keys::assertion_prefix(recorded.assertion.interaction_key().as_str());
-            by_interaction.entry(key).or_default().push(recorded);
-        }
-    }
-    by_interaction.into_values().flatten().collect()
+/// Merge per-shard answers to an assertion-producing query — `(sort key, item)` pairs, each
+/// shard's in its own answer order — into a single store's order: grouped by interaction in
+/// ascending escaped-key order, and within one interaction shard-major (shards in index order,
+/// matching the store's sequence order for co-located sessions), each shard's items in its
+/// own order. Only the sort keys are read, so items may be stored documents or decoded
+/// assertions alike.
+pub fn merge_documents<T>(per_shard: Vec<Vec<(String, T)>>) -> Vec<(String, T)> {
+    let mut merged: Vec<(usize, String, T)> = per_shard
+        .into_iter()
+        .enumerate()
+        .flat_map(|(shard, items)| {
+            items
+                .into_iter()
+                .map(move |(sort, item)| (shard, sort, item))
+        })
+        .collect();
+    // Stable, so one shard's items of one interaction keep their order.
+    merged.sort_by(|a, b| (interaction_of(&a.1), a.0).cmp(&(interaction_of(&b.1), b.0)));
+    merged
+        .into_iter()
+        .map(|(_, sort, item)| (sort, item))
+        .collect()
+}
+
+/// The interaction a sort key belongs to, as `<escaped interaction>/` — with the trailing
+/// slash, so interactions order exactly as the store's `a/<escaped interaction>/` prefixes do.
+fn interaction_of(sort: &str) -> &str {
+    sort.rfind('/').map_or(sort, |slash| &sort[..=slash])
 }
 
 /// Merge per-shard sorted interaction-key lists into one globally sorted list, honouring
@@ -178,7 +181,9 @@ pub fn merge_lineage(per_shard: Vec<LineageGraph>) -> LineageGraph {
 /// single returned cursor key is always a safe resume point. Within one interaction the merge
 /// orders equal-prefix items by `(sort key, shard)`; for session- and interaction-co-located
 /// data — the router's placement invariant — that coincides with the unpaginated merge order.
-pub(crate) fn merge_shard_pages(pages: Vec<ShardQueryPage>, page_size: usize) -> QueryPage {
+/// The merged page is exhausted exactly when no item remains anywhere, so its
+/// [`ShardQueryPage::next`] is the client's cursor.
+pub(crate) fn merge_shard_pages(pages: Vec<ShardQueryPage>, page_size: usize) -> ShardQueryPage {
     let fence: Option<String> = pages
         .iter()
         .filter(|page| !page.exhausted)
@@ -188,11 +193,11 @@ pub(crate) fn merge_shard_pages(pages: Vec<ShardQueryPage>, page_size: usize) ->
         // An unexhausted page with no items cannot make progress claims; treat it as drained.
         page.exhausted || page.items.is_empty()
     });
-    let mut merged: Vec<(String, usize, RecordedAssertion)> = Vec::new();
+    let mut merged: Vec<(String, usize, Vec<u8>)> = Vec::new();
     for (shard, page) in pages.into_iter().enumerate() {
-        for (sort, recorded) in page.items {
+        for (sort, document) in page.items {
             if fence.as_deref().is_none_or(|fence| sort.as_str() <= fence) {
-                merged.push((sort, shard, recorded));
+                merged.push((sort, shard, document));
             }
         }
     }
@@ -203,62 +208,44 @@ pub(crate) fn merge_shard_pages(pages: Vec<ShardQueryPage>, page_size: usize) ->
     while emit > 0 && emit < total && merged[emit].0 == merged[emit - 1].0 {
         emit += 1;
     }
-    let done = all_exhausted && emit == total;
-    let next = if done {
-        None
-    } else {
-        Some(PageCursor {
-            after: merged[emit - 1].0.clone(),
-        })
-    };
-    QueryPage {
-        assertions: merged
+    merged.truncate(emit);
+    ShardQueryPage {
+        items: merged
             .into_iter()
-            .take(emit)
-            .map(|(_, _, recorded)| recorded)
+            .map(|(sort, _, document)| (sort, document))
             .collect(),
-        next,
+        exhausted: all_exhausted && emit == total,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pasoa_core::ids::{ActorId, DataId, SessionId};
-    use pasoa_core::passertion::{
-        ActorStateKind, ActorStatePAssertion, PAssertion, PAssertionContent, ViewKind,
-    };
+    use pasoa_core::ids::DataId;
     use pasoa_core::GroupKind;
-
-    fn assertion(interaction: &str, tag: &str) -> RecordedAssertion {
-        RecordedAssertion {
-            session: SessionId::new("session:m"),
-            assertion: PAssertion::ActorState(ActorStatePAssertion {
-                interaction_key: InteractionKey::new(interaction),
-                asserter: ActorId::new("a"),
-                view: ViewKind::Receiver,
-                kind: ActorStateKind::Script,
-                content: PAssertionContent::text(tag),
-            }),
-        }
-    }
+    use pasoa_preserv::index::sort_key;
 
     #[test]
     fn assertions_merge_in_interaction_key_order() {
+        fn item(interaction: &str, seq: u64, tag: &'static str) -> (String, &'static str) {
+            (sort_key(interaction, seq), tag)
+        }
+        // Shard 1 holds a second `interaction:b` assertion recorded before shard 0's: the
+        // merge is shard-major within an interaction, whatever the sequence numbers say.
         let shard0 = vec![
-            assertion("interaction:b", "b0"),
-            assertion("interaction:b", "b1"),
+            item("interaction:b", 5, "b0"),
+            item("interaction:b", 9, "b1"),
         ];
-        let shard1 = vec![assertion("interaction:a", "a0")];
-        let merged = merge_assertions(vec![shard0, shard1]);
-        let tags: Vec<&str> = merged
-            .iter()
-            .map(|r| match &r.assertion {
-                PAssertion::ActorState(a) => a.content.as_text().unwrap(),
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(tags, vec!["a0", "b0", "b1"]);
+        let shard1 = vec![
+            item("interaction:a", 7, "a0"),
+            item("interaction:b", 1, "b2"),
+        ];
+        // `interaction:b-` escapes to a key sharing `interaction:b` as a prefix; the store's
+        // `a/<interaction>/` order puts it first.
+        let shard2 = vec![item("interaction:b-", 0, "b-0")];
+        let merged = merge_documents(vec![shard0, shard1, shard2]);
+        let tags: Vec<&str> = merged.iter().map(|(_, tag)| *tag).collect();
+        assert_eq!(tags, vec!["a0", "b-0", "b0", "b1", "b2"]);
     }
 
     #[test]
@@ -332,17 +319,14 @@ mod tests {
         );
     }
 
-    fn item(sort: &str) -> (String, RecordedAssertion) {
-        (sort.to_string(), assertion("interaction:m", sort))
+    fn item(sort: &str) -> (String, Vec<u8>) {
+        (sort.to_string(), sort.as_bytes().to_vec())
     }
 
-    fn tag(page: &QueryPage) -> Vec<String> {
-        page.assertions
+    fn tag(page: &ShardQueryPage) -> Vec<String> {
+        page.items
             .iter()
-            .map(|r| match &r.assertion {
-                PAssertion::ActorState(a) => a.content.as_text().unwrap().to_string(),
-                _ => unreachable!(),
-            })
+            .map(|(_, document)| String::from_utf8(document.clone()).unwrap())
             .collect()
     }
 
@@ -362,7 +346,7 @@ mod tests {
         ];
         let merged = merge_shard_pages(pages, 10);
         assert_eq!(tag(&merged), vec!["a", "b", "c"]);
-        assert_eq!(merged.next.unwrap().after, "c");
+        assert_eq!(merged.next().unwrap().after, "c");
     }
 
     #[test]
@@ -379,7 +363,7 @@ mod tests {
         ];
         let merged = merge_shard_pages(pages, 10);
         assert_eq!(tag(&merged), vec!["a", "b", "c"]);
-        assert!(merged.next.is_none());
+        assert!(merged.next().is_none());
     }
 
     #[test]
@@ -398,7 +382,7 @@ mod tests {
         ];
         let merged = merge_shard_pages(pages, 2);
         assert_eq!(tag(&merged), vec!["a", "b", "b"]);
-        assert_eq!(merged.next.unwrap().after, "b");
+        assert_eq!(merged.next().unwrap().after, "b");
     }
 
     #[test]
@@ -408,7 +392,7 @@ mod tests {
             exhausted: true,
         }];
         let merged = merge_shard_pages(pages, 4);
-        assert!(merged.assertions.is_empty());
-        assert!(merged.next.is_none());
+        assert!(merged.items.is_empty());
+        assert!(merged.next().is_none());
     }
 }

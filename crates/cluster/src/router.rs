@@ -18,13 +18,13 @@ use parking_lot::{Mutex, RwLock};
 use pasoa_core::ids::{IdGenerator, MessageId};
 use pasoa_core::passertion::RecordedAssertion;
 use pasoa_core::prep::{
-    PagedQuery, PrepMessage, QueryPage, QueryRequest, QueryResponse, RecordAck, MAX_PAGE_SIZE,
+    PagedQuery, PrepMessage, QueryPage, QueryRequest, RecordAck, ShardQueryPage, MAX_PAGE_SIZE,
 };
-use pasoa_core::prepwire;
+use pasoa_core::prepwire::{self, CorruptDocument};
 use pasoa_core::Group;
 use pasoa_obs::{Counter, Gauge, Histogram, Registry, StatsSnapshot, TraceCtx};
 use pasoa_preserv::plugins::PluginResponse;
-use pasoa_preserv::{LineageGraph, PreservService, ProvenanceStore};
+use pasoa_preserv::{LineageGraph, PreservService, ProvenanceStore, StoreError};
 use pasoa_wire::{Envelope, MessageHandler, ServiceHost, WireError, WireResult};
 
 use crate::cluster::ClusterConfig;
@@ -770,37 +770,49 @@ impl ShardRouter {
         })
     }
 
-    /// Answer a query by scatter-gather over every live shard, merged to a single store's
-    /// answer.
-    fn handle_query(&self, request: QueryRequest) -> WireResult<QueryResponse> {
+    /// Answer the client query `envelope` carries by scatter-gather over every live shard,
+    /// merged to a single store's answer. An assertion stream is merged on the shards' sort
+    /// keys and answered straight from their stored documents, checked against the
+    /// single-response ceiling by count before any of it is transcoded.
+    fn handle_query(&self, envelope: &Envelope, request: QueryRequest) -> WireResult<Envelope> {
         let message = PrepMessage::Query(request.clone());
-        let responses = self.scatter("query", &message, |response| match response {
-            PluginResponse::Query(response) => Ok(response),
+        if !request.is_pageable() {
+            let responses = self.scatter("query", &message, |response| match response {
+                PluginResponse::Query(response) => Ok(response),
+                other => Err(other),
+            })?;
+            self.obs.scatter_queries.inc();
+            let merged = merge::merge_responses(&request, responses)?;
+            return Envelope::response("query").with_json_payload(&merged);
+        }
+        let per_shard = self.scatter("query", &message, |response| match response {
+            PluginResponse::Documents(page) => Ok(page.items),
             other => Err(other),
         })?;
         self.obs.scatter_queries.inc();
-        let merged = merge::merge_responses(&request, responses)?;
-        match &merged {
-            QueryResponse::Assertions(list) if list.len() > self.max_response_assertions => {
-                Err(WireError::Payload(format!(
-                    "query answer holds {} p-assertions, above the {}-assertion single-\
-                     response ceiling; fetch it in bounded pages through 'query-page' \
-                     instead",
-                    list.len(),
-                    self.max_response_assertions
-                )))
-            }
-            _ => Ok(merged),
+        let items = merge::merge_documents(per_shard);
+        if items.len() > self.max_response_assertions {
+            return Err(WireError::Payload(format!(
+                "query answer holds {} p-assertions, above the {}-assertion single-response \
+                 ceiling; fetch it in bounded pages through 'query-page' instead",
+                items.len(),
+                self.max_response_assertions
+            )));
         }
+        let answer = ShardQueryPage {
+            items,
+            exhausted: true,
+        };
+        prepwire::documents_envelope(envelope, &answer).map_err(corrupt)
     }
 
-    /// Answer one cursor-carrying page request by bounded scatter-gather: every live shard is
-    /// asked for at most `page_size` items past the cursor (through the wire when the transport
-    /// is TCP) and the pages are merged up to the fence ([`merge`]). The returned cursor is a
-    /// single global sort key: `add_shard` never moves existing documentation, so a cursor
-    /// taken before a rebalance stays valid after it, and each page's gather runs under the
-    /// shared failover lock so it never mixes pre- and post-promotion placements.
-    pub fn query_page(&self, paged: &PagedQuery) -> WireResult<QueryPage> {
+    /// One cursor-carrying page by bounded scatter-gather, in stored form: every live shard is
+    /// asked for at most `page_size` items past the cursor (through the wire when the
+    /// transport is TCP) and the pages are merged up to the fence ([`merge`]). The page's
+    /// cursor is a single global sort key: `add_shard` never moves existing documentation, so
+    /// a cursor taken before a rebalance stays valid after it, and each page's gather runs
+    /// under the shared failover lock so it never mixes pre- and post-promotion placements.
+    fn gather_page(&self, paged: &PagedQuery) -> WireResult<ShardQueryPage> {
         if !paged.request.is_pageable() {
             return Err(WireError::Payload(format!(
                 "{:?} does not produce a p-assertion stream and cannot be paginated",
@@ -815,11 +827,27 @@ impl ShardRouter {
         }
         let message = PrepMessage::QueryPage(paged.clone());
         let pages = self.scatter("query-page", &message, |response| match response {
-            PluginResponse::Page(page) => Ok(page),
+            PluginResponse::Documents(page) => Ok(page),
             other => Err(other),
         })?;
         self.obs.page_queries.inc();
         Ok(merge::merge_shard_pages(pages, paged.page_size))
+    }
+
+    /// Answer one cursor-carrying page request (see [`Self::gather_page`]), decoded for a
+    /// typed caller.
+    pub fn query_page(&self, paged: &PagedQuery) -> WireResult<QueryPage> {
+        let page = self.gather_page(paged)?;
+        let next = page.next();
+        let assertions = page
+            .items
+            .into_iter()
+            .map(|(sort_key, document)| {
+                prepwire::decode_document(&document)
+                    .map_err(|error| corrupt(CorruptDocument { sort_key, error }))
+            })
+            .collect::<WireResult<_>>()?;
+        Ok(QueryPage { assertions, next })
     }
 
     /// Answer a lineage request by merging every live shard's session lineage graph.
@@ -832,6 +860,12 @@ impl ShardRouter {
         self.obs.scatter_queries.inc();
         Ok(merge::merge_lineage(graphs))
     }
+}
+
+/// A stored document that would not transcode or decode, reported as the store corruption it
+/// is.
+fn corrupt(error: CorruptDocument) -> WireError {
+    WireError::Payload(StoreError::from(error).to_string())
 }
 
 impl MessageHandler for ShardRouter {
@@ -868,13 +902,10 @@ impl MessageHandler for ShardRouter {
                 self.handle_register_group(group)?;
                 Envelope::response("register-group").with_json_payload(&"group-registered")
             }
-            ("query", PrepMessage::Query(request)) => {
-                let response = self.handle_query(request)?;
-                Envelope::response("query").with_json_payload(&response)
-            }
+            ("query", PrepMessage::Query(query)) => self.handle_query(&request, query),
             ("query-page", PrepMessage::QueryPage(paged)) => {
-                let page = self.query_page(&paged)?;
-                Envelope::response("query-page").with_json_payload(&page)
+                let page = self.gather_page(&paged)?;
+                prepwire::documents_envelope(&request, &page).map_err(corrupt)
             }
             ("lineage", PrepMessage::Query(request)) => {
                 let graph = self.handle_lineage(request)?;

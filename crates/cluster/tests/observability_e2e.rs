@@ -168,3 +168,77 @@ fn stats_snapshots_are_structurally_identical_over_tcp_and_in_process() {
     assert_eq!(back.router, tcp.router);
     assert_eq!(back.shards, tcp.shards);
 }
+
+/// Every shard snapshot carries the read path's two counters, and over both transports a
+/// JSON reader's pages, session queries and closures are served straight from the stored
+/// documents: served grows, decoded does not. Only a typed gather decodes — at its edge.
+#[test]
+fn the_reader_path_serves_stored_documents_without_decoding() {
+    use pasoa_core::prep::{PagedQuery, PrepMessage, QueryPage, QueryRequest, QueryResponse};
+    use pasoa_core::{SessionId, PROVENANCE_STORE_SERVICE};
+    use pasoa_preserv::LineageGraph;
+    use pasoa_wire::{Envelope, TransportConfig};
+
+    const SERVED: &str = "preserv.read.documents_served";
+    const DECODED: &str = "preserv.read.documents_decoded";
+    for config in [
+        ClusterConfig::with_shards(3),
+        ClusterConfig::with_shards(3).over_tcp(),
+    ] {
+        let host = ServiceHost::new();
+        let cluster = deploy(&host, config);
+        let report = small_load(&host).run();
+        assert_eq!(report.failures, 0);
+        cluster.flush().unwrap();
+        let before = cluster.stats_snapshot().unwrap();
+        for shard in &before.shards {
+            let counters = &shard.registry.counters;
+            assert!(counters.contains_key(SERVED) && counters.contains_key(DECODED));
+        }
+        // The load generator's first session (wave 0, client 0).
+        let session = SessionId::new("session:load:w0:c0:s0");
+
+        let client = host.transport(TransportConfig::passthrough());
+        let ask = |message: PrepMessage| {
+            let request = Envelope::request(PROVENANCE_STORE_SERVICE, message.action())
+                .with_json_payload(&message)
+                .unwrap();
+            client.call(request).unwrap()
+        };
+        let by_session = QueryRequest::BySession(session.clone());
+        let page: QueryPage = ask(PrepMessage::QueryPage(PagedQuery {
+            request: by_session.clone(),
+            cursor: None,
+            page_size: 5,
+        }))
+        .json_payload()
+        .unwrap();
+        let answer: QueryResponse = ask(PrepMessage::Query(by_session.clone()))
+            .json_payload()
+            .unwrap();
+        let lineage = Envelope::request(PROVENANCE_STORE_SERVICE, "lineage")
+            .with_json_payload(&PrepMessage::Query(by_session))
+            .unwrap();
+        let _: LineageGraph = client.call(lineage).unwrap().json_payload().unwrap();
+        let QueryResponse::Assertions(found) = answer else {
+            panic!("session {} answered empty", session.as_str())
+        };
+        let after = cluster.stats_snapshot().unwrap().merged();
+        let before = before.merged();
+        assert_eq!(
+            after.counter_delta(&before, SERVED),
+            (page.assertions.len() + found.len()) as u64
+        );
+        assert_eq!(
+            after.counter_delta(&before, DECODED),
+            0,
+            "the reader path decoded"
+        );
+
+        // A typed caller decodes at its edge, and that is what the counter shows.
+        let typed = cluster.assertions_for_session(&session).unwrap();
+        assert_eq!(typed, found);
+        let last = cluster.stats_snapshot().unwrap().merged();
+        assert_eq!(last.counter_delta(&after, DECODED), found.len() as u64);
+    }
+}

@@ -2,6 +2,8 @@
 //! deployment — same answers, same elasticity, same failover guarantees — with every envelope
 //! crossing a loopback TCP connection.
 
+use std::sync::Arc;
+
 use pasoa_cluster::{ClusterTransport, LoadGenConfig, LoadGenerator, PreservCluster};
 use pasoa_core::ids::{ActorId, IdGenerator, SessionId};
 use pasoa_core::passertion::{
@@ -240,6 +242,104 @@ fn paginated_scatter_gather_pages_identically_over_tcp() {
             pages >= 6,
             "40 items at page size 7 must take several pages"
         );
+    }
+}
+
+/// One JSON client, three deployments — a lone `PreservService`, and 4-shard clusters in
+/// process and over TCP — must page the same session to the same `QueryPage` sequence and
+/// answer the same unpaged queries: the lone store answers `query-page` in the router's
+/// client shape, never its internal sort-keyed page.
+#[test]
+fn one_json_client_pages_a_single_store_and_clusters_identically() {
+    use pasoa_core::prep::{PagedQuery, PrepMessage, QueryPage, QueryRequest, QueryResponse};
+    use pasoa_core::PROVENANCE_STORE_SERVICE;
+    use pasoa_preserv::PreservService;
+    use pasoa_wire::{Envelope, Transport};
+
+    // One session only, so every deployment numbers its assertions alike and the cursors
+    // (`<interaction>/<seq>` sort keys) agree too. Three assertions per interaction.
+    let session = SessionId::new("session:one-client");
+    let record_into = |host: &ServiceHost| {
+        let recorder = SyncRecorder::new(
+            session.clone(),
+            ActorId::new("engine"),
+            host.transport(TransportConfig::free()),
+            IdGenerator::new("one"),
+        );
+        for i in 0..30 {
+            recorder.record(assertion(session.as_str(), i / 3)).unwrap();
+        }
+    };
+    let ask = |transport: &Transport, message: PrepMessage| {
+        let request = Envelope::request(PROVENANCE_STORE_SERVICE, message.action())
+            .with_json_payload(&message)
+            .unwrap();
+        transport.call(request).unwrap()
+    };
+    let page_through = |transport: &Transport, request: &QueryRequest, page_size: usize| {
+        let mut pages: Vec<QueryPage> = Vec::new();
+        loop {
+            let paged = PagedQuery {
+                request: request.clone(),
+                cursor: pages.last().and_then(|page| page.next.clone()),
+                page_size,
+            };
+            let page: QueryPage = ask(transport, PrepMessage::QueryPage(paged))
+                .json_payload()
+                .unwrap();
+            let done = page.next.is_none();
+            pages.push(page);
+            if done {
+                return pages;
+            }
+        }
+    };
+
+    let single_host = ServiceHost::new();
+    Arc::new(PreservService::in_memory().unwrap()).register(&single_host);
+    record_into(&single_host);
+    let inproc_host = ServiceHost::new();
+    let _inproc = PreservCluster::deploy_in_memory(&inproc_host, 4).unwrap();
+    record_into(&inproc_host);
+    let tcp_host = ServiceHost::new();
+    let _tcp = PreservCluster::deploy_tcp(&tcp_host, 4).unwrap();
+    record_into(&tcp_host);
+    let clients: Vec<Transport> = [&single_host, &inproc_host, &tcp_host]
+        .map(|host| host.transport(TransportConfig::passthrough()))
+        .into();
+
+    let requests = [
+        QueryRequest::BySession(session.clone()),
+        QueryRequest::ByInteraction(pasoa_core::ids::InteractionKey::new(format!(
+            "interaction:{}:0004",
+            session.as_str()
+        ))),
+        QueryRequest::BySession(SessionId::new("session:nobody")),
+    ];
+    for request in &requests {
+        for page_size in [1, 4, 30, 64] {
+            let expected = page_through(&clients[0], request, page_size);
+            let total: usize = expected.iter().map(|page| page.assertions.len()).sum();
+            assert!(expected
+                .iter()
+                .all(|page| page.assertions.len() <= page_size));
+            for (name, client) in ["in-process", "tcp"].iter().zip(&clients[1..]) {
+                assert_eq!(
+                    page_through(client, request, page_size),
+                    expected,
+                    "{name} cluster paged {request:?} at {page_size} differently ({total} items)"
+                );
+            }
+        }
+        let expected: QueryResponse = ask(&clients[0], PrepMessage::Query(request.clone()))
+            .json_payload()
+            .unwrap();
+        for client in &clients[1..] {
+            let answer: QueryResponse = ask(client, PrepMessage::Query(request.clone()))
+                .json_payload()
+                .unwrap();
+            assert_eq!(answer, expected, "{request:?}");
+        }
     }
 }
 

@@ -140,14 +140,31 @@ pub struct QueryPage {
     pub next: Option<PageCursor>,
 }
 
-/// One shard's bounded page: items tagged with their global sort keys plus an exhaustion flag,
-/// which is what the router's merge needs to combine per-shard pages without unbounded fetches.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// One store's bounded page in stored form: documents tagged with their global sort keys plus
+/// an exhaustion flag, which is what the router's merge needs to combine per-shard pages
+/// without unbounded fetches. The documents are the store's own bytes
+/// ([`crate::prepwire::encode_document`]), never decoded on the way to an answer; between a
+/// shard and the router the page rides [`crate::prepwire`]'s packed page carrier, and clients
+/// only ever see the [`QueryPage`] built from it.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardQueryPage {
-    /// `(sort key, p-assertion)` pairs in ascending sort-key order.
-    pub items: Vec<(String, RecordedAssertion)>,
-    /// Whether the shard has no further items after this page.
+    /// `(sort key, stored document)` pairs in ascending sort-key order.
+    pub items: Vec<(String, Vec<u8>)>,
+    /// Whether the store has no further items after this page.
     pub exhausted: bool,
+}
+
+impl ShardQueryPage {
+    /// The cursor a client resumes after this page: its last sort key, unless the result set
+    /// is exhausted.
+    pub fn next(&self) -> Option<PageCursor> {
+        match self.exhausted {
+            true => None,
+            false => self.items.last().map(|(sort, _)| PageCursor {
+                after: sort.clone(),
+            }),
+        }
+    }
 }
 
 /// Response to a [`QueryRequest`].
@@ -320,15 +337,13 @@ mod tests {
         };
         let json = serde_json::to_string(&page).unwrap();
         assert_eq!(serde_json::from_str::<QueryPage>(&json).unwrap(), page);
-        let shard_page = ShardQueryPage {
-            items: vec![],
-            exhausted: true,
+        let last = QueryPage {
+            assertions: vec![],
+            next: None,
         };
-        let json = serde_json::to_string(&shard_page).unwrap();
-        assert_eq!(
-            serde_json::from_str::<ShardQueryPage>(&json).unwrap(),
-            shard_page
-        );
+        let json = serde_json::to_string(&last).unwrap();
+        assert_eq!(json, r#"{"assertions":[],"next":null}"#);
+        assert_eq!(serde_json::from_str::<QueryPage>(&json).unwrap(), last);
     }
 
     #[test]

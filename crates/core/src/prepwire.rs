@@ -1,19 +1,31 @@
-//! The PReP message translator: the one place that knows which form a message body is in.
+//! The PReP message translator and the one packed layout of a p-assertion.
 //!
 //! The generic envelope payload is JSON text ([`pasoa_wire::Envelope::with_json_payload`]),
 //! which every client can produce but which costs a full text round trip — format on the
-//! sender, re-parse through a value tree on the receiver — per hop. For the record submissions
-//! that dominate a provenance store's traffic this tax is the difference between the TCP tier
-//! keeping up with the in-process tier and falling behind it.
+//! sender, re-parse through a value tree on the receiver — per hop. So the messages that
+//! dominate a provenance store's traffic also have a packed form: a length-prefixed binary
+//! layout shipped as base64 text inside a dedicated body element, which both wire codecs —
+//! textual XML frames and binary envelope frames — carry unchanged.
 //!
-//! So a [`RecordMessage`] (and its [`RecordAck`]) also has a packed form: a length-prefixed
-//! binary layout shipped as base64 text inside a dedicated body element, which both wire
-//! codecs — textual XML frames and binary envelope frames — carry unchanged. Every service
-//! that speaks PReP decodes requests with [`decode_request`] and acknowledges records with
-//! [`ack_envelope`], which answers in the form the request arrived in; senders that want the
-//! packed form build their envelopes with [`request_envelope`]. Recorders that send JSON
-//! `Record` messages are served unchanged, and nothing outside this module looks at a body
-//! element's name.
+//! This module owns three things:
+//!
+//! * **The translator.** Every service that speaks PReP decodes requests with
+//!   [`decode_request`]; senders that want the packed form (the router's link to its shards,
+//!   load generators) build their envelopes with [`request_envelope`], which packs record
+//!   submissions and asks for query answers in stored form. Answers go back in the form the
+//!   request arrived in: [`ack_envelope`] for records, [`documents_envelope`] for
+//!   assertion-producing queries. Recorders and
+//!   reasoners that send JSON are served unchanged, and nothing outside this module looks at
+//!   a body element's name.
+//! * **The stored form.** A stored p-assertion document is the record hop's packed layout of
+//!   one assertion ([`encode_document`] / [`decode_document`]): the bytes a shard received
+//!   are the bytes it stores.
+//! * **The assertion answer bodies.** A query answer is built straight from stored bytes by
+//!   [`documents_envelope`], for a lone store and for the router alike: towards a sender that
+//!   asked for the stored form (the router asking a shard) it is the sort-keyed page carrier
+//!   ([`page_from_response`] reads it back), towards a JSON client the packed documents are
+//!   transcoded directly into the compact JSON text the typed answer serializes to —
+//!   validated as strictly as a decode, but without building a single [`RecordedAssertion`].
 
 use pasoa_wire::{Envelope, WireError, WireResult, XmlElement};
 
@@ -22,14 +34,21 @@ use crate::passertion::{
     ActorStateKind, ActorStatePAssertion, InteractionPAssertion, PAssertion, PAssertionContent,
     RecordedAssertion, RelationshipPAssertion, ViewKind,
 };
-use crate::prep::{PrepMessage, RecordAck, RecordMessage};
+use crate::prep::{PageCursor, PrepMessage, RecordAck, RecordMessage, ShardQueryPage};
 
 /// Body element name of a packed record submission.
 const RECORD_ELEMENT: &str = "prep-record-packed";
 /// Body element name of a packed record acknowledgement.
 const ACK_ELEMENT: &str = "prep-ack-packed";
+/// Body element name of a query or page request whose sender wants an assertion answer as
+/// stored documents (the page carrier). The request itself rides as JSON text: it is small,
+/// and only the answer is worth packing.
+const QUERY_ELEMENT: &str = "prep-query-stored";
+/// Body element name of the sort-keyed page of stored documents a shard answers a packed
+/// query with.
+const PAGE_ELEMENT: &str = "prep-page-packed";
 
-/// Layout version written as the first byte of every packed payload.
+/// Layout version written as the first byte of every packed payload and stored document.
 const PACK_VERSION: u8 = 1;
 
 /// Why a packed payload failed to decode.
@@ -100,8 +119,25 @@ impl std::fmt::Display for PackError {
 
 impl std::error::Error for PackError {}
 
+/// A stored document that failed to transcode, named by its sort key.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CorruptDocument {
+    /// The sort key the document is stored under.
+    pub sort_key: String,
+    /// What is wrong with its bytes.
+    pub error: PackError,
+}
+
+impl std::fmt::Display for CorruptDocument {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "stored document {}: {}", self.sort_key, self.error)
+    }
+}
+
+impl std::error::Error for CorruptDocument {}
+
 /// Build the request envelope carrying `message` to `service`: record submissions in the
-/// packed form, every other message as JSON.
+/// packed form, queries asking for stored-form answers, group registrations as JSON.
 pub fn request_envelope(
     service: &str,
     action: &str,
@@ -110,18 +146,24 @@ pub fn request_envelope(
     let envelope = Envelope::request(service, action);
     match message {
         PrepMessage::Record(record) => Ok(envelope.with_body(record_to_element(record))),
+        PrepMessage::Query(_) | PrepMessage::QueryPage(_) => {
+            let json = serde_json::to_string(message)
+                .map_err(|e| WireError::Payload(format!("serialize: {e}")))?;
+            Ok(envelope.with_body(XmlElement::new(QUERY_ELEMENT).text(json)))
+        }
         other => envelope.with_json_payload(other),
     }
 }
 
 /// Decode the PReP message a request envelope carries, whichever form its body is in.
 pub fn decode_request(request: &Envelope) -> WireResult<PrepMessage> {
-    if request.body.name == RECORD_ELEMENT {
-        record_from_element(&request.body)
+    match request.body.name.as_str() {
+        RECORD_ELEMENT => record_from_element(&request.body)
             .map(PrepMessage::Record)
-            .map_err(|e| WireError::Payload(format!("packed record: {e}")))
-    } else {
-        request.json_payload()
+            .map_err(|e| WireError::Payload(format!("packed record: {e}"))),
+        QUERY_ELEMENT => serde_json::from_str(&request.body.text_content())
+            .map_err(|e| WireError::Payload(format!("stored-form query: {e}"))),
+        _ => request.json_payload(),
     }
 }
 
@@ -136,18 +178,39 @@ pub fn ack_envelope(request: &Envelope, ack: &RecordAck) -> WireResult<Envelope>
     }
 }
 
+/// Build the response carrying the stored documents `page` that answer the query or page
+/// request `request`, in the form the request arrived in: a stored-form request (the router's)
+/// gets the sort-keyed page carrier, a JSON client exactly the text the typed answer serializes
+/// to — a `QueryResponse` for `query`, a `QueryPage` with its `next` cursor for `query-page`.
+pub fn documents_envelope(
+    request: &Envelope,
+    page: &ShardQueryPage,
+) -> Result<Envelope, CorruptDocument> {
+    let action = request.action().unwrap_or("query");
+    let response = Envelope::response(action);
+    if request.body.name == QUERY_ELEMENT {
+        return Ok(response.with_body(page_to_element(page)));
+    }
+    let text = if action == "query-page" {
+        page_json(&page.items, page.next().as_ref())?
+    } else {
+        assertions_json(&page.items)?
+    };
+    Ok(response.with_json_text(text))
+}
+
 /// Pack a record submission into its wire body element.
 pub fn record_to_element(message: &RecordMessage) -> XmlElement {
-    let mut out = Vec::with_capacity(64 + message.assertions.len() * 256);
-    out.push(PACK_VERSION);
-    put_str(&mut out, message.message_id.as_str());
-    put_str(&mut out, message.asserter.as_str());
-    put_u32(&mut out, message.assertions.len());
-    for recorded in &message.assertions {
-        put_str(&mut out, recorded.session.as_str());
-        put_assertion(&mut out, &recorded.assertion);
-    }
-    XmlElement::new(RECORD_ELEMENT).text(to_base64(&out))
+    packed(RECORD_ELEMENT, |out| {
+        out.reserve(64 + message.assertions.len() * 256);
+        put_str(out, message.message_id.as_str());
+        put_str(out, message.asserter.as_str());
+        put_u32(out, message.assertions.len());
+        for recorded in &message.assertions {
+            put_str(out, recorded.session.as_str());
+            put_assertion(out, &recorded.assertion);
+        }
+    })
 }
 
 /// Unpack a record submission from its wire body element.
@@ -173,15 +236,14 @@ pub fn record_from_element(element: &XmlElement) -> Result<RecordMessage, PackEr
 
 /// Pack a record acknowledgement into its wire body element.
 pub fn ack_to_element(ack: &RecordAck) -> XmlElement {
-    let mut out = Vec::with_capacity(64);
-    out.push(PACK_VERSION);
-    put_str(&mut out, ack.message_id.as_str());
-    put_u64(&mut out, ack.accepted as u64);
-    put_u32(&mut out, ack.rejected.len());
-    for reason in &ack.rejected {
-        put_str(&mut out, reason);
-    }
-    XmlElement::new(ACK_ELEMENT).text(to_base64(&out))
+    packed(ACK_ELEMENT, |out| {
+        put_str(out, ack.message_id.as_str());
+        put_u64(out, ack.accepted as u64);
+        put_u32(out, ack.rejected.len());
+        for reason in &ack.rejected {
+            put_str(out, reason);
+        }
+    })
 }
 
 /// Unpack a record acknowledgement from its wire body element.
@@ -203,6 +265,298 @@ pub fn ack_from_element(element: &XmlElement) -> Result<RecordAck, PackError> {
     })
 }
 
+/// Pack one shard's page of stored documents into the router↔shard page carrier.
+fn page_to_element(page: &ShardQueryPage) -> XmlElement {
+    packed(PAGE_ELEMENT, |out| {
+        let bytes: usize = page.items.iter().map(|(s, d)| 8 + s.len() + d.len()).sum();
+        out.reserve(bytes + 8);
+        out.push(u8::from(page.exhausted));
+        put_u32(out, page.items.len());
+        for (sort, document) in &page.items {
+            put_str(out, sort);
+            put_bytes(out, document);
+        }
+    })
+}
+
+/// Unpack a page carrier. The documents themselves are checked when they are transcoded or
+/// decoded, not here.
+fn page_from_element(element: &XmlElement) -> Result<ShardQueryPage, PackError> {
+    let bytes = unpack_payload(element, PAGE_ELEMENT)?;
+    let mut r = Reader::new(&bytes)?;
+    let exhausted = match r.u8()? {
+        0 => false,
+        1 => true,
+        tag => return Err(PackError::BadTag(tag)),
+    };
+    let count = r.count()?;
+    let mut items = Vec::with_capacity(count);
+    for _ in 0..count {
+        let sort = r.str()?;
+        items.push((sort, r.bytes()?.to_vec()));
+    }
+    r.finish()?;
+    Ok(ShardQueryPage { items, exhausted })
+}
+
+/// The stored documents a shard answered a stored-form query with, or `None` when the answer is
+/// not a page carrier (listings, groups and statistics answer as JSON).
+pub fn page_from_response(response: &Envelope) -> WireResult<Option<ShardQueryPage>> {
+    if response.body.name != PAGE_ELEMENT {
+        return Ok(None);
+    }
+    page_from_element(&response.body)
+        .map(Some)
+        .map_err(|e| WireError::Payload(format!("packed page: {e}")))
+}
+
+/// The stored form of a p-assertion document: the layout version, then the assertion exactly
+/// as a packed record submission lays it out (session, then assertion).
+pub fn encode_document(recorded: &RecordedAssertion) -> Vec<u8> {
+    let mut out = Vec::with_capacity(160 + recorded.assertion.content_len());
+    out.push(PACK_VERSION);
+    put_str(&mut out, recorded.session.as_str());
+    put_assertion(&mut out, &recorded.assertion);
+    out
+}
+
+/// Decode a stored document written by [`encode_document`].
+pub fn decode_document(bytes: &[u8]) -> Result<RecordedAssertion, PackError> {
+    let mut r = Reader::new(bytes)?;
+    let session = SessionId::new(r.str()?);
+    let assertion = take_assertion(&mut r)?;
+    r.finish()?;
+    Ok(RecordedAssertion { session, assertion })
+}
+
+/// The JSON text of the `QueryResponse` answering an assertion-producing query with
+/// `documents` (`(sort key, stored document)` pairs, in answer order): `"Empty"` when there are
+/// none, else `{"Assertions":[..]}` — byte-for-byte what `serde_json` writes for the decoded
+/// answer.
+fn assertions_json(documents: &[(String, Vec<u8>)]) -> Result<String, CorruptDocument> {
+    if documents.is_empty() {
+        return Ok("\"Empty\"".to_string());
+    }
+    let mut out = String::with_capacity(json_capacity(documents));
+    out.push_str("{\"Assertions\":");
+    push_documents_json(&mut out, documents)?;
+    out.push('}');
+    Ok(out)
+}
+
+/// The JSON text of the `QueryPage` carrying `documents` and resuming after `next` —
+/// byte-for-byte what `serde_json` writes for the decoded page.
+fn page_json(
+    documents: &[(String, Vec<u8>)],
+    next: Option<&PageCursor>,
+) -> Result<String, CorruptDocument> {
+    let mut out = String::with_capacity(json_capacity(documents) + 64);
+    out.push_str("{\"assertions\":");
+    push_documents_json(&mut out, documents)?;
+    out.push_str(",\"next\":");
+    match next {
+        Some(cursor) => {
+            out.push_str("{\"after\":");
+            push_json_str(&mut out, &cursor.after);
+            out.push('}');
+        }
+        None => out.push_str("null"),
+    }
+    out.push('}');
+    Ok(out)
+}
+
+/// Room for the JSON text of `documents`: their text runs about 1.7× their packed size.
+fn json_capacity(documents: &[(String, Vec<u8>)]) -> usize {
+    32 + documents.iter().map(|(_, d)| d.len() * 2).sum::<usize>()
+}
+
+fn push_documents_json(
+    out: &mut String,
+    documents: &[(String, Vec<u8>)],
+) -> Result<(), CorruptDocument> {
+    out.push('[');
+    for (i, (sort, document)) in documents.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_document_json(document, out).map_err(|error| CorruptDocument {
+            sort_key: sort.clone(),
+            error,
+        })?;
+    }
+    out.push(']');
+    Ok(())
+}
+
+/// Append the compact JSON text of the stored document `bytes` — what `serde_json::to_string`
+/// writes for the [`RecordedAssertion`] it encodes: object keys in sorted order, enums
+/// externally tagged — checking every tag, count, string and the trailing bytes exactly as
+/// [`decode_document`] does. On error `out` holds a partial document and must be discarded.
+fn write_document_json(bytes: &[u8], out: &mut String) -> Result<(), PackError> {
+    let mut r = Reader::new(bytes)?;
+    let session = r.str_ref()?;
+    out.push_str("{\"assertion\":");
+    match r.u8()? {
+        0 => {
+            let interaction_key = r.str_ref()?;
+            let asserter = r.str_ref()?;
+            let view = view_json(r.u8()?)?;
+            let sender = r.str_ref()?;
+            let receiver = r.str_ref()?;
+            let operation = r.str_ref()?;
+            let content = take_content_ref(&mut r)?;
+            out.push_str("{\"Interaction\":{\"asserter\":");
+            push_json_str(out, asserter);
+            out.push_str(",\"content\":");
+            push_content_json(out, content)?;
+            out.push_str(",\"data_ids\":[");
+            for i in 0..r.count()? {
+                if i > 0 {
+                    out.push(',');
+                }
+                push_json_str(out, r.str_ref()?);
+            }
+            out.push_str("],\"interaction_key\":");
+            push_json_str(out, interaction_key);
+            out.push_str(",\"operation\":");
+            push_json_str(out, operation);
+            out.push_str(",\"receiver\":");
+            push_json_str(out, receiver);
+            out.push_str(",\"sender\":");
+            push_json_str(out, sender);
+            out.push_str(",\"view\":");
+            out.push_str(view);
+        }
+        1 => {
+            let interaction_key = r.str_ref()?;
+            let asserter = r.str_ref()?;
+            let view = view_json(r.u8()?)?;
+            enum Kind<'a> {
+                Unit(&'static str),
+                Other(&'a str),
+            }
+            let kind = match r.u8()? {
+                0 => Kind::Unit("\"Script\""),
+                1 => Kind::Unit("\"Workflow\""),
+                2 => Kind::Unit("\"ResourceUsage\""),
+                3 => Kind::Unit("\"Configuration\""),
+                4 => Kind::Other(r.str_ref()?),
+                tag => return Err(PackError::BadTag(tag)),
+            };
+            let content = take_content_ref(&mut r)?;
+            out.push_str("{\"ActorState\":{\"asserter\":");
+            push_json_str(out, asserter);
+            out.push_str(",\"content\":");
+            push_content_json(out, content)?;
+            out.push_str(",\"interaction_key\":");
+            push_json_str(out, interaction_key);
+            out.push_str(",\"kind\":");
+            match kind {
+                Kind::Unit(json) => out.push_str(json),
+                Kind::Other(name) => {
+                    out.push_str("{\"Other\":");
+                    push_json_str(out, name);
+                    out.push('}');
+                }
+            }
+            out.push_str(",\"view\":");
+            out.push_str(view);
+        }
+        2 => {
+            let interaction_key = r.str_ref()?;
+            let asserter = r.str_ref()?;
+            let effect = r.str_ref()?;
+            out.push_str("{\"Relationship\":{\"asserter\":");
+            push_json_str(out, asserter);
+            out.push_str(",\"causes\":[");
+            for i in 0..r.count()? {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push('[');
+                push_json_str(out, r.str_ref()?);
+                out.push(',');
+                push_json_str(out, r.str_ref()?);
+                out.push(']');
+            }
+            out.push_str("],\"effect\":");
+            push_json_str(out, effect);
+            out.push_str(",\"interaction_key\":");
+            push_json_str(out, interaction_key);
+            out.push_str(",\"relation\":");
+            push_json_str(out, r.str_ref()?);
+        }
+        tag => return Err(PackError::BadTag(tag)),
+    }
+    out.push_str("}},\"session\":");
+    push_json_str(out, session);
+    out.push('}');
+    r.finish()
+}
+
+fn view_json(tag: u8) -> Result<&'static str, PackError> {
+    match tag {
+        0 => Ok("\"Sender\""),
+        1 => Ok("\"Receiver\""),
+        tag => Err(PackError::BadTag(tag)),
+    }
+}
+
+fn push_content_json(out: &mut String, content: ContentRef<'_>) -> Result<(), PackError> {
+    match content {
+        ContentRef::Text(text) => {
+            out.push_str("{\"Text\":");
+            push_json_str(out, text);
+        }
+        // Re-serialized rather than spliced: the stored text is validated as a decode would,
+        // and the answer carries the canonical form of the value whatever spacing it has.
+        ContentRef::Structured(json) => {
+            let value: serde_json::Value =
+                serde_json::from_str(json).map_err(|e| PackError::BadJson(e.to_string()))?;
+            out.push_str("{\"Structured\":");
+            out.push_str(
+                &serde_json::to_string(&value).expect("a JSON value tree always serializes"),
+            );
+        }
+    }
+    out.push('}');
+    Ok(())
+}
+
+/// Append `s` as a JSON string literal, escaped exactly as `serde_json` escapes it: quote,
+/// backslash and control characters only (`\n`, `\r`, `\t`, `\b`, `\f` by name, the rest as
+/// lowercase `\u00XX`); every other character verbatim.
+fn push_json_str(out: &mut String, s: &str) {
+    out.push('"');
+    let bytes = s.as_bytes();
+    let mut start = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        if b != b'"' && b != b'\\' && b >= 0x20 {
+            continue;
+        }
+        out.push_str(&s[start..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            0x08 => out.push_str("\\b"),
+            0x0C => out.push_str("\\f"),
+            other => {
+                const HEX: &[u8; 16] = b"0123456789abcdef";
+                out.push_str("\\u00");
+                out.push(HEX[usize::from(other >> 4)] as char);
+                out.push(HEX[usize::from(other & 0xf)] as char);
+            }
+        }
+        start = i + 1;
+    }
+    out.push_str(&s[start..]);
+    out.push('"');
+}
+
 fn unpack_payload(element: &XmlElement, expected: &'static str) -> Result<Vec<u8>, PackError> {
     if element.name != expected {
         return Err(PackError::WrongElement {
@@ -211,6 +565,13 @@ fn unpack_payload(element: &XmlElement, expected: &'static str) -> Result<Vec<u8
         });
     }
     from_base64(&element.text_content())
+}
+
+/// A packed body element: the layout version, then whatever `fill` writes, as base64 text.
+fn packed(name: &str, fill: impl FnOnce(&mut Vec<u8>)) -> XmlElement {
+    let mut out = vec![PACK_VERSION];
+    fill(&mut out);
+    XmlElement::new(name).text(to_base64(&out))
 }
 
 fn put_assertion(out: &mut Vec<u8>, assertion: &PAssertion) {
@@ -364,16 +725,26 @@ fn put_content(out: &mut Vec<u8>, content: &PAssertionContent) {
     }
 }
 
-fn take_content(r: &mut Reader<'_>) -> Result<PAssertionContent, PackError> {
+/// Content as it sits in the packed bytes: text, or the JSON text of a structured value.
+enum ContentRef<'a> {
+    Text(&'a str),
+    Structured(&'a str),
+}
+
+fn take_content_ref<'a>(r: &mut Reader<'a>) -> Result<ContentRef<'a>, PackError> {
     match r.u8()? {
-        0 => Ok(PAssertionContent::Text(r.str()?)),
-        1 => {
-            let json = r.str()?;
-            let value =
-                serde_json::from_str(&json).map_err(|e| PackError::BadJson(e.to_string()))?;
-            Ok(PAssertionContent::Structured(value))
-        }
+        0 => Ok(ContentRef::Text(r.str_ref()?)),
+        1 => Ok(ContentRef::Structured(r.str_ref()?)),
         tag => Err(PackError::BadTag(tag)),
+    }
+}
+
+fn take_content(r: &mut Reader<'_>) -> Result<PAssertionContent, PackError> {
+    match take_content_ref(r)? {
+        ContentRef::Text(text) => Ok(PAssertionContent::Text(text.to_owned())),
+        ContentRef::Structured(json) => serde_json::from_str(json)
+            .map(PAssertionContent::Structured)
+            .map_err(|e| PackError::BadJson(e.to_string())),
     }
 }
 
@@ -386,9 +757,13 @@ fn put_u64(out: &mut Vec<u8>, value: u64) {
     out.extend_from_slice(&value.to_le_bytes());
 }
 
+fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
+    put_u32(out, bytes.len());
+    out.extend_from_slice(bytes);
+}
+
 fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len());
-    out.extend_from_slice(s.as_bytes());
+    put_bytes(out, s.as_bytes());
 }
 
 struct Reader<'a> {
@@ -447,12 +822,17 @@ impl<'a> Reader<'a> {
         Ok(count as usize)
     }
 
-    fn str(&mut self) -> Result<String, PackError> {
+    fn bytes(&mut self) -> Result<&'a [u8], PackError> {
         let len = self.u32()? as usize;
-        let chunk = self.take(len)?;
-        std::str::from_utf8(chunk)
-            .map(str::to_owned)
-            .map_err(|_| PackError::BadUtf8)
+        self.take(len)
+    }
+
+    fn str_ref(&mut self) -> Result<&'a str, PackError> {
+        std::str::from_utf8(self.bytes()?).map_err(|_| PackError::BadUtf8)
+    }
+
+    fn str(&mut self) -> Result<String, PackError> {
+        self.str_ref().map(str::to_owned)
     }
 
     fn finish(&self) -> Result<(), PackError> {
@@ -546,6 +926,9 @@ fn b64_value(b: u8) -> Option<u8> {
 mod tests {
     use super::*;
     use crate::ids::MessageId;
+    use crate::prep::{PagedQuery, QueryPage, QueryRequest, QueryResponse};
+    use proptest::prelude::*;
+    use serde_json::{Number, Value};
 
     fn full_record() -> RecordMessage {
         RecordMessage {
@@ -679,11 +1062,33 @@ mod tests {
         let json_ack = ack_envelope(&json, &ack).unwrap();
         assert_eq!(json_ack.json_payload::<RecordAck>().unwrap(), ack);
 
-        // Everything but a record submission travels as JSON, and decodes the same way.
-        let query = PrepMessage::Query(crate::prep::QueryRequest::Statistics);
-        let request = request_envelope("provenance-store", "query", &query).unwrap();
-        assert_eq!(request.json_payload::<PrepMessage>().unwrap(), query);
-        assert_eq!(decode_request(&request).unwrap(), query);
+        // Queries ask for stored-form answers, whatever they request; a plain JSON query
+        // decodes the same way, and a group registration still travels as JSON.
+        for query in [
+            PrepMessage::Query(QueryRequest::Statistics),
+            PrepMessage::Query(QueryRequest::ByActor(ActorId::new("gzip"))),
+            PrepMessage::QueryPage(PagedQuery {
+                request: QueryRequest::BySession(SessionId::new("session:p:0")),
+                cursor: Some(PageCursor {
+                    after: "i:2/000000000007".into(),
+                }),
+                page_size: 64,
+            }),
+        ] {
+            let packed = request_envelope("provenance-store", query.action(), &query).unwrap();
+            assert_eq!(packed.body.name, QUERY_ELEMENT);
+            assert_eq!(decode_request(&packed).unwrap(), query);
+            let json = Envelope::request("provenance-store", query.action())
+                .with_json_payload(&query)
+                .unwrap();
+            assert_eq!(decode_request(&json).unwrap(), query);
+        }
+        let group = PrepMessage::RegisterGroup(crate::group::Group::new(
+            "session:p:0",
+            crate::group::GroupKind::Session,
+        ));
+        let request = request_envelope("provenance-store", group.action(), &group).unwrap();
+        assert_eq!(request.json_payload::<PrepMessage>().unwrap(), group);
 
         // A corrupt packed body is a payload error, never a fallback to the JSON decoder.
         let corrupt = Envelope::request("provenance-store", "record")
@@ -773,5 +1178,328 @@ mod tests {
         assert!(from_base64("ab==cdef").is_err(), "padding before the end");
         assert!(from_base64("a===").is_err(), "over-padded quad");
         assert!(from_base64("ab\u{e9}=").is_err(), "non-alphabet byte");
+    }
+
+    fn documents(assertions: &[RecordedAssertion]) -> Vec<(String, Vec<u8>)> {
+        assertions
+            .iter()
+            .enumerate()
+            .map(|(i, recorded)| (format!("interaction/{i:012}"), encode_document(recorded)))
+            .collect()
+    }
+
+    fn transcode(document: &[u8]) -> Result<String, PackError> {
+        let mut out = String::new();
+        write_document_json(document, &mut out).map(|()| out)
+    }
+
+    #[test]
+    fn stored_documents_roundtrip_and_transcode_to_serde_text() {
+        for recorded in full_record().assertions {
+            let stored = encode_document(&recorded);
+            assert_eq!(decode_document(&stored).unwrap(), recorded);
+            assert_eq!(
+                transcode(&stored).unwrap(),
+                serde_json::to_string(&recorded).unwrap()
+            );
+            // The stored form is the record hop's layout of one assertion, and smaller than
+            // the JSON it replaces.
+            assert!(stored.len() < serde_json::to_vec(&recorded).unwrap().len());
+        }
+    }
+
+    #[test]
+    fn spliced_answer_shapes_equal_serde_output() {
+        let assertions = full_record().assertions;
+        let docs = documents(&assertions);
+        assert_eq!(
+            assertions_json(&docs).unwrap(),
+            serde_json::to_string(&QueryResponse::Assertions(assertions.clone())).unwrap()
+        );
+        assert_eq!(
+            assertions_json(&[]).unwrap(),
+            serde_json::to_string(&QueryResponse::Empty).unwrap()
+        );
+        for (docs, next) in [
+            (&docs[..], None),
+            (&docs[..2], Some("interaction/\"quoted\"/000000000001")),
+            (&docs[..0], None),
+        ] {
+            let next = next.map(|after| PageCursor {
+                after: after.to_string(),
+            });
+            let page = QueryPage {
+                assertions: docs
+                    .iter()
+                    .map(|(_, d)| decode_document(d).unwrap())
+                    .collect(),
+                next: next.clone(),
+            };
+            assert_eq!(
+                page_json(docs, next.as_ref()).unwrap(),
+                serde_json::to_string(&page).unwrap()
+            );
+        }
+    }
+
+    #[test]
+    fn documents_answer_in_the_form_of_the_request() {
+        let assertions = full_record().assertions;
+        let page = ShardQueryPage {
+            items: documents(&assertions),
+            exhausted: false,
+        };
+        let request = QueryRequest::BySession(SessionId::new("session:p:0"));
+        let paged = PrepMessage::QueryPage(PagedQuery {
+            request: request.clone(),
+            cursor: None,
+            page_size: 3,
+        });
+        // The router asks packed and gets the sort-keyed carrier back, bytes untouched.
+        let packed = request_envelope("shard-0", "query-page", &paged).unwrap();
+        let carried = documents_envelope(&packed, &page).unwrap();
+        assert_eq!(carried.action(), Some("query-page-response"));
+        assert_eq!(page_from_response(&carried).unwrap(), Some(page.clone()));
+        // A JSON client gets the client page, `next` cursor included ...
+        let json = Envelope::request("provenance-store", "query-page")
+            .with_json_payload(&paged)
+            .unwrap();
+        let answered: QueryPage = documents_envelope(&json, &page)
+            .unwrap()
+            .json_payload()
+            .unwrap();
+        assert_eq!(answered.assertions, assertions);
+        assert_eq!(answered.next, page.next());
+        // ... or the query answer, and a typed answer is not mistaken for a carrier.
+        let query = Envelope::request("provenance-store", "query")
+            .with_json_payload(&PrepMessage::Query(request))
+            .unwrap();
+        let response = documents_envelope(&query, &page).unwrap();
+        assert_eq!(page_from_response(&response).unwrap(), None);
+        assert_eq!(
+            response.json_payload::<QueryResponse>().unwrap(),
+            QueryResponse::Assertions(assertions)
+        );
+    }
+
+    #[test]
+    fn garbled_documents_and_page_carriers_are_clean_errors() {
+        for recorded in full_record().assertions {
+            let stored = encode_document(&recorded);
+            // Every truncation, and trailing garbage, fails both readers structurally.
+            for cut in 0..stored.len() {
+                assert!(decode_document(&stored[..cut]).is_err(), "cut at {cut}");
+                assert!(transcode(&stored[..cut]).is_err(), "cut at {cut}");
+            }
+            let mut long = stored.clone();
+            long.push(0);
+            assert!(matches!(
+                decode_document(&long),
+                Err(PackError::Truncated { expected: 0, .. })
+            ));
+            assert_eq!(
+                transcode(&long),
+                decode_document(&long).map(|_| String::new())
+            );
+            // Flipping any single byte never panics, and the transcoder refuses exactly what
+            // the decoder refuses.
+            for at in 0..stored.len() {
+                for flip in [0x01u8, 0x80, 0xff] {
+                    let mut garbled = stored.clone();
+                    garbled[at] ^= flip;
+                    assert_eq!(
+                        transcode(&garbled).is_ok(),
+                        decode_document(&garbled).is_ok(),
+                        "byte {at} ^ {flip:#x}"
+                    );
+                }
+            }
+        }
+        // A legacy JSON document is not a stored document of this layout.
+        let json = serde_json::to_vec(&full_record().assertions[0]).unwrap();
+        assert_eq!(decode_document(&json), Err(PackError::BadVersion(b'{')));
+        // A corrupt document inside an answer names its sort key.
+        let mut docs = documents(&full_record().assertions);
+        docs[1].1.truncate(9);
+        let error = assertions_json(&docs).unwrap_err();
+        assert_eq!(error.sort_key, docs[1].0);
+        assert!(error
+            .to_string()
+            .starts_with("stored document interaction/"));
+
+        // Page carriers: truncated, hostile counts and bad flags are errors, never panics.
+        let page = ShardQueryPage {
+            items: documents(&full_record().assertions),
+            exhausted: true,
+        };
+        let full = from_base64(&page_to_element(&page).text_content()).unwrap();
+        for cut in 0..full.len() {
+            let clipped = XmlElement::new(PAGE_ELEMENT).text(to_base64(&full[..cut]));
+            assert!(page_from_element(&clipped).is_err(), "cut at {cut}");
+        }
+        let mut hostile = vec![PACK_VERSION, 1];
+        hostile.extend_from_slice(&u32::MAX.to_le_bytes());
+        let element = XmlElement::new(PAGE_ELEMENT).text(to_base64(&hostile));
+        assert!(matches!(
+            page_from_element(&element),
+            Err(PackError::CountOverflow {
+                count: u32::MAX,
+                ..
+            })
+        ));
+        let mut flagged = full.clone();
+        flagged[1] = 2;
+        let element = XmlElement::new(PAGE_ELEMENT).text(to_base64(&flagged));
+        assert_eq!(page_from_element(&element), Err(PackError::BadTag(2)));
+        let response = Envelope::response("query").with_body(element);
+        assert!(matches!(
+            page_from_response(&response),
+            Err(WireError::Payload(reason)) if reason.starts_with("packed page")
+        ));
+    }
+
+    /// Strings over the characters that stress an escaper: ASCII controls, quotes and
+    /// backslashes, multi-byte UTF-8 up to four bytes.
+    const TEXT: &str = "[\u{0}-\u{7f}\u{e9}\u{fc}\u{4e00}-\u{4e0f}\u{1f980}-\u{1f98f}]{0,12}";
+
+    fn json_value() -> BoxedStrategy<Value> {
+        let leaf = prop_oneof![
+            Just(Value::Null),
+            (0u8..2).prop_map(|b| Value::Bool(b == 1)),
+            (0u64..u64::MAX).prop_map(|u| Value::Number(Number::U(u))),
+            (0u64..u64::MAX).prop_map(|u| Value::Number(Number::I(-((u >> 1) as i64) - 1))),
+            // Any finite float, subnormals and extreme exponents included (JSON has no NaN).
+            (0u64..u64::MAX).prop_map(|bits| {
+                let f = f64::from_bits(bits);
+                Value::Number(Number::F(if f.is_finite() { f } else { bits as f64 }))
+            }),
+            TEXT.prop_map(Value::String),
+        ];
+        leaf.prop_recursive(3, 16, 4, |inner| {
+            (prop::collection::vec(inner, 0..4), TEXT, 0u8..2).prop_map(|(items, key, object)| {
+                match object {
+                    0 => Value::Array(items),
+                    _ => Value::Object(
+                        items
+                            .into_iter()
+                            .enumerate()
+                            .map(|(i, v)| (format!("{key}{i}"), v))
+                            .collect(),
+                    ),
+                }
+            })
+        })
+    }
+
+    fn content() -> impl Strategy<Value = PAssertionContent> {
+        prop_oneof![
+            TEXT.prop_map(PAssertionContent::Text),
+            json_value().prop_map(PAssertionContent::Structured),
+        ]
+    }
+
+    fn view() -> impl Strategy<Value = ViewKind> {
+        prop::sample::select(vec![ViewKind::Sender, ViewKind::Receiver])
+    }
+
+    fn recorded() -> impl Strategy<Value = RecordedAssertion> {
+        let kind = prop_oneof![
+            Just(ActorStateKind::Script),
+            Just(ActorStateKind::Workflow),
+            Just(ActorStateKind::ResourceUsage),
+            Just(ActorStateKind::Configuration),
+            TEXT.prop_map(ActorStateKind::Other),
+        ];
+        let interaction = (
+            (TEXT, TEXT, view()),
+            (TEXT, TEXT, TEXT),
+            (content(), prop::collection::vec(TEXT, 0..4)),
+        )
+            .prop_map(
+                |((key, asserter, view), (sender, receiver, operation), (content, ids))| {
+                    PAssertion::Interaction(InteractionPAssertion {
+                        interaction_key: InteractionKey::new(key),
+                        asserter: ActorId::new(asserter),
+                        view,
+                        sender: ActorId::new(sender),
+                        receiver: ActorId::new(receiver),
+                        operation,
+                        content,
+                        data_ids: ids.into_iter().map(DataId::new).collect(),
+                    })
+                },
+            );
+        let actor_state = (TEXT, TEXT, view(), kind, content()).prop_map(
+            |(key, asserter, view, kind, content)| {
+                PAssertion::ActorState(ActorStatePAssertion {
+                    interaction_key: InteractionKey::new(key),
+                    asserter: ActorId::new(asserter),
+                    view,
+                    kind,
+                    content,
+                })
+            },
+        );
+        let relationship = (
+            TEXT,
+            TEXT,
+            TEXT,
+            prop::collection::vec((TEXT, TEXT), 0..4),
+            TEXT,
+        )
+            .prop_map(|(key, asserter, effect, causes, relation)| {
+                PAssertion::Relationship(RelationshipPAssertion {
+                    interaction_key: InteractionKey::new(key),
+                    asserter: ActorId::new(asserter),
+                    effect: DataId::new(effect),
+                    causes: causes
+                        .into_iter()
+                        .map(|(k, d)| (InteractionKey::new(k), DataId::new(d)))
+                        .collect(),
+                    relation,
+                })
+            });
+        (TEXT, prop_oneof![interaction, actor_state, relationship]).prop_map(
+            |(session, assertion)| RecordedAssertion {
+                session: SessionId::new(session),
+                assertion,
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512 })]
+
+        #[test]
+        fn stored_form_is_lossless_and_transcodes_to_serde_text(recorded in recorded()) {
+            let stored = encode_document(&recorded);
+            prop_assert_eq!(decode_document(&stored).unwrap(), recorded.clone());
+            prop_assert_eq!(
+                transcode(&stored).unwrap(),
+                serde_json::to_string(&recorded).unwrap()
+            );
+        }
+
+        #[test]
+        fn transcoded_answers_equal_serde_answers(
+            assertions in prop::collection::vec(recorded(), 0..5),
+            after in prop::option::of(TEXT),
+        ) {
+            let docs = documents(&assertions);
+            let response = match assertions.is_empty() {
+                true => QueryResponse::Empty,
+                false => QueryResponse::Assertions(assertions.clone()),
+            };
+            prop_assert_eq!(
+                assertions_json(&docs).unwrap(),
+                serde_json::to_string(&response).unwrap()
+            );
+            let next = after.map(|after| PageCursor { after });
+            let page = QueryPage { assertions, next: next.clone() };
+            prop_assert_eq!(
+                page_json(&docs, next.as_ref()).unwrap(),
+                serde_json::to_string(&page).unwrap()
+            );
+        }
     }
 }

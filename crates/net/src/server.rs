@@ -424,12 +424,16 @@ fn serve_connection(
                             .min(config.max_wire_version)
                             .max(frame::VERSION_TEXT);
                     }
-                    let service = envelope.service().unwrap_or_default().to_string();
-                    per_service_cache
-                        .entry(service.clone())
-                        .or_insert_with(|| counters.per_service_counter(&service))
-                        .inc();
-                    services.push(service);
+                    let service = envelope.service().unwrap_or_default();
+                    match per_service_cache.get(service) {
+                        Some(counter) => counter.inc(),
+                        None => {
+                            let counter = counters.per_service_counter(service);
+                            counter.inc();
+                            per_service_cache.insert(service.to_string(), counter);
+                        }
+                    }
+                    services.push(service.to_string());
                 }
                 let outcomes =
                     std::panic::catch_unwind(AssertUnwindSafe(|| host.dispatch_many(envelopes)));

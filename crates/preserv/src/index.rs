@@ -6,6 +6,8 @@
 //! entries exactly as they cover p-assertions:
 //!
 //! ```text
+//! a/<interaction>/<seq>                  → the p-assertion, packed (the primary keyspace; see
+//!                                          `pasoa_core::prepwire::encode_document`)
 //! x/!v                                   → index version marker (JSON)
 //! x/s/<session>/<interaction>/<seq>      → "" (by-session assertion index)
 //! x/a/<actor>/<interaction>/<seq>        → "" (by-actor assertion index)

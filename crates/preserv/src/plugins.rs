@@ -14,15 +14,16 @@ use pasoa_core::prep::{PrepMessage, QueryRequest, QueryResponse, RecordAck, Shar
 use crate::lineage::LineageGraph;
 use crate::store::{ProvenanceStore, StoreError};
 
-/// Outcome of a plug-in invocation: the JSON-serializable response body.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+/// Outcome of a plug-in invocation.
+#[derive(Debug, Clone, PartialEq)]
 pub enum PluginResponse {
     /// Acknowledgement of a record submission.
     Ack(RecordAck),
-    /// Result of a query.
+    /// Result of a query that does not produce p-assertions (listings, groups, statistics).
     Query(QueryResponse),
-    /// One bounded page of a paginated query.
-    Page(ShardQueryPage),
+    /// P-assertions answering a query (as one exhausted page) or a page request, in stored
+    /// form: the translator builds the answer body from the stored bytes.
+    Documents(ShardQueryPage),
     /// Result of a lineage traversal.
     Lineage(LineageGraph),
     /// Acknowledgement of a group registration.
@@ -106,6 +107,12 @@ impl PlugIn for BasicQueryPlugin {
 
     fn handle(&self, message: &PrepMessage) -> Result<PluginResponse, StoreError> {
         match message {
+            PrepMessage::Query(request) if request.is_pageable() => {
+                Ok(PluginResponse::Documents(ShardQueryPage {
+                    items: self.store.documents(request)?,
+                    exhausted: true,
+                }))
+            }
             PrepMessage::Query(request) => Ok(PluginResponse::Query(self.store.query(request)?)),
             _ => Err(StoreError::Corrupt(
                 "non-query message routed to the query plug-in".into(),
@@ -141,7 +148,7 @@ impl PlugIn for PagedQueryPlugin {
     fn handle(&self, message: &PrepMessage) -> Result<PluginResponse, StoreError> {
         match message {
             PrepMessage::QueryPage(paged) => {
-                Ok(PluginResponse::Page(self.store.query_page(paged)?))
+                Ok(PluginResponse::Documents(self.store.query_page(paged)?))
             }
             _ => Err(StoreError::Corrupt(
                 "non-page message routed to the paged-query plug-in".into(),

@@ -8,11 +8,11 @@
 //! in the process, exactly as deploying the servlet in Tomcat made it reachable over HTTP.
 
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use pasoa_core::prep::PrepMessage;
 use pasoa_core::prepwire;
-use pasoa_obs::{Registry, StatsSnapshot, TraceCtx};
+use pasoa_obs::{Counter, Registry, StatsSnapshot, TraceCtx};
 use pasoa_wire::{
     Envelope, MessageHandler, ServiceHost, WireError, WireResult, STATS_SNAPSHOT_ACTION,
 };
@@ -36,13 +36,42 @@ impl Default for ServiceConfig {
     }
 }
 
+/// The PReP actions whose `preserv.dispatch.<action>` counters are resolved once rather than
+/// looked up by name per request; any other action a custom plug-in answers is counted by
+/// name.
+const PREP_ACTIONS: [&str; 5] = ["record", "register-group", "query", "query-page", "lineage"];
+
+/// The service's instruments. Each dispatch counter is resolved on its action's first
+/// dispatch, so a snapshot never lists an action nobody sent.
+struct ServiceObs {
+    registry: Registry,
+    dispatched: [OnceLock<Counter>; PREP_ACTIONS.len()],
+}
+
+impl ServiceObs {
+    fn new(registry: Registry) -> Self {
+        ServiceObs {
+            registry,
+            dispatched: Default::default(),
+        }
+    }
+
+    fn note_dispatch(&self, action: &str) {
+        let counter = |action: &str| self.registry.counter(&format!("preserv.dispatch.{action}"));
+        match PREP_ACTIONS.iter().position(|known| *known == action) {
+            Some(slot) => self.dispatched[slot].get_or_init(|| counter(action)).inc(),
+            None => counter(action).inc(),
+        }
+    }
+}
+
 /// A deployed provenance store service.
 pub struct PreservService {
     store: Arc<ProvenanceStore>,
     backend: Arc<dyn StorageBackend>,
     plugins: Vec<Arc<dyn PlugIn>>,
     config: ServiceConfig,
-    obs: Registry,
+    obs: ServiceObs,
     /// Handler for the change-feed wire actions (`subscribe`/`feed-poll`/`feed-ack`),
     /// installed by the feed tier. Feed envelopes arrive on the store's own service name, so
     /// a remote subscriber reaches the feed through exactly the proxies that carry records.
@@ -56,6 +85,7 @@ impl PreservService {
         let obs = Registry::new();
         backend.attach_observability(&obs);
         let store = Arc::new(ProvenanceStore::open(Arc::clone(&backend))?);
+        store.attach_observability(&obs);
         let plugins: Vec<Arc<dyn PlugIn>> = vec![
             Arc::new(StorePlugin::new(Arc::clone(&store))),
             Arc::new(BasicQueryPlugin::new(Arc::clone(&store))),
@@ -67,7 +97,7 @@ impl PreservService {
             backend,
             plugins,
             config: ServiceConfig::default(),
-            obs,
+            obs: ServiceObs::new(obs),
             feed: parking_lot::Mutex::new(None),
         })
     }
@@ -105,12 +135,13 @@ impl PreservService {
     }
 
     /// Fold this service's metrics into `registry`: the service keeps its own exact registry
-    /// (a [`Registry::child`]), the parent's snapshots aggregate it, and the backend's
-    /// instruments are re-attached so kvdb latency lands in the same tree. Passing a disabled
-    /// registry turns the service's observability off entirely.
+    /// (a [`Registry::child`]), the parent's snapshots aggregate it, and the backend's and the
+    /// store's instruments are re-attached so kvdb latency and read-path counts land in the
+    /// same tree. Passing a disabled registry turns the service's observability off entirely.
     pub fn with_observability(mut self, registry: &Registry) -> Self {
-        self.obs = registry.child();
-        self.backend.attach_observability(&self.obs);
+        self.obs = ServiceObs::new(registry.child());
+        self.backend.attach_observability(&self.obs.registry);
+        self.store.attach_observability(&self.obs.registry);
         self
     }
 
@@ -130,14 +161,14 @@ impl PreservService {
 
     /// The registry this service's instruments (and its backend's) write into.
     pub fn registry(&self) -> &Registry {
-        &self.obs
+        &self.obs.registry
     }
 
     /// The [`StatsSnapshot`] this service answers `stats-snapshot` requests with.
     pub fn stats_snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
             service: self.config.service_name.clone(),
-            registry: self.obs.snapshot(),
+            registry: self.obs.registry.snapshot(),
         }
     }
 
@@ -197,15 +228,13 @@ impl PreservService {
         message: &PrepMessage,
         trace: Option<&TraceCtx>,
     ) -> WireResult<crate::plugins::PluginResponse> {
-        self.obs
-            .counter(&format!("preserv.dispatch.{action}"))
-            .inc();
+        self.obs.note_dispatch(action);
         let plugin = self
             .plugins
             .iter()
             .find(|p| p.handles(action))
             .ok_or_else(|| WireError::Payload(format!("no plug-in handles action '{action}'")))?;
-        let events = self.obs.events();
+        let events = self.obs.registry.events();
         let timer = (trace.is_some() && events.is_enabled()).then(std::time::Instant::now);
         // Panic containment: a plug-in is third-party code, and a panic inside it must come
         // back as a structured fault on this one call instead of poisoning the worker thread
@@ -217,7 +246,7 @@ impl PreservService {
                 WireError::Payload(format!("plug-in {} failed: {e}", plugin.name()))
             })?,
             Err(panic) => {
-                self.obs.counter("preserv.plugin_panics").inc();
+                self.obs.registry.counter("preserv.plugin_panics").inc();
                 let detail = panic
                     .downcast_ref::<&str>()
                     .map(|s| s.to_string())
@@ -277,8 +306,9 @@ impl MessageHandler for PreservService {
             crate::plugins::PluginResponse::Query(q) => {
                 Envelope::response(&action).with_json_payload(&q)
             }
-            crate::plugins::PluginResponse::Page(page) => {
-                Envelope::response(&action).with_json_payload(&page)
+            crate::plugins::PluginResponse::Documents(page) => {
+                prepwire::documents_envelope(&request, &page)
+                    .map_err(|e| WireError::Payload(crate::StoreError::from(e).to_string()))
             }
             crate::plugins::PluginResponse::Lineage(graph) => {
                 Envelope::response(&action).with_json_payload(&graph)

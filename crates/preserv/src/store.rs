@@ -9,21 +9,34 @@
 //! ## The read path
 //!
 //! Every assertion-producing read is one call of one cursor primitive: `(request, access
-//! path, after, limit) → (sort key, assertion)*`. The path comes from the
+//! path, after, limit) → (sort key, stored document)*`. The path comes from the
 //! [`AccessPath::for_request`] table — consulted with this store's own configuration by the
 //! plain entry points ([`ProvenanceStore::query`], [`ProvenanceStore::query_page`], the
 //! `assertions_*` answers), or handed in by a caller that forces one
 //! ([`ProvenanceStore::query_via`], [`ProvenanceStore::query_page_via`],
 //! [`ProvenanceStore::assertions_via`] — the `pasoa-query` planner, and every equivalence test
 //! comparing an index against the [`AccessPath::FullScan`] oracle). An unpaged answer is
-//! simply every page at once. Stored documents and edge records are each encoded and decoded
-//! by exactly one function pair.
+//! simply every page at once.
+//!
+//! ## The stored form
+//!
+//! An `a/` document is the packed layout of one p-assertion — the bytes the record hop
+//! carried ([`pasoa_core::prepwire::encode_document`]) — and [`encode_document`] /
+//! [`decode_document`] are the only pair here that knows it. The cursor hands documents out
+//! as stored: on every exact-prefix path (all of the access-path table but
+//! `ActorStateByKind`, whose kind sits inside the document) nothing is decoded on the way to
+//! an answer, and the wire answers are transcoded from the stored bytes by
+//! [`pasoa_core::prepwire`]. Typed callers decode at their edge
+//! ([`ProvenanceStore::decode_documents`]); the `preserv.read.documents_served` and
+//! `preserv.read.documents_decoded` counters show which is which. Documents written by an
+//! older layout (JSON) are rewritten in packed form by the open-time counter rebuild, the one
+//! place that still reads them.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 
 use pasoa_core::group::Group;
 use pasoa_core::ids::{ActorId, DataId, InteractionKey, SessionId};
@@ -31,15 +44,16 @@ use pasoa_core::passertion::{PAssertion, RecordedAssertion};
 use pasoa_core::prep::{
     PagedQuery, QueryRequest, QueryResponse, ShardQueryPage, StoreStatistics, MAX_PAGE_SIZE,
 };
+use pasoa_core::prepwire::{self, CorruptDocument};
+use pasoa_obs::{Counter, Registry};
 
 use crate::access::AccessPath;
 use crate::backend::{BackendError, StorageBackend};
 use crate::index::{self, EdgeRecord, IndexMarker};
 use crate::keys;
 
-/// One page of the cursor primitive: `(sort key, assertion)` pairs in global sort-key order,
-/// plus whether the result set is exhausted.
-type AssertionPage = (Vec<(String, RecordedAssertion)>, bool);
+/// Legacy documents rewritten per backend batch by the open-time migration.
+const MIGRATION_BATCH: usize = 512;
 
 /// Error produced by store operations.
 #[derive(Debug)]
@@ -88,6 +102,12 @@ impl std::error::Error for StoreError {}
 impl From<BackendError> for StoreError {
     fn from(e: BackendError) -> Self {
         StoreError::Backend(e)
+    }
+}
+
+impl From<CorruptDocument> for StoreError {
+    fn from(e: CorruptDocument) -> Self {
+        StoreError::Corrupt(e.to_string())
     }
 }
 
@@ -157,6 +177,18 @@ pub struct ProvenanceStore {
     /// lock doubles as the commit lock: interaction-marker checks, staging and the backend
     /// commit of one batch happen under it.
     stager: Mutex<Option<Arc<dyn RecordStager>>>,
+    /// The read path's instruments (inert until [`Self::attach_observability`]).
+    read_obs: RwLock<ReadObs>,
+}
+
+/// The read path's counters, resolved once per attached registry.
+#[derive(Clone, Default)]
+struct ReadObs {
+    /// Documents the cursor handed out, decoded or not.
+    served: Counter,
+    /// Documents decoded on a read: the `ActorStateByKind` filter, the scan oracle, and typed
+    /// callers at their edge.
+    decoded: Counter,
 }
 
 impl ProvenanceStore {
@@ -182,6 +214,7 @@ impl ProvenanceStore {
             maintain_indexes: options.maintain_indexes,
             index_report: Mutex::new(IndexReport::default()),
             stager: Mutex::new(None),
+            read_obs: RwLock::new(ReadObs::default()),
         };
         store.rebuild_counters()?;
         if options.maintain_indexes {
@@ -202,6 +235,7 @@ impl ProvenanceStore {
             ..StoreStatistics::default()
         };
         let mut max_seq = 0u64;
+        let mut legacy: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
         for (key, value) in self
             .backend
             .scan_prefix_values(keys::ASSERTION_PREFIX.as_bytes())?
@@ -209,7 +243,25 @@ impl ProvenanceStore {
             if let Ok(seq) = key_seq(&key) {
                 max_seq = max_seq.max(seq + 1);
             }
-            tally(&mut stats, &decode_document(&value)?.assertion);
+            // A document an older layout wrote as JSON (a packed one starts with its layout
+            // version byte, never `{`) is rewritten in packed form in place. Each rewrite is
+            // idempotent, so a crash mid-migration leaves a mix the next open finishes.
+            let recorded = if value.first() == Some(&b'{') {
+                let recorded: RecordedAssertion =
+                    serde_json::from_slice(&value).map_err(corrupt)?;
+                legacy.push((key, encode_document(&recorded)));
+                if legacy.len() == MIGRATION_BATCH {
+                    self.backend.put_many(&legacy)?;
+                    legacy.clear();
+                }
+                recorded
+            } else {
+                decode_document(&String::from_utf8_lossy(&key), &value)?
+            };
+            tally(&mut stats, &recorded.assertion);
+        }
+        if !legacy.is_empty() {
+            self.backend.put_many(&legacy)?;
         }
         self.sequence.store(max_seq, Ordering::Relaxed);
         *self.stats.lock() = stats;
@@ -267,7 +319,8 @@ impl ProvenanceStore {
             .backend
             .scan_prefix_values(keys::ASSERTION_PREFIX.as_bytes())?
         {
-            index::stage_assertion_entries(&mut entries, &decode_document(&value)?, key_seq(&key)?);
+            let recorded = decode_document(&String::from_utf8_lossy(&key), &value)?;
+            index::stage_assertion_entries(&mut entries, &recorded, key_seq(&key)?);
         }
         entries.push((
             index::VERSION_KEY.to_vec(),
@@ -316,6 +369,21 @@ impl ProvenanceStore {
         self.backend.recovery_report()
     }
 
+    /// Resolve the read path's counters (`preserv.read.documents_served`,
+    /// `preserv.read.documents_decoded`) in `registry`.
+    pub fn attach_observability(&self, registry: &Registry) {
+        *self.read_obs.write() = ReadObs {
+            served: registry.counter("preserv.read.documents_served"),
+            decoded: registry.counter("preserv.read.documents_decoded"),
+        };
+    }
+
+    fn note_read(&self, served: usize, decoded: usize) {
+        let obs = self.read_obs.read();
+        obs.served.add(served as u64);
+        obs.decoded.add(decoded as u64);
+    }
+
     /// Attach (or replace, or with `None` detach) the hook that stages extra entries into
     /// every record batch — see [`RecordStager`].
     pub fn set_record_stager(&self, stager: Option<Arc<dyn RecordStager>>) {
@@ -346,7 +414,7 @@ impl ProvenanceStore {
         for r in recorded {
             let interaction = r.assertion.interaction_key().as_str();
             let seq = self.sequence.fetch_add(1, Ordering::Relaxed);
-            entries.push((keys::assertion_key(interaction, seq), encode_document(r)?));
+            entries.push((keys::assertion_key(interaction, seq), encode_document(r)));
 
             let marker = keys::interaction_key(interaction);
             if markers_in_batch.insert(marker.clone()) {
@@ -478,17 +546,54 @@ impl ProvenanceStore {
         self.assertions_via(request, self.access_path(request))
     }
 
-    /// The full answer of an assertion-producing request through a caller-chosen access path:
-    /// every page of the cursor primitive at once. Every path that can serve a request
-    /// answers bit-identically (the equivalence proptests pin this); [`AccessPath::FullScan`]
-    /// is the paper's bulk retrieval and the oracle the others are compared against.
+    /// The full answer of an assertion-producing request through a caller-chosen access path,
+    /// decoded: [`Self::documents_via`] plus [`Self::decode_documents`]. Every path that can
+    /// serve a request answers bit-identically (the equivalence proptests pin this);
+    /// [`AccessPath::FullScan`] is the paper's bulk retrieval and the oracle the others are
+    /// compared against.
     pub fn assertions_via(
         &self,
         request: &QueryRequest,
         path: AccessPath,
     ) -> Result<Vec<RecordedAssertion>, StoreError> {
-        let (items, _) = self.cursor(request, path, None, usize::MAX)?;
-        Ok(items.into_iter().map(|(_, recorded)| recorded).collect())
+        let documents = self.documents_via(request, path)?;
+        Ok(self
+            .decode_documents(documents)?
+            .into_iter()
+            .map(|(_, recorded)| recorded)
+            .collect())
+    }
+
+    /// The full answer of an assertion-producing request through the store's own access
+    /// path, in stored form.
+    pub fn documents(&self, request: &QueryRequest) -> Result<Vec<(String, Vec<u8>)>, StoreError> {
+        self.documents_via(request, self.access_path(request))
+    }
+
+    /// The full answer of an assertion-producing request through `path`, in stored form:
+    /// every page of the cursor primitive at once, as `(sort key, stored document)` pairs.
+    pub fn documents_via(
+        &self,
+        request: &QueryRequest,
+        path: AccessPath,
+    ) -> Result<Vec<(String, Vec<u8>)>, StoreError> {
+        Ok(self.cursor(request, path, None, usize::MAX)?.items)
+    }
+
+    /// Decode stored documents at a typed caller's edge. A document that does not decode is
+    /// [`StoreError::Corrupt`] naming its sort key.
+    pub fn decode_documents(
+        &self,
+        documents: Vec<(String, Vec<u8>)>,
+    ) -> Result<Vec<(String, RecordedAssertion)>, StoreError> {
+        self.note_read(0, documents.len());
+        documents
+            .into_iter()
+            .map(|(sort, document)| {
+                let recorded = decode_document(&sort, &document)?;
+                Ok((sort, recorded))
+            })
+            .collect()
     }
 
     /// Refuse a secondary-index path on a store that does not maintain indexes: whatever its
@@ -504,17 +609,17 @@ impl ProvenanceStore {
     }
 
     /// The cursor primitive every assertion-producing read goes through: up to `limit`
-    /// `(sort key, assertion)` pairs of `request` whose sort key is strictly greater than
-    /// `after`, in global sort-key order, read through `path` — which must be the scan or the
-    /// request's own row of the access-path table. The per-page cost is O(limit) through a key
-    /// prefix (modulo filtering for `ActorStateByKind`), O(store) through the scan.
+    /// `(sort key, stored document)` pairs of `request` whose sort key is strictly greater
+    /// than `after`, in global sort-key order, read through `path` — which must be the scan or
+    /// the request's own row of the access-path table. The per-page cost is O(limit) through
+    /// a key prefix (modulo filtering for `ActorStateByKind`), O(store) through the scan.
     fn cursor(
         &self,
         request: &QueryRequest,
         path: AccessPath,
         after: Option<&str>,
         limit: usize,
-    ) -> Result<AssertionPage, StoreError> {
+    ) -> Result<ShardQueryPage, StoreError> {
         let Some(prefix) = key_prefix(request) else {
             return Err(StoreError::InvalidRequest(format!(
                 "{request:?} does not produce a p-assertion stream"
@@ -536,10 +641,15 @@ impl ProvenanceStore {
             _ => prefix.as_slice(),
         };
         let mut after_key = after.map(|sort| [base, sort.as_bytes()].concat());
+        // Every entry under a prefix belongs to the answer — except under the interaction
+        // prefix serving `ActorStateByKind`, whose kind sits inside the document. That row
+        // alone decodes to filter; every other page is served as stored.
+        let filtered = matches!(request, QueryRequest::ActorStateByKind { .. });
         let mut items = Vec::new();
-        // Raw pages are fetched until the page fills or the prefix is exhausted; only
-        // `ActorStateByKind` ever filters anything out of one.
-        loop {
+        let mut decoded = 0;
+        // Raw pages are fetched until the page fills or the prefix is exhausted; only the
+        // filtered row ever drops anything out of one.
+        let exhausted = loop {
             let mut raw = self
                 .backend
                 .scan_prefix_page(&prefix, after_key.as_deref(), limit)?;
@@ -548,30 +658,35 @@ impl ProvenanceStore {
                 let sort = index::sort_key_from_entry(key, base).ok_or_else(|| {
                     StoreError::Corrupt(format!("malformed key {}", String::from_utf8_lossy(key)))
                 })?;
-                let recorded = self.fetch_assertion(&sort)?;
-                if request_matches(request, &recorded) {
-                    items.push((sort, recorded));
+                let document = self.fetch_document(&sort)?;
+                if filtered {
+                    decoded += 1;
+                    if !request_matches(request, &decode_document(&sort, &document)?) {
+                        continue;
+                    }
                 }
+                items.push((sort, document));
             }
             if items.len() >= limit {
                 items.truncate(limit);
-                return Ok((items, false));
+                break false;
             }
             if exhausted {
-                return Ok((items, true));
+                break true;
             }
             after_key = raw.pop();
-        }
+        };
+        self.note_read(items.len(), decoded);
+        Ok(ShardQueryPage { items, exhausted })
     }
 
-    /// Fetch the p-assertion a sort key points at. A dangling entry is corruption by
+    /// Fetch the stored document a sort key points at. A dangling entry is corruption by
     /// definition — index entries are never written before their document.
-    fn fetch_assertion(&self, sort_key: &str) -> Result<RecordedAssertion, StoreError> {
+    fn fetch_document(&self, sort_key: &str) -> Result<Vec<u8>, StoreError> {
         let key = index::assertion_key_for_sort_key(sort_key);
-        let value = self.backend.get(&key)?.ok_or_else(|| {
+        self.backend.get(&key)?.ok_or_else(|| {
             StoreError::Corrupt(format!("no assertion stored under sort key {sort_key}"))
-        })?;
-        decode_document(&value)
+        })
     }
 
     /// The cursor over [`AccessPath::FullScan`], the paper's bulk retrieval: one pass over
@@ -582,8 +697,10 @@ impl ProvenanceStore {
         request: &QueryRequest,
         after: Option<&str>,
         limit: usize,
-    ) -> Result<AssertionPage, StoreError> {
+    ) -> Result<ShardQueryPage, StoreError> {
         let mut items = Vec::new();
+        let mut decoded = 0;
+        let mut exhausted = true;
         for (key, value) in self
             .backend
             .scan_prefix_values(keys::ASSERTION_PREFIX.as_bytes())?
@@ -595,16 +712,18 @@ impl ProvenanceStore {
             if after.is_some_and(|after| sort.as_str() <= after) {
                 continue;
             }
-            let recorded = decode_document(&value)?;
-            if !request_matches(request, &recorded) {
+            decoded += 1;
+            if !request_matches(request, &decode_document(&sort, &value)?) {
                 continue;
             }
             if items.len() >= limit {
-                return Ok((items, false));
+                exhausted = false;
+                break;
             }
-            items.push((sort, recorded));
+            items.push((sort, value));
         }
-        Ok((items, true))
+        self.note_read(items.len(), decoded);
+        Ok(ShardQueryPage { items, exhausted })
     }
 
     /// The interactions recorded under `session`, in key order.
@@ -689,7 +808,8 @@ impl ProvenanceStore {
             }
             AccessPath::FullScan => {
                 let request = QueryRequest::BySession(session.clone());
-                for (sort, recorded) in self.cursor(&request, path, None, usize::MAX)?.0 {
+                let documents = self.documents_via(&request, path)?;
+                for (sort, recorded) in self.decode_documents(documents)? {
                     if let PAssertion::Relationship(rel) = &recorded.assertion {
                         edges.push((
                             key_seq(sort.as_bytes())?,
@@ -733,7 +853,8 @@ impl ProvenanceStore {
         Ok(edges)
     }
 
-    /// Serve one cursor-carrying page request through the store's own access path.
+    /// Serve one cursor-carrying page request through the store's own access path, in stored
+    /// form.
     pub fn query_page(&self, paged: &PagedQuery) -> Result<ShardQueryPage, StoreError> {
         self.query_page_via(paged, self.access_path(&paged.request))
     }
@@ -752,8 +873,7 @@ impl ProvenanceStore {
             )));
         }
         let after = paged.cursor.as_ref().map(|cursor| cursor.after.as_str());
-        let (items, exhausted) = self.cursor(&paged.request, path, after, paged.page_size)?;
-        Ok(ShardQueryPage { items, exhausted })
+        self.cursor(&paged.request, path, after, paged.page_size)
     }
 
     /// Current store statistics.
@@ -766,8 +886,8 @@ impl ProvenanceStore {
         self.query_via(request, self.access_path(request))
     }
 
-    /// Answer a protocol-level query through `path`. Listings, groups and statistics have a
-    /// single path each; everything else is an assertion stream and goes to the cursor
+    /// Answer a protocol-level query through `path`, decoded. Listings, groups and statistics
+    /// have a single path each; everything else is an assertion stream and goes to the cursor
     /// primitive, which refuses a path that cannot serve the request.
     pub fn query_via(
         &self,
@@ -830,14 +950,21 @@ pub(crate) fn corrupt(e: impl std::fmt::Display) -> StoreError {
     StoreError::Corrupt(e.to_string())
 }
 
-/// The stored form of a p-assertion document — with [`decode_document`], the only place that
-/// knows it.
-fn encode_document(recorded: &RecordedAssertion) -> Result<Vec<u8>, StoreError> {
-    serde_json::to_vec(recorded).map_err(corrupt)
+/// The stored form of a p-assertion document — with [`decode_document`], the only place in
+/// the store that knows it: the packed layout of [`prepwire::encode_document`].
+fn encode_document(recorded: &RecordedAssertion) -> Vec<u8> {
+    prepwire::encode_document(recorded)
 }
 
-fn decode_document(value: &[u8]) -> Result<RecordedAssertion, StoreError> {
-    serde_json::from_slice(value).map_err(corrupt)
+/// Decode the document stored under `sort_key`, which a corruption report names.
+fn decode_document(sort_key: &str, value: &[u8]) -> Result<RecordedAssertion, StoreError> {
+    prepwire::decode_document(value).map_err(|error| {
+        CorruptDocument {
+            sort_key: sort_key.to_string(),
+            error,
+        }
+        .into()
+    })
 }
 
 /// The key prefix a pageable request's own (non-scan) access path reads: its interaction's
@@ -1238,7 +1365,7 @@ mod tests {
             let mut collected = Vec::new();
             let mut after: Option<String> = None;
             loop {
-                let (items, exhausted) = store
+                let page = store
                     .cursor(
                         &request,
                         AccessPath::SessionIndex,
@@ -1246,10 +1373,11 @@ mod tests {
                         page_size,
                     )
                     .unwrap();
-                assert!(items.len() <= page_size);
-                after = items.last().map(|(sort, _)| sort.clone());
-                collected.extend(items.into_iter().map(|(_, recorded)| recorded));
-                if exhausted {
+                assert!(page.items.len() <= page_size);
+                after = page.items.last().map(|(sort, _)| sort.clone());
+                let decoded = store.decode_documents(page.items).unwrap();
+                collected.extend(decoded.into_iter().map(|(_, recorded)| recorded));
+                if page.exhausted {
                     break;
                 }
             }

@@ -171,3 +171,92 @@ fn armed_crash_mid_batch_write_reopens_consistent() {
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// A store the previous layout wrote — JSON `a/` documents — opens, rewrites every document
+/// in the packed stored form, and answers exactly like a store recorded fresh. A power loss
+/// armed inside the migration fails that open without damage: the next open sees a mix of
+/// both forms and finishes the job.
+#[test]
+fn legacy_json_documents_migrate_at_open_and_survive_a_crash_mid_migration() {
+    use pasoa_core::prepwire;
+    use pasoa_preserv::{MemoryBackend, StorageBackend};
+
+    let sessions = ["session:legacy:0", "session:legacy:1", "session:legacy:2"];
+    let assertions: Vec<RecordedAssertion> =
+        (0..1200).map(|i| assertion(sessions[i % 3], i)).collect();
+    let fresh = ProvenanceStore::open(Arc::new(MemoryBackend::new())).unwrap();
+    fresh.record_all(&assertions).unwrap();
+
+    let dir = scratch("legacy");
+    {
+        let backend = Arc::new(KvBackend::open(&dir).unwrap());
+        let store = ProvenanceStore::open(Arc::clone(&backend) as Arc<_>).unwrap();
+        store.record_all(&assertions).unwrap();
+        // Rewrite every document in the previous layout, through the backend.
+        let legacy: Vec<(Vec<u8>, Vec<u8>)> = backend
+            .scan_prefix_values(b"a/")
+            .unwrap()
+            .into_iter()
+            .map(|(key, value)| {
+                let recorded = prepwire::decode_document(&value).unwrap();
+                (key, serde_json::to_vec(&recorded).unwrap())
+            })
+            .collect();
+        assert_eq!(legacy.len(), assertions.len());
+        backend.put_many(&legacy).unwrap();
+        backend.sync().unwrap();
+    }
+    let forms = || {
+        let backend = KvBackend::open(&dir).unwrap();
+        let values = backend.scan_prefix_values(b"a/").unwrap();
+        let json = values
+            .iter()
+            .filter(|(_, v)| v.first() == Some(&b'{'))
+            .count();
+        (json, values.len() - json)
+    };
+    assert_eq!(forms(), (assertions.len(), 0));
+
+    // Power loss inside the migration's second batch: the open fails, nothing is lost.
+    {
+        let backend = Arc::new(KvBackend::open_durable(&dir).unwrap());
+        backend.db().arm_crash_after_appends(700);
+        assert!(ProvenanceStore::open(Arc::clone(&backend) as Arc<_>).is_err());
+        assert!(backend.db().is_crashed());
+    }
+    let (json, packed) = forms();
+    assert!(
+        json > 0 && packed > 0,
+        "the crash must land mid-migration ({json} JSON, {packed} packed)"
+    );
+
+    let store = ProvenanceStore::open(Arc::new(KvBackend::open(&dir).unwrap())).unwrap();
+    assert_eq!(forms(), (0, assertions.len()), "the rerun finished the job");
+    assert_eq!(store.statistics(), fresh.statistics());
+    let mut requests: Vec<QueryRequest> = sessions
+        .iter()
+        .map(|s| QueryRequest::BySession(SessionId::new(*s)))
+        .collect();
+    requests.extend([
+        QueryRequest::ByActor(ActorId::new("recoverer")),
+        QueryRequest::ByRelation("derived-from".into()),
+        QueryRequest::ByInteraction(InteractionKey::new("interaction:session:legacy:1:007")),
+    ]);
+    for request in &requests {
+        assert_eq!(
+            store.query(request).unwrap(),
+            fresh.query(request).unwrap(),
+            "{request:?}"
+        );
+        assert_eq!(
+            store.documents(request).unwrap(),
+            fresh.documents(request).unwrap(),
+            "stored bytes of {request:?}"
+        );
+    }
+    for session in sessions {
+        assert_index_equals_scan(&store, session);
+    }
+    drop(store);
+    std::fs::remove_dir_all(&dir).unwrap();
+}

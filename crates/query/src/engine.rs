@@ -112,14 +112,16 @@ impl QueryEngine {
         })
     }
 
-    /// Plan one protocol query and have the store answer it through the planned path.
+    /// Plan one protocol query and have the store answer it through the planned path,
+    /// decoded.
     pub fn query(&self, request: &QueryRequest) -> Result<QueryResponse, QueryError> {
         let path = self.chosen(self.plan(request)?);
         Ok(self.store.query_via(request, path)?)
     }
 
-    /// Serve one bounded page through the planned path: every path serves the same
-    /// `(after, limit]` windows of the same global order.
+    /// Serve one bounded page through the planned path, in stored form (decode it with
+    /// [`ProvenanceStore::decode_documents`]): every path serves the same `(after, limit]`
+    /// windows of the same global order.
     pub fn page(&self, paged: &PagedQuery) -> Result<ShardQueryPage, QueryError> {
         let path = self.chosen(self.plan(&paged.request)?);
         let page = self.store.query_page_via(paged, path)?;

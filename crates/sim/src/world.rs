@@ -1333,18 +1333,22 @@ impl SimWorld {
         let mut indexed_per_shard = Vec::new();
         let mut scanned_per_shard = Vec::new();
         for store in self.cluster.live_stores() {
-            indexed_per_shard.push(
+            let decoded = |path| {
                 store
-                    .assertions_via(&request, AccessPath::SessionIndex)
-                    .map_err(|e| Violation::new("availability", e.to_string()))?,
-            );
-            scanned_per_shard.push(
-                store
-                    .assertions_via(&request, AccessPath::FullScan)
-                    .map_err(|e| Violation::new("availability", e.to_string()))?,
-            );
+                    .documents_via(&request, path)
+                    .and_then(|documents| store.decode_documents(documents))
+                    .map_err(|e| Violation::new("availability", e.to_string()))
+            };
+            indexed_per_shard.push(decoded(AccessPath::SessionIndex)?);
+            scanned_per_shard.push(decoded(AccessPath::FullScan)?);
         }
-        let indexed = pasoa_cluster::merge::merge_assertions(indexed_per_shard);
+        let merged = |per_shard| -> Vec<RecordedAssertion> {
+            pasoa_cluster::merge::merge_documents(per_shard)
+                .into_iter()
+                .map(|(_, recorded)| recorded)
+                .collect()
+        };
+        let indexed = merged(indexed_per_shard);
         if indexed != expected {
             return Err(Violation::new(
                 "index-equivalence",
@@ -1356,7 +1360,7 @@ impl SimWorld {
                 ),
             ));
         }
-        let scanned = pasoa_cluster::merge::merge_assertions(scanned_per_shard);
+        let scanned = merged(scanned_per_shard);
         if scanned != expected {
             return Err(Violation::new(
                 "index-equivalence",

@@ -130,11 +130,17 @@ impl Envelope {
     }
 
     /// Builder-style: serialize `payload` as JSON text into the body.
-    pub fn with_json_payload<T: Serialize>(mut self, payload: &T) -> WireResult<Self> {
+    pub fn with_json_payload<T: Serialize>(self, payload: &T) -> WireResult<Self> {
         let json = serde_json::to_string(payload)
             .map_err(|e| WireError::Payload(format!("serialize: {e}")))?;
+        Ok(self.with_json_text(json))
+    }
+
+    /// Builder-style: put JSON text the caller built itself into the body, readable by
+    /// [`Self::json_payload`] exactly as if [`Self::with_json_payload`] had written it.
+    pub fn with_json_text(mut self, json: String) -> Self {
         self.body = XmlElement::new("json-payload").text(json);
-        Ok(self)
+        self
     }
 
     /// Deserialize the body's JSON payload, previously written by [`Self::with_json_payload`].

@@ -12,7 +12,7 @@
 //! traffic counters report genuine message sizes.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use parking_lot::RwLock;
@@ -194,10 +194,19 @@ impl TransportObs {
 /// Metric-name prefix for per-service dispatch counters in the host registry.
 const DISPATCH_PREFIX: &str = "wire.dispatch.";
 
+/// One registered service: its handler and its `wire.dispatch.<name>` counter, resolved on
+/// the first dispatch (so a snapshot never lists a service nobody called) and never looked
+/// up by name again.
+#[derive(Clone)]
+struct Route {
+    handler: Arc<dyn MessageHandler>,
+    dispatched: Arc<OnceLock<Counter>>,
+}
+
 /// The "network": a registry of named services reachable from any [`Transport`].
 #[derive(Default, Clone)]
 pub struct ServiceHost {
-    services: Arc<RwLock<HashMap<String, Arc<dyn MessageHandler>>>>,
+    services: Arc<RwLock<HashMap<String, Route>>>,
     /// The host's observability registry: per-service dispatch counters live here (under
     /// `wire.dispatch.<service>`), and every component bound to the host — net servers,
     /// shard routers, client proxies — records into it so one snapshot covers the tier.
@@ -237,7 +246,11 @@ impl ServiceHost {
 
     /// Register (or replace) a service under `name`.
     pub fn register(&self, name: impl Into<String>, handler: Arc<dyn MessageHandler>) {
-        self.services.write().insert(name.into(), handler);
+        let route = Route {
+            handler,
+            dispatched: Arc::default(),
+        };
+        self.services.write().insert(name.into(), route);
     }
 
     /// Remove a service. Returns whether it existed.
@@ -257,8 +270,15 @@ impl ServiceHost {
         self.services.read().contains_key(name)
     }
 
-    fn lookup(&self, name: &str) -> Option<Arc<dyn MessageHandler>> {
+    fn lookup(&self, name: &str) -> Option<Route> {
         self.services.read().get(name).cloned()
+    }
+
+    /// The dispatch counter of service `name`, resolved into its route on the first dispatch.
+    fn dispatch_counter<'a>(&self, route: &'a Route, name: &str) -> &'a Counter {
+        route
+            .dispatched
+            .get_or_init(|| self.obs.counter(&format!("{DISPATCH_PREFIX}{name}")))
     }
 
     /// Route one decoded envelope to its destination service: the dispatch core shared by the
@@ -278,14 +298,14 @@ impl ServiceHost {
             .service()
             .ok_or_else(|| WireError::InvalidEnvelope("missing service header".into()))?
             .to_string();
-        let handler = self
+        let route = self
             .lookup(&service_name)
             .ok_or_else(|| WireError::UnknownService(service_name.clone()))?;
         if self.faults.is_down(&service_name) {
             return Err(WireError::ServiceDown(service_name));
         }
-        self.note_dispatch(&service_name);
-        handler.handle(request).map_err(|error| match error {
+        self.dispatch_counter(&route, &service_name).inc();
+        route.handler.handle(request).map_err(|error| match error {
             routed @ (WireError::ServiceDown(_)
             | WireError::UnknownService(_)
             | WireError::Fault { .. }) => routed,
@@ -313,7 +333,7 @@ impl ServiceHost {
             return requests.into_iter().map(|r| self.dispatch(r)).collect();
         }
         let service_name = first_service.expect("non-empty same-service batch");
-        let Some(handler) = self.lookup(&service_name) else {
+        let Some(route) = self.lookup(&service_name) else {
             return requests
                 .iter()
                 .map(|_| Err(WireError::UnknownService(service_name.clone())))
@@ -326,8 +346,10 @@ impl ServiceHost {
                 .collect();
         }
         let expected = requests.len();
-        self.note_dispatch_many(&service_name, expected as u64);
-        let mut results: Vec<WireResult<Envelope>> = handler
+        self.dispatch_counter(&route, &service_name)
+            .add(expected as u64);
+        let mut results: Vec<WireResult<Envelope>> = route
+            .handler
             .handle_many(requests)
             .into_iter()
             .map(|result| {
@@ -352,14 +374,6 @@ impl ServiceHost {
         }
         results.truncate(expected);
         results
-    }
-
-    fn note_dispatch(&self, name: &str) {
-        self.obs.counter(&format!("{DISPATCH_PREFIX}{name}")).inc();
-    }
-
-    fn note_dispatch_many(&self, name: &str, n: u64) {
-        self.obs.counter(&format!("{DISPATCH_PREFIX}{name}")).add(n);
     }
 
     /// Calls dispatched to each service so far, sorted by service name. Reads the
