@@ -551,7 +551,7 @@ fn shutdown_drains_in_flight_requests() {
                 Envelope::request("slow", "x")
                     .with_body(pasoa_wire::XmlElement::new("d").text("drain-me")),
             )
-            .map(|r| r.body.text_content())
+            .map(|r| r.body.text_content().into_owned())
     });
     // Let the request reach the handler, then shut down mid-dispatch.
     std::thread::sleep(std::time::Duration::from_millis(50));

@@ -31,8 +31,9 @@ use std::collections::BTreeMap;
 use crate::envelope::{Envelope, Header};
 use crate::xml::{XmlElement, XmlNode};
 
-/// Ceiling on element nesting depth — far above any real envelope (bodies are one or two
-/// levels deep), low enough that a crafted deeply-nested payload cannot overflow the stack.
+/// Ceiling on element nesting depth, in this codec and in the textual form's parser — far
+/// above any real envelope (bodies are one or two levels deep), low enough that a crafted
+/// deeply-nested payload cannot overflow the stack.
 pub const MAX_DEPTH: usize = 128;
 
 const TAG_ELEMENT: u8 = 0;

@@ -174,7 +174,7 @@ impl Envelope {
     /// The fault reason, if this is a fault envelope.
     pub fn fault_reason(&self) -> Option<String> {
         if self.is_fault() {
-            Some(self.body.text_content())
+            Some(self.body.text_content().into_owned())
         } else {
             None
         }
@@ -217,7 +217,7 @@ impl Envelope {
                 .ok_or_else(|| WireError::InvalidEnvelope("header without name".into()))?;
             headers.push(Header {
                 name: name.to_string(),
-                value: h.text_content(),
+                value: h.text_content().into_owned(),
             });
         }
         let body_wrapper = root
@@ -319,6 +319,29 @@ mod tests {
         assert!(env.is_fault());
         assert_eq!(env.fault_reason().unwrap(), "store unavailable");
         assert_eq!(Envelope::request("s", "a").fault_reason(), None);
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        // On a small stack, as a server worker runs: without the depth cap a v1 frame of
+        // nested elements overflows it, which aborts the whole process.
+        let wrap = |depth: usize| {
+            format!(
+                "<envelope><headers/><body-wrapper>{}{}</body-wrapper></envelope>",
+                "<a>".repeat(depth),
+                "</a>".repeat(depth)
+            )
+        };
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                assert!(Envelope::from_wire(&wrap(100_000)).is_err());
+                let body = Envelope::from_wire(&wrap(100)).unwrap().body;
+                assert_eq!(body.name, "a");
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 
     #[test]

@@ -7,9 +7,11 @@
 //! is a strict subset of XML (no namespaces, processing instructions, comments or DTDs), which
 //! is all the provenance messages need.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use crate::codec::MAX_DEPTH;
 use crate::error::{WireError, WireResult};
 
 /// A node in an element tree: either a child element or a run of text.
@@ -99,15 +101,21 @@ impl XmlElement {
         })
     }
 
-    /// Concatenated text content of this element (direct text children only).
-    pub fn text_content(&self) -> String {
-        let mut out = String::new();
-        for node in &self.children {
-            if let XmlNode::Text(t) = node {
-                out.push_str(t);
+    /// Concatenated text content of this element (direct text children only), borrowed when
+    /// there is a single text child — the shape of every payload body — so reading one never
+    /// copies it.
+    pub fn text_content(&self) -> Cow<'_, str> {
+        let mut texts = self.children.iter().filter_map(|node| match node {
+            XmlNode::Text(t) => Some(t.as_str()),
+            XmlNode::Element(_) => None,
+        });
+        match (texts.next(), texts.next()) {
+            (None, _) => Cow::Borrowed(""),
+            (Some(only), None) => Cow::Borrowed(only),
+            (Some(first), Some(second)) => {
+                Cow::Owned(texts.fold(format!("{first}{second}"), |out, t| out + t))
             }
         }
-        out
     }
 
     /// Number of element children.
@@ -149,7 +157,7 @@ impl XmlElement {
             pos: 0,
         };
         parser.skip_whitespace();
-        let element = parser.parse_element()?;
+        let element = parser.parse_element(0)?;
         parser.skip_whitespace();
         if parser.pos != parser.input.len() {
             return Err(WireError::Parse {
@@ -281,7 +289,12 @@ impl<'a> Parser<'a> {
         Ok(String::from_utf8_lossy(&self.input[start..self.pos]).into_owned())
     }
 
-    fn parse_element(&mut self) -> WireResult<XmlElement> {
+    /// Parse the element at the cursor, `depth` elements deep; nesting is capped at
+    /// [`MAX_DEPTH`] so crafted input is an error rather than a stack overflow.
+    fn parse_element(&mut self, depth: usize) -> WireResult<XmlElement> {
+        if depth >= MAX_DEPTH {
+            return self.err(format!("element nesting exceeds {MAX_DEPTH} levels"));
+        }
         self.expect(b'<')?;
         let name = self.parse_name()?;
         let mut element = XmlElement::new(name);
@@ -334,7 +347,7 @@ impl<'a> Parser<'a> {
                         self.expect(b'>')?;
                         return Ok(element);
                     }
-                    let child = self.parse_element()?;
+                    let child = self.parse_element(depth + 1)?;
                     element.children.push(XmlNode::Element(child));
                 }
                 Some(_) => {
@@ -369,6 +382,12 @@ mod tests {
             .child(XmlElement::new("sender").text("duplicate"));
         assert_eq!(el.attribute("id"), Some("7"));
         assert_eq!(el.find("receiver").unwrap().text_content(), "store");
+        let split = XmlElement::new("t")
+            .text("a")
+            .child(XmlElement::new("skip").text("x"))
+            .text("b")
+            .text("c");
+        assert_eq!(split.text_content(), "abc");
         assert_eq!(el.find_all("sender").count(), 2);
         assert_eq!(el.child_count(), 3);
         assert!(el.find("missing").is_none());
