@@ -28,8 +28,9 @@
 //!   bit-for-bit.
 //! * **Elasticity.** [`PreservCluster::add_shard`] registers a new shard and extends the hash
 //!   ring; only future sessions map to it, while already-pinned sessions stay put.
-//! * **Scenario driving.** [`LoadGenerator`] runs many concurrent recorders against whatever
-//!   deployment is registered and reports throughput, latency percentiles and shard balance.
+//! * **Load driving.** [`LoadGenerator`] runs many concurrent recorders against whatever
+//!   deployment is registered, optionally killing services mid-run, and reports what the run
+//!   did: throughput, latency percentiles and per-service dispatch deltas.
 //!
 //! # Module map: which file owns which decision
 //!
@@ -481,8 +482,8 @@ mod tests {
         assert_eq!(report.failures, 0);
         assert_eq!(report.total_assertions, 4 * 4 * 40);
         assert!(report.throughput_per_sec > 0.0);
-        assert!(report.latency_p50 <= report.latency_p95);
-        assert!(report.latency_p95 <= report.latency_max);
+        assert!(report.latency_p50 > std::time::Duration::ZERO);
+        assert!(report.latency_p50 <= report.latency_p99);
         let stats = cluster.statistics().unwrap();
         assert_eq!(stats.total_passertions(), report.total_assertions);
         // The router fronted all the wire traffic (internal hops are direct dispatch) ...

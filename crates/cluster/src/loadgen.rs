@@ -1,11 +1,15 @@
-//! Scenario driver: many concurrent recorders hammering a provenance store deployment.
+//! Load driver: many concurrent recorders hammering a provenance store deployment.
 //!
-//! The paper measures one workflow at a time; the ROADMAP's production-scale north star needs
-//! the opposite — sustained recording from many clients at once. [`LoadGenerator`] spawns
-//! client threads, each documenting its own sessions with interaction p-assertions shipped in
-//! configurable batches, and reports throughput, per-message latency percentiles and the
-//! per-service dispatch balance the wire layer observed (which shows how evenly the shard
-//! router spread the load).
+//! The paper measures one workflow at a time; the sharded tier has to sustain recording from
+//! many clients at once. [`LoadGenerator`] spawns client threads, each documenting its own
+//! sessions with interaction p-assertions shipped in configurable batches, optionally kills
+//! services mid-run ([`FaultPlan`]), and reports what the run did: assertions delivered,
+//! failures, throughput, per-message latency percentiles, and the per-service dispatch,
+//! retry, eviction and flush counts as deltas of the host registry over the run.
+//!
+//! It drives `examples/cluster_loadgen.rs`, the feed and observability baseline examples and
+//! the cluster test suites. Throughput and latency claims about the record path are made by
+//! the repository benchmark (`examples/benchmark`), not by this driver.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -83,26 +87,12 @@ pub struct LoadReport {
     pub elapsed: Duration,
     /// Assertions per second of wall-clock time.
     pub throughput_per_sec: f64,
-    /// Median per-message round-trip latency (buffered calls — see `flush_messages`).
+    /// Median round-trip latency of the successful record calls.
     pub latency_p50: Duration,
-    /// 95th percentile per-message latency.
-    pub latency_p95: Duration,
-    /// 99th percentile per-message latency.
+    /// 99th percentile round-trip latency of the successful record calls.
     pub latency_p99: Duration,
-    /// Worst per-message latency.
-    pub latency_max: Duration,
-    /// Successful calls that triggered a shard flush (the router's
-    /// [`crate::router::FLUSHES_HEADER`] ack header). Such a call pays the whole batch's
-    /// send inside its own round trip, so its latency is batch amortization, not wire
-    /// cost; the `latency_*` percentiles above cover only the buffered (non-flushing)
-    /// calls, keeping p99 a statement about the wire. (If *every* call flushed — e.g.
-    /// `batch_size` 1 — the `latency_*` percentiles fall back to the flushing calls.)
-    pub flush_messages: u64,
-    /// Median latency of the flush-triggering calls.
-    pub flush_latency_p50: Duration,
-    /// 99th percentile latency of the flush-triggering calls.
-    pub flush_latency_p99: Duration,
-    /// Calls dispatched per service (router + shards), from the host's counters.
+    /// Calls dispatched per service (router + shards) during the run (`wire.dispatch.*`
+    /// deltas); services the run never reached are omitted.
     pub dispatch_counts: Vec<(String, u64)>,
     /// Services killed by the run's fault plans, in firing order.
     pub faults_injected: Vec<String>,
@@ -131,16 +121,9 @@ impl std::fmt::Display for LoadReport {
         )?;
         writeln!(
             f,
-            "latency p50 {:?}  p95 {:?}  p99 {:?}  max {:?}",
-            self.latency_p50, self.latency_p95, self.latency_p99, self.latency_max
+            "latency p50 {:?}  p99 {:?}",
+            self.latency_p50, self.latency_p99
         )?;
-        if self.flush_messages > 0 {
-            writeln!(
-                f,
-                "flush-amortizing calls: {} (p50 {:?}  p99 {:?})",
-                self.flush_messages, self.flush_latency_p50, self.flush_latency_p99
-            )?;
-        }
         if !self.faults_injected.is_empty() {
             writeln!(f, "faults injected: {}", self.faults_injected.join(", "))?;
         }
@@ -193,7 +176,7 @@ impl LoadGenerator {
 
     /// Execute the run and gather the report.
     pub fn run(&self) -> LoadReport {
-        self.host.reset_dispatch_counts();
+        let dispatch_before = self.host.dispatch_counts();
         let obs_before = self.host.registry().snapshot();
         let config = Arc::new(self.config.clone());
         let wave = self.wave.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -207,7 +190,6 @@ impl LoadGenerator {
         let start = Instant::now();
 
         let mut latencies: Vec<u64> = Vec::new();
-        let mut flush_latencies: Vec<u64> = Vec::new();
         let mut messages = 0u64;
         let mut failures = 0u64;
         let mut delivered = 0u64;
@@ -227,7 +209,6 @@ impl LoadGenerator {
             for handle in handles {
                 let outcome = handle.join().expect("load client panicked");
                 latencies.extend(outcome.latencies_nanos);
-                flush_latencies.extend(outcome.flush_latencies_nanos);
                 messages += outcome.messages;
                 failures += outcome.failures;
                 delivered += outcome.assertions_delivered;
@@ -236,24 +217,26 @@ impl LoadGenerator {
         let elapsed = start.elapsed();
 
         latencies.sort_unstable();
-        flush_latencies.sort_unstable();
-        let flush_messages = flush_latencies.len() as u64;
-        let percentile_of = |sorted: &[u64], p: f64| -> Duration {
-            if sorted.is_empty() {
+        let percentile = |p: f64| -> Duration {
+            if latencies.is_empty() {
                 return Duration::ZERO;
             }
-            let rank = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-            Duration::from_nanos(sorted[rank])
+            let rank = ((latencies.len() as f64 - 1.0) * p).round() as usize;
+            Duration::from_nanos(latencies[rank])
         };
-        // The headline percentiles describe the wire, not the batch: calls that triggered
-        // a shard flush carry the whole batch's send in their round trip and are reported
-        // separately. When every call flushed (batch_size 1), fall back so the headline
-        // numbers are never silently zero.
-        let wire = if latencies.is_empty() {
-            &flush_latencies
-        } else {
-            &latencies
-        };
+        // Counters only grow, so the run's share of every one is after minus before.
+        let dispatch_counts = self
+            .host
+            .dispatch_counts()
+            .into_iter()
+            .filter_map(|(service, calls)| {
+                let earlier = dispatch_before
+                    .iter()
+                    .find(|(name, _)| *name == service)
+                    .map_or(0, |(_, calls)| *calls);
+                (calls > earlier).then(|| (service, calls - earlier))
+            })
+            .collect();
         let obs_after = self.host.registry().snapshot();
         let delta = |name: &str| obs_after.counter_delta(&obs_before, name);
         // Count only assertions whose record message succeeded, so a misbehaving
@@ -264,18 +247,9 @@ impl LoadGenerator {
             failures,
             elapsed,
             throughput_per_sec: delivered as f64 / elapsed.as_secs_f64().max(1e-9),
-            latency_p50: percentile_of(wire, 0.50),
-            latency_p95: percentile_of(wire, 0.95),
-            latency_p99: percentile_of(wire, 0.99),
-            latency_max: wire
-                .last()
-                .copied()
-                .map(Duration::from_nanos)
-                .unwrap_or_default(),
-            flush_messages,
-            flush_latency_p50: percentile_of(&flush_latencies, 0.50),
-            flush_latency_p99: percentile_of(&flush_latencies, 0.99),
-            dispatch_counts: self.host.dispatch_counts(),
+            latency_p50: percentile(0.50),
+            latency_p99: percentile(0.99),
+            dispatch_counts,
             faults_injected: trigger.fired(),
             net_retries: delta("net.client.retries"),
             pool_evictions: delta("net.client.pool_evictions"),
@@ -331,11 +305,8 @@ impl FaultTrigger {
 }
 
 struct ClientOutcome {
-    /// Latencies of buffered (non-flushing) record calls.
+    /// Latencies of the successful record calls.
     latencies_nanos: Vec<u64>,
-    /// Latencies of calls whose ack carried the router's flush header: they paid a batch
-    /// send inside their round trip.
-    flush_latencies_nanos: Vec<u64>,
     messages: u64,
     failures: u64,
     assertions_delivered: u64,
@@ -355,7 +326,6 @@ fn client_run(
     let payload = "x".repeat(config.payload_bytes.max(1));
     let mut outcome = ClientOutcome {
         latencies_nanos: Vec::new(),
-        flush_latencies_nanos: Vec::new(),
         messages: 0,
         failures: 0,
         assertions_delivered: 0,
@@ -400,7 +370,7 @@ fn client_run(
                 .with_trace(&ctx);
             let call_start = Instant::now();
             match transport.call(envelope) {
-                Ok(response) => {
+                Ok(_) => {
                     let nanos = u64::try_from(call_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
                     events.push(
                         &ctx.trace_id,
@@ -409,14 +379,7 @@ fn client_run(
                         format!("client={client} batch={}", chunk.len()),
                         nanos,
                     );
-                    // The router marks acks that triggered a shard flush: their round trip
-                    // contains the whole batch's send and is reported separately, so the
-                    // headline percentiles describe the wire rather than the batching.
-                    if response.header(crate::router::FLUSHES_HEADER).is_some() {
-                        outcome.flush_latencies_nanos.push(nanos);
-                    } else {
-                        outcome.latencies_nanos.push(nanos);
-                    }
+                    outcome.latencies_nanos.push(nanos);
                     outcome.messages += 1;
                     outcome.assertions_delivered += chunk.len() as u64;
                 }
@@ -509,7 +472,60 @@ mod tests {
             second.router_flushes < host.registry().snapshot().counter("router.flush.batches"),
             "the registry keeps accumulating while the report stays per-run"
         );
+        // Dispatch counts likewise: each run reports its own router calls.
+        for report in [&first, &second] {
+            assert_eq!(store_calls(report), report.messages_sent);
+        }
+        assert_eq!(
+            host.registry().snapshot().counter(STORE_DISPATCH),
+            first.messages_sent + second.messages_sent
+        );
         drop(cluster);
+    }
+
+    const STORE_DISPATCH: &str = "wire.dispatch.provenance-store";
+
+    /// Calls the run dispatched to the well-known store name (the router).
+    fn store_calls(report: &LoadReport) -> u64 {
+        report
+            .dispatch_counts
+            .iter()
+            .find(|(service, _)| service == PROVENANCE_STORE_SERVICE)
+            .map_or(0, |(_, calls)| *calls)
+    }
+
+    /// A run on a host that already served traffic reports only its own calls and never
+    /// winds the host's dispatch counters back: the `stats` service reports those same
+    /// counters, and every registry reader relies on them only growing.
+    #[test]
+    fn a_run_never_winds_the_host_dispatch_counters_back() {
+        let host = ServiceHost::new();
+        let _cluster = PreservCluster::deploy_in_memory(&host, 2).unwrap();
+        let earlier = LoadGenerator::new(
+            host.clone(),
+            LoadGenConfig {
+                sessions_per_client: 6,
+                ..small_config(vec![])
+            },
+        )
+        .run();
+        let counter = || host.registry().snapshot().counter(STORE_DISPATCH);
+        let before = counter();
+        assert_eq!(before, earlier.messages_sent);
+
+        let report = LoadGenerator::new(host.clone(), small_config(vec![])).run();
+        assert_eq!(report.failures, 0);
+        let after = counter();
+        assert!(
+            after >= before,
+            "the run wound {STORE_DISPATCH} back from {before} to {after}"
+        );
+        assert!(
+            report.messages_sent < before,
+            "the earlier traffic must dominate"
+        );
+        assert_eq!(after - before, report.messages_sent);
+        assert_eq!(store_calls(&report), report.messages_sent);
     }
 
     /// A kill threshold beyond the run's total message count never fires: no panic, no hang,

@@ -41,12 +41,6 @@ mod failover;
 /// unbounded wire message.
 pub const DEFAULT_MAX_RESPONSE_ASSERTIONS: usize = 100_000;
 
-/// Response header on a `record` ack naming how many shard flushes the call triggered.
-/// Absent when the call merely buffered. A flushing call pays the whole batch's send inside
-/// its own round trip, so latency measurements use this to separate batch amortization from
-/// the per-call wire cost (otherwise p99 reports the shared flush wait, not the wire).
-pub const FLUSHES_HEADER: &str = "router-flushes";
-
 /// Point-in-time copy of the router's counters, read from its `router.*` instruments (all
 /// zero when the host's registry is disabled).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -640,19 +634,15 @@ impl ShardRouter {
     }
 
     /// Route a record submission: partition by session owner, buffer per shard, and flush any
-    /// buffer that reached the batch threshold. Besides the ack, returns how many shard
-    /// flushes this message triggered: a call that happened to cross the batch threshold
-    /// pays the whole batch's send inside its own round trip, and callers measuring latency
-    /// need to tell those amortization calls apart from pure buffered appends.
+    /// buffer that reached the batch threshold.
     fn handle_record(
         &self,
         message_id: MessageId,
         assertions: Vec<RecordedAssertion>,
         trace: Option<&TraceCtx>,
-    ) -> WireResult<(RecordAck, u64)> {
+    ) -> WireResult<RecordAck> {
         self.maybe_handle_failures();
         let accepted = assertions.len();
-        let mut flushes = 0u64;
         // Partition first so each shard's buffer mutex is taken once per record message.
         for (shard, incoming) in self.partition(assertions) {
             let shard = self.shard(shard);
@@ -680,7 +670,6 @@ impl ShardRouter {
                     // backlog never outlives the last trigger by more than one send.
                     let sent = match shard.flusher.try_lock() {
                         Some(_send) => loop {
-                            flushes += 1;
                             if let Err(e) = self.send_buffer(&shard, trace) {
                                 break Err(e);
                             }
@@ -714,14 +703,11 @@ impl ShardRouter {
         }
         self.obs.record_messages.inc();
         self.obs.assertions_routed.add(accepted as u64);
-        Ok((
-            RecordAck {
-                message_id,
-                accepted,
-                rejected: vec![],
-            },
-            flushes,
-        ))
+        Ok(RecordAck {
+            message_id,
+            accepted,
+            rejected: vec![],
+        })
     }
 
     /// Route a group registration to the shard owning the group's id (session groups share
@@ -886,17 +872,9 @@ impl MessageHandler for ShardRouter {
                 // The router is its own hop on the trace: shard-bound envelopes carry a
                 // child span so per-hop timings nest under the client's span.
                 let hop = trace.as_ref().map(|t| t.child());
-                let (ack, flushes) =
+                let ack =
                     self.handle_record(record.message_id.clone(), record.assertions, hop.as_ref())?;
-                let response = prepwire::ack_envelope(&request, &ack)?;
-                // Calls that triggered a shard flush carry the whole batch's send inside
-                // their round trip; the header lets latency measurements separate that
-                // amortization from the per-call wire cost.
-                if flushes > 0 {
-                    Ok(response.with_header(FLUSHES_HEADER, flushes.to_string()))
-                } else {
-                    Ok(response)
-                }
+                prepwire::ack_envelope(&request, &ack)
             }
             ("register-group", PrepMessage::RegisterGroup(group)) => {
                 self.handle_register_group(group)?;

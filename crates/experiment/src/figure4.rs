@@ -160,7 +160,7 @@ impl Figure4Series {
     }
 
     /// Render the series as the rows of Figure 4 (one line per configuration and permutation
-    /// count), for the example binaries and EXPERIMENTS.md.
+    /// count), as printed by `examples/figure4_recording.rs`.
     pub fn render_table(&self) -> String {
         let mut out = String::from(
             "configuration                                         permutations  time_s  passertions\n",

@@ -12,8 +12,8 @@
 //!   increasing number of permutations under four recording configurations (none /
 //!   asynchronous / synchronous / synchronous with extra actor provenance). [`figure4`]
 //!   regenerates that series.
-//! * the prose micro-benchmark (≈18 ms to record one pre-generated message) is regenerated by
-//!   the benches in `pasoa-bench` using [`passertions::pregenerated_record_message`].
+//! * the prose micro-benchmark (≈18 ms to record one pre-generated message) is checked
+//!   against the paper-2005 latency model with [`passertions::pregenerated_record_message`].
 //!
 //! Per permutation the experiment records **six p-assertions** covering the activities of the
 //! measure workflow (the paper: "each permutation involves the creation of 6 records"), and

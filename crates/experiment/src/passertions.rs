@@ -3,8 +3,8 @@
 //! The paper benchmarks PReServ in isolation: "It takes approximately 18 ms round trip to
 //! record one pre-generated message in PReServ." These helpers build representative record
 //! messages (one interaction p-assertion plus a ~100-byte script actor-state p-assertion, the
-//! mix the application produces) so the `record_roundtrip` bench and the figure harnesses can
-//! submit realistic payloads without running the whole workflow.
+//! mix the application produces) so the micro-benchmark check, the ablations example and the
+//! figure harnesses can submit realistic payloads without running the whole workflow.
 
 use pasoa_core::ids::{ActorId, DataId, IdGenerator, InteractionKey, SessionId};
 use pasoa_core::passertion::{
@@ -130,10 +130,13 @@ mod tests {
         assert!(script.contains("ppmz"));
     }
 
+    /// The paper's micro-benchmark unit: two p-assertions, and ≈18 ms to record under the
+    /// paper-2005 latency model (charged on the virtual clock, so the figure is exact).
     #[test]
     fn pregenerated_message_carries_two_assertions() {
         let ids = IdGenerator::new("t");
-        match pregenerated_record_message(&ids, 7) {
+        let message = pregenerated_record_message(&ids, 7);
+        match &message {
             PrepMessage::Record(msg) => {
                 assert_eq!(msg.len(), 2);
                 assert_eq!(msg.assertions[0].assertion.kind_label(), "interaction");
@@ -141,6 +144,24 @@ mod tests {
             }
             other => panic!("unexpected message {other:?}"),
         }
+
+        let service = Arc::new(PreservService::in_memory().unwrap());
+        let host = ServiceHost::new();
+        service.register(&host);
+        let transport = host.transport(TransportConfig::virtual_time(
+            pasoa_wire::NetworkProfile::Paper2005.latency_model(),
+        ));
+        let envelope =
+            pasoa_wire::Envelope::request(pasoa_core::PROVENANCE_STORE_SERVICE, message.action())
+                .with_json_payload(&message)
+                .unwrap();
+        transport.call(envelope).unwrap();
+        let round_trip = transport.stats().mean_round_trip();
+        assert!(
+            round_trip >= std::time::Duration::from_millis(16)
+                && round_trip <= std::time::Duration::from_millis(20),
+            "modelled record round trip {round_trip:?}, the paper reports ~18 ms"
+        );
     }
 
     #[test]

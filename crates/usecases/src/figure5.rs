@@ -245,7 +245,7 @@ impl Figure5Series {
         }
     }
 
-    /// Render the two series as a table for the example binaries and EXPERIMENTS.md.
+    /// Render the two series as the table `examples/figure5_usecases.rs` prints.
     pub fn render_table(&self) -> String {
         let mut out = String::from(
             "interaction_records  script_comparison_ms  semantic_validity_ms  comparison_calls  validation_calls\n",

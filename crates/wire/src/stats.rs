@@ -127,7 +127,10 @@ mod tests {
         let snapshot = decode_snapshot(&response).unwrap();
         assert_eq!(snapshot.registry.counter("wire.dispatch.stats"), 2);
         assert_eq!(host.dispatch_counts(), vec![("stats".to_string(), 2)]);
-        host.reset_dispatch_counts();
-        assert!(host.dispatch_counts().is_empty());
+        // Only growing: the snapshot's own dispatch lands on the same counter.
+        let response = host.dispatch(snapshot_request(STATS_SERVICE)).unwrap();
+        let snapshot = decode_snapshot(&response).unwrap();
+        assert_eq!(snapshot.registry.counter("wire.dispatch.stats"), 3);
+        assert_eq!(host.dispatch_counts(), vec![("stats".to_string(), 3)]);
     }
 }

@@ -377,8 +377,9 @@ impl ServiceHost {
     }
 
     /// Calls dispatched to each service so far, sorted by service name. Reads the
-    /// `wire.dispatch.*` counters of the host registry — the one accounting path — and
-    /// omits zeroed entries so a reset host reports nothing, as it always did.
+    /// `wire.dispatch.*` counters of the host registry — the one accounting path, and one
+    /// that only grows: a caller wanting a bounded workload's share diffs two reads.
+    /// Services never called are omitted.
     pub fn dispatch_counts(&self) -> Vec<(String, u64)> {
         self.obs
             .snapshot()
@@ -387,13 +388,6 @@ impl ServiceHost {
             .filter(|(_, count)| *count > 0)
             .map(|(name, count)| (name[DISPATCH_PREFIX.len()..].to_string(), count))
             .collect()
-    }
-
-    /// Reset the per-service dispatch counters.
-    pub fn reset_dispatch_counts(&self) {
-        for (name, _) in self.obs.snapshot().counters_with_prefix(DISPATCH_PREFIX) {
-            self.obs.counter(&name).reset();
-        }
     }
 
     /// The host's fault injector: kill a service to make it unreachable, revive it to model a

@@ -1,11 +1,11 @@
 //! Record the change-feed baseline into `BENCH_feed.json`.
 //!
 //! ```sh
-//! cargo run --release -p pasoa-bench --example record_feed_baseline [output.json]
+//! cargo run --release --example record_feed_baseline [output.json]
 //! ```
 //!
-//! Runs the `cluster_throughput` workload (8 concurrent recorders, in-memory 4-shard
-//! cluster) against three otherwise-identical deployments:
+//! Runs one recording workload (8 concurrent recorders, in-memory 4-shard cluster) against
+//! three otherwise-identical deployments:
 //!
 //! - **baseline** — no feed attached: the raw recording throughput to beat.
 //! - **tailed** — a feed with an `All` subscription drained concurrently by a tailer thread
@@ -24,15 +24,16 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pasoa_bench::cluster_setup::{load_config, CLIENTS};
-use pasoa_cluster::{ClusterConfig, FeedOptions, LoadGenerator, PreservCluster};
-use pasoa_feed::{FeedConfig, FeedFilter, FeedSubscriberClient};
-use pasoa_preserv::{MemoryBackend, StorageBackend};
-use pasoa_wire::{ServiceHost, TransportConfig};
+use pasoa::cluster::{ClusterConfig, FeedOptions, LoadGenConfig, LoadGenerator, PreservCluster};
+use pasoa::feed::{FeedConfig, FeedFilter, FeedSubscriberClient};
+use pasoa::preserv::{MemoryBackend, StorageBackend};
+use pasoa::wire::{ServiceHost, TransportConfig};
 use serde_json::json;
 
 const ROUNDS: usize = 5;
 const SHARDS: usize = 4;
+/// Concurrent recorder clients driven against every deployment.
+const CLIENTS: usize = 8;
 /// Small enough that every round overflows it: the workload pushes ~256 events per shard.
 const DEAD_QUEUE_CAP: usize = 256;
 
@@ -67,7 +68,15 @@ fn subscribe_everywhere(cluster: &PreservCluster, subscriber: &str) -> Vec<FeedS
 }
 
 fn throughput(host: &ServiceHost) -> f64 {
-    let report = LoadGenerator::new(host.clone(), load_config(16)).run();
+    let config = LoadGenConfig {
+        clients: CLIENTS,
+        sessions_per_client: 2,
+        assertions_per_session: 64,
+        batch_size: 16,
+        payload_bytes: 128,
+        ..Default::default()
+    };
+    let report = LoadGenerator::new(host.clone(), config).run();
     assert_eq!(report.failures, 0, "feed baseline run must not fail");
     report.throughput_per_sec
 }

@@ -1,29 +1,38 @@
 //! Record the observability-overhead baseline into `BENCH_obs.json`.
 //!
 //! ```sh
-//! cargo run --release -p pasoa-bench --example record_obs_overhead [output.json]
+//! cargo run --release --example record_obs_overhead [output.json]
 //! ```
 //!
-//! Runs the `cluster_throughput` workload (8 concurrent recorders, in-memory 4-shard
-//! cluster) against two otherwise-identical deployments: one on a default host (registry
-//! enabled — every record allocates a trace context, bumps dispatch counters and lands flush
-//! events) and one on a host built from `Registry::disabled()`, where the whole instrument
-//! tree hands out inert handles and a metric update is a single branch on a null pointer.
+//! Runs one recording workload (8 concurrent recorders, in-memory 4-shard cluster) against
+//! two otherwise-identical deployments: one on a default host (registry enabled — every
+//! record allocates a trace context, bumps dispatch counters and lands flush events) and one
+//! on a host built from `Registry::disabled()`, where the whole instrument tree hands out
+//! inert handles and a metric update is a single branch on a null pointer.
 //!
 //! The ratio instrumented/uninstrumented is the price of always-on observability, and the
 //! gate holds it at ≥ 0.95x (≤ 5% overhead). Each mode runs three interleaved times and
 //! keeps its best throughput, so a scheduler hiccup on one run cannot fail the gate.
 
-use pasoa_bench::cluster_setup::{load_config, CLIENTS};
-use pasoa_cluster::{LoadGenerator, PreservCluster};
-use pasoa_obs::Registry;
-use pasoa_wire::ServiceHost;
+use pasoa::cluster::{LoadGenConfig, LoadGenerator, PreservCluster};
+use pasoa::obs::Registry;
+use pasoa::wire::ServiceHost;
 use serde_json::json;
 
 const ROUNDS: usize = 3;
+/// Concurrent recorder clients driven against both deployments.
+const CLIENTS: usize = 8;
 
 fn throughput(host: &ServiceHost) -> f64 {
-    let report = LoadGenerator::new(host.clone(), load_config(16)).run();
+    let config = LoadGenConfig {
+        clients: CLIENTS,
+        sessions_per_client: 2,
+        assertions_per_session: 64,
+        batch_size: 16,
+        payload_bytes: 128,
+        ..Default::default()
+    };
+    let report = LoadGenerator::new(host.clone(), config).run();
     assert_eq!(report.failures, 0, "overhead baseline run must not fail");
     report.throughput_per_sec
 }
