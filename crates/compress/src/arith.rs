@@ -13,54 +13,110 @@ const HALF: u32 = 0x8000_0000;
 const QUARTER: u32 = 0x4000_0000;
 const THREE_QUARTERS: u32 = 0xC000_0000;
 
-/// Arithmetic encoder writing to an internal bit buffer.
-#[derive(Debug)]
-pub struct Encoder {
-    low: u32,
-    high: u32,
-    pending: u32,
-    bits: Vec<u8>,
-    bit_pos: u8,
+/// Where an [`Encoder`]'s output bits go: a byte buffer, or a counter when only the length
+/// is wanted.
+pub trait BitSink: Default {
+    /// What [`Encoder::finish`] returns.
+    type Output;
+
+    /// Append `bit` followed by `pending` copies of `!bit`.
+    fn put(&mut self, bit: bool, pending: u32);
+
+    /// The finished output.
+    fn finish(self) -> Self::Output;
 }
 
-impl Default for Encoder {
-    fn default() -> Self {
-        Self::new()
+/// Packs output bits into bytes, most significant bit first.
+#[derive(Debug, Default)]
+pub struct ByteSink {
+    bytes: Vec<u8>,
+    /// The byte being filled, earliest bit highest.
+    partial: u8,
+    /// Number of bits in `partial` (below 8 between calls).
+    partial_bits: u32,
+}
+
+impl ByteSink {
+    fn push(&mut self, bit: bool) {
+        self.partial = (self.partial << 1) | bit as u8;
+        self.partial_bits += 1;
+        if self.partial_bits == 8 {
+            self.bytes.push(self.partial);
+            self.partial_bits = 0;
+        }
     }
 }
 
-impl Encoder {
-    /// Create a fresh encoder.
-    pub fn new() -> Self {
+impl BitSink for ByteSink {
+    type Output = Vec<u8>;
+
+    fn put(&mut self, bit: bool, pending: u32) {
+        self.push(bit);
+        for _ in 0..pending {
+            self.push(!bit);
+        }
+    }
+
+    fn finish(mut self) -> Vec<u8> {
+        if self.partial_bits > 0 {
+            self.bytes.push(self.partial << (8 - self.partial_bits));
+        }
+        self.bytes
+    }
+}
+
+/// Counts output bits without storing them.
+#[derive(Debug, Default)]
+pub struct BitCount(u64);
+
+impl BitSink for BitCount {
+    /// The number of bits written.
+    type Output = u64;
+
+    fn put(&mut self, _bit: bool, pending: u32) {
+        self.0 += 1 + pending as u64;
+    }
+
+    fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+/// Arithmetic encoder writing to a [`BitSink`] (bytes by default).
+#[derive(Debug)]
+pub struct Encoder<S: BitSink = ByteSink> {
+    low: u32,
+    high: u32,
+    pending: u32,
+    sink: S,
+}
+
+impl<S: BitSink> Default for Encoder<S> {
+    fn default() -> Self {
         Encoder {
             low: 0,
             high: u32::MAX,
             pending: 0,
-            bits: Vec::new(),
-            bit_pos: 0,
+            sink: S::default(),
         }
     }
+}
 
-    fn push_raw_bit(&mut self, bit: bool) {
-        if self.bit_pos == 0 {
-            self.bits.push(0);
-        }
-        if bit {
-            let last = self.bits.len() - 1;
-            self.bits[last] |= 1 << (7 - self.bit_pos);
-        }
-        self.bit_pos = (self.bit_pos + 1) % 8;
+impl Encoder {
+    /// Create a fresh encoder writing bytes.
+    pub fn new() -> Self {
+        Self::default()
     }
+}
 
+impl<S: BitSink> Encoder<S> {
     fn emit(&mut self, bit: bool) {
-        self.push_raw_bit(bit);
-        while self.pending > 0 {
-            self.push_raw_bit(!bit);
-            self.pending -= 1;
-        }
+        self.sink.put(bit, self.pending);
+        self.pending = 0;
     }
 
     /// Encode one bit given `p0`, the 12-bit probability that the bit is zero.
+    #[inline]
     pub fn encode(&mut self, bit: bool, p0: u32) {
         debug_assert!(p0 > 0 && p0 < PROB_ONE);
         let range = (self.high - self.low) as u64 + 1;
@@ -89,24 +145,15 @@ impl Encoder {
         }
     }
 
-    /// Flush the coder and return the encoded bytes.
-    pub fn finish(mut self) -> Vec<u8> {
+    /// Flush the coder and return the sink's output: the encoded bytes, or their bit count.
+    pub fn finish(mut self) -> S::Output {
         self.pending += 1;
-        if self.low < QUARTER {
-            self.emit(false);
-        } else {
-            self.emit(true);
-        }
-        // Pad so the decoder can always pre-load 32 bits.
+        self.emit(self.low >= QUARTER);
+        // Pad so the decoder can always pre-load 32 bits (and never reads past the end).
         for _ in 0..32 {
-            self.push_raw_bit(false);
+            self.sink.put(false, 0);
         }
-        self.bits
-    }
-
-    /// Number of bytes produced so far (before [`Self::finish`] padding).
-    pub fn encoded_len(&self) -> usize {
-        self.bits.len()
+        self.sink.finish()
     }
 }
 
@@ -134,6 +181,12 @@ impl<'a> Decoder<'a> {
             d.code = (d.code << 1) | d.next_bit();
         }
         d
+    }
+
+    /// Whether decoding has read past the end of the data. A stream [`Encoder::finish`]
+    /// wrote never does, so a decoder that has is reading a truncated or forged stream.
+    pub fn overran(&self) -> bool {
+        self.bit_index > self.data.len() * 8
     }
 
     fn next_bit(&mut self) -> u32 {
@@ -177,10 +230,14 @@ impl<'a> Decoder<'a> {
 }
 
 /// An adaptive probability estimate for a single binary context.
+///
+/// Starting from 1/2, the estimate never leaves [`BitModel::MIN`]`..=`[`BitModel::MAX`]
+/// (the update rounds towards a fixed point at each end), so it is always a valid coder
+/// probability without clamping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BitModel {
     /// Probability (out of [`PROB_ONE`]) that the next bit is zero.
-    pub p0: u16,
+    p0: u16,
 }
 
 impl Default for BitModel {
@@ -194,13 +251,20 @@ impl Default for BitModel {
 impl BitModel {
     /// Adaption rate: larger shifts adapt more slowly.
     const RATE: u32 = 5;
+    /// The lowest estimate reachable from 1/2: `p - (p >> 5)` is a fixed point at 31.
+    pub const MIN: u32 = 31;
+    /// The highest estimate reachable from 1/2: `p + ((4096 - p) >> 5)` is a fixed point at
+    /// 4065.
+    pub const MAX: u32 = PROB_ONE - 31;
 
-    /// Current probability of zero, clamped away from the interval ends.
+    /// Current probability of zero, within [`Self::MIN`]`..=`[`Self::MAX`].
+    #[inline]
     pub fn probability(&self) -> u32 {
-        (self.p0 as u32).clamp(1, PROB_ONE - 1)
+        self.p0 as u32
     }
 
     /// Update the estimate after observing `bit`.
+    #[inline]
     pub fn update(&mut self, bit: bool) {
         let p = self.p0 as u32;
         if bit {
@@ -301,6 +365,66 @@ mod tests {
             model.probability() < 600,
             "p0 should approach 0 after many ones"
         );
+    }
+
+    #[test]
+    fn every_reachable_bit_model_state_stays_within_bounds() {
+        // Breadth-first over every state reachable from the initial 1/2.
+        let mut seen = vec![false; PROB_ONE as usize];
+        let mut frontier = vec![BitModel::default()];
+        seen[BitModel::default().probability() as usize] = true;
+        while let Some(model) = frontier.pop() {
+            let p = model.probability();
+            assert!(
+                (BitModel::MIN..=BitModel::MAX).contains(&p),
+                "reachable state {p} out of bounds"
+            );
+            for bit in [false, true] {
+                let mut next = model;
+                next.update(bit);
+                if !seen[next.probability() as usize] {
+                    seen[next.probability() as usize] = true;
+                    frontier.push(next);
+                }
+            }
+        }
+        // Both ends are reached: the bounds are tight.
+        assert!(seen[BitModel::MIN as usize] && seen[BitModel::MAX as usize]);
+    }
+
+    #[test]
+    fn counting_sink_agrees_with_the_byte_sink() {
+        let bits: Vec<bool> = (0..7000).map(|i| (i * 7 + i / 5) % 9 < 2).collect();
+        let mut bytes = Encoder::new();
+        let mut count = Encoder::<BitCount>::default();
+        let mut model = BitModel::default();
+        for &bit in &bits {
+            bytes.encode(bit, model.probability());
+            count.encode(bit, model.probability());
+            model.update(bit);
+        }
+        assert_eq!(
+            bytes.finish().len() as u64,
+            count.finish().div_ceil(8),
+            "the counter sees every bit the writer writes"
+        );
+    }
+
+    #[test]
+    fn a_truncated_stream_overruns() {
+        let mut enc = Encoder::new();
+        for i in 0..4000 {
+            enc.encode(i % 3 == 0, 2048);
+        }
+        let data = enc.finish();
+        let mut whole = Decoder::new(&data);
+        let mut cut = Decoder::new(&data[..data.len() / 2]);
+        for i in 0..4000 {
+            assert_eq!(whole.decode(2048), i % 3 == 0);
+            cut.decode(2048);
+        }
+        assert!(!whole.overran());
+        assert!(cut.overran());
     }
 
     #[test]

@@ -3,11 +3,14 @@
 //! Bits are written least-significant-first within each byte, which keeps the writer and reader
 //! trivially symmetric and is the same convention DEFLATE uses.
 
-/// Accumulates bits into a byte vector.
+/// Accumulates bits into a byte vector, whole bytes at a time through a 64-bit accumulator.
 #[derive(Debug, Default)]
 pub struct BitWriter {
     bytes: Vec<u8>,
-    bit_pos: u8,
+    /// Bits not yet moved to `bytes`, oldest in the least significant position.
+    pending: u64,
+    /// Number of valid bits in `pending` (always below 8 between calls).
+    pending_bits: u32,
 }
 
 impl BitWriter {
@@ -18,40 +21,37 @@ impl BitWriter {
 
     /// Append a single bit.
     pub fn write_bit(&mut self, bit: bool) {
-        if self.bit_pos == 0 {
-            self.bytes.push(0);
-        }
-        if bit {
-            let last = self.bytes.len() - 1;
-            self.bytes[last] |= 1 << self.bit_pos;
-        }
-        self.bit_pos = (self.bit_pos + 1) % 8;
+        self.write_bits(bit as u32, 1);
     }
 
     /// Append the `count` low bits of `value`, least significant first.
     pub fn write_bits(&mut self, value: u32, count: u8) {
         debug_assert!(count <= 32);
-        for i in 0..count {
-            self.write_bit((value >> i) & 1 == 1);
+        let mask = (1u64 << count) - 1;
+        self.pending |= (value as u64 & mask) << self.pending_bits;
+        self.pending_bits += count as u32;
+        while self.pending_bits >= 8 {
+            self.bytes.push(self.pending as u8);
+            self.pending >>= 8;
+            self.pending_bits -= 8;
         }
     }
 
     /// Number of whole and partial bytes written so far.
     pub fn byte_len(&self) -> usize {
-        self.bytes.len()
+        self.bytes.len() + (self.pending_bits > 0) as usize
     }
 
     /// Total number of bits written.
     pub fn bit_len(&self) -> usize {
-        if self.bit_pos == 0 {
-            self.bytes.len() * 8
-        } else {
-            (self.bytes.len() - 1) * 8 + self.bit_pos as usize
-        }
+        self.bytes.len() * 8 + self.pending_bits as usize
     }
 
     /// Finish writing and return the padded byte vector.
-    pub fn into_bytes(self) -> Vec<u8> {
+    pub fn into_bytes(mut self) -> Vec<u8> {
+        if self.pending_bits > 0 {
+            self.bytes.push(self.pending as u8);
+        }
         self.bytes
     }
 }

@@ -14,6 +14,9 @@ use crate::{CompressError, Compressor};
 const MAGIC: &[u8; 4] = b"PZB1";
 /// Default block size (100 KiB — bzip2's `-1` setting, adequate for the experiment's samples).
 pub const DEFAULT_BLOCK_SIZE: usize = 100 * 1024;
+/// A zero-run marker and its run length cost at least a bit each and decode to at most 256
+/// bytes, so no stream byte decodes to more than this many bytes.
+const MAX_BYTES_PER_STREAM_BYTE: usize = 8 * 256 / 2;
 
 /// Block-sorting compressor.
 #[derive(Debug, Clone)]
@@ -113,7 +116,8 @@ impl Compressor for BzipCompressor {
             return Err(CompressError::new("not a bzip2-class stream"));
         }
         let original_len = u64::from_le_bytes(input[4..12].try_into().unwrap()) as usize;
-        let mut out = Vec::with_capacity(original_len);
+        let capacity = input.len().saturating_mul(MAX_BYTES_PER_STREAM_BYTE);
+        let mut out = Vec::with_capacity(original_len.min(capacity));
         let mut pos = 12usize;
         while pos < input.len() {
             let block = Self::decompress_block(input, &mut pos)?;

@@ -6,8 +6,8 @@
 //! the original length. This captures the two ingredients that give gzip its compression —
 //! dictionary matching against a 32 KiB window and entropy coding of the residue.
 
-use crate::huffman::{decode_block, encode_block};
-use crate::lz77::{detokenize, tokenize, Token, MAX_MATCH, MIN_MATCH};
+use crate::huffman::{block_len, decode_block, encode_block};
+use crate::lz77::{detokenize, factor, Token, MAX_MATCH, MIN_MATCH};
 use crate::{CompressError, Compressor};
 
 /// Marker symbol (one past the byte alphabet) indicating "a match follows".
@@ -18,6 +18,8 @@ const LITERAL_ALPHABET: usize = 257;
 const EXTRA_ALPHABET: usize = 256;
 /// Stream magic, so corrupt inputs fail fast with a clear error.
 const MAGIC: &[u8; 4] = b"PZG1";
+/// Magic, original length and literal block length.
+const HEADER_LEN: usize = 16;
 
 /// LZ77 + Huffman compressor.
 #[derive(Debug, Default, Clone)]
@@ -30,30 +32,32 @@ impl GzipCompressor {
     }
 }
 
+/// Feed the symbols of `input`'s tokens to `emit` as `(stream, symbol)`: stream 0 is the
+/// literal/marker stream, stream 1 the match parameters (length, distance low, distance high).
+fn for_each_symbol(input: &[u8], mut emit: impl FnMut(usize, u32)) {
+    factor(input, |token| match token {
+        Token::Literal(b) => emit(0, b as u32),
+        Token::Match { length, distance } => {
+            emit(0, MATCH_MARKER);
+            emit(1, (length as usize - MIN_MATCH) as u32);
+            emit(1, (distance & 0xFF) as u32);
+            emit(1, (distance >> 8) as u32);
+        }
+    });
+}
+
 impl Compressor for GzipCompressor {
     fn name(&self) -> &str {
         "gzip"
     }
 
     fn compress(&self, input: &[u8]) -> Vec<u8> {
-        let tokens = tokenize(input);
-        let mut literal_symbols: Vec<u32> = Vec::with_capacity(tokens.len());
-        let mut extra_symbols: Vec<u32> = Vec::new();
-        for token in &tokens {
-            match *token {
-                Token::Literal(b) => literal_symbols.push(b as u32),
-                Token::Match { length, distance } => {
-                    literal_symbols.push(MATCH_MARKER);
-                    extra_symbols.push((length as usize - MIN_MATCH) as u32);
-                    extra_symbols.push((distance & 0xFF) as u32);
-                    extra_symbols.push((distance >> 8) as u32);
-                }
-            }
-        }
-        let literal_block = encode_block(LITERAL_ALPHABET, &literal_symbols);
-        let extra_block = encode_block(EXTRA_ALPHABET, &extra_symbols);
+        let mut symbols: [Vec<u32>; 2] = Default::default();
+        for_each_symbol(input, |stream, symbol| symbols[stream].push(symbol));
+        let literal_block = encode_block(LITERAL_ALPHABET, &symbols[0]);
+        let extra_block = encode_block(EXTRA_ALPHABET, &symbols[1]);
 
-        let mut out = Vec::with_capacity(16 + literal_block.len() + extra_block.len());
+        let mut out = Vec::with_capacity(HEADER_LEN + literal_block.len() + extra_block.len());
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&(input.len() as u64).to_le_bytes());
         out.extend_from_slice(&(literal_block.len() as u32).to_le_bytes());
@@ -62,19 +66,27 @@ impl Compressor for GzipCompressor {
         out
     }
 
+    /// Counts symbol frequencies, never materialising tokens, symbols or bits: a Huffman
+    /// block's length follows from the frequencies alone.
+    fn compressed_len(&self, input: &[u8]) -> usize {
+        let mut freqs = [vec![0u64; LITERAL_ALPHABET], vec![0u64; EXTRA_ALPHABET]];
+        for_each_symbol(input, |stream, symbol| freqs[stream][symbol as usize] += 1);
+        HEADER_LEN + block_len(&freqs[0]) + block_len(&freqs[1])
+    }
+
     fn decompress(&self, input: &[u8]) -> Result<Vec<u8>, CompressError> {
-        if input.len() < 16 || &input[..4] != MAGIC {
+        if input.len() < HEADER_LEN || &input[..4] != MAGIC {
             return Err(CompressError::new("not a gzip-class stream"));
         }
         let original_len = u64::from_le_bytes(input[4..12].try_into().unwrap()) as usize;
         let literal_len = u32::from_le_bytes(input[12..16].try_into().unwrap()) as usize;
-        let literal_end = 16usize
+        let literal_end = HEADER_LEN
             .checked_add(literal_len)
             .ok_or_else(|| CompressError::new("corrupt block length"))?;
         if literal_end > input.len() {
             return Err(CompressError::new("truncated literal block"));
         }
-        let literal_symbols = decode_block(&input[16..literal_end], LITERAL_ALPHABET)?;
+        let literal_symbols = decode_block(&input[HEADER_LEN..literal_end], LITERAL_ALPHABET)?;
         let extra_symbols = decode_block(&input[literal_end..], EXTRA_ALPHABET)?;
 
         let mut tokens = Vec::with_capacity(literal_symbols.len());

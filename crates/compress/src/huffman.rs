@@ -17,8 +17,10 @@ pub const MAX_CODE_LEN: u8 = 15;
 pub struct CodeBook {
     /// Code length per symbol (0 = symbol unused).
     pub code_lengths: Vec<u8>,
-    /// Canonical code value per symbol (valid only where the length is non-zero).
-    codes: Vec<u32>,
+    /// Canonical code value per symbol, bit-reversed so that writing it least significant bit
+    /// first emits the code most significant bit first (valid only where the length is
+    /// non-zero).
+    reversed_codes: Vec<u32>,
 }
 
 impl CodeBook {
@@ -32,10 +34,10 @@ impl CodeBook {
             let lengths = build_code_lengths(&scaled);
             let max = lengths.iter().copied().max().unwrap_or(0);
             if max <= MAX_CODE_LEN {
-                let codes = assign_canonical_codes(&lengths);
+                let reversed_codes = reversed_canonical_codes(&lengths);
                 return CodeBook {
                     code_lengths: lengths,
-                    codes,
+                    reversed_codes,
                 };
             }
             // Flatten the distribution and retry; convergence is guaranteed because equal
@@ -53,10 +55,10 @@ impl CodeBook {
         if code_lengths.iter().any(|&l| l > MAX_CODE_LEN) {
             return Err(CompressError::new("code length exceeds limit"));
         }
-        let codes = assign_canonical_codes(&code_lengths);
+        let reversed_codes = reversed_canonical_codes(&code_lengths);
         Ok(CodeBook {
             code_lengths,
-            codes,
+            reversed_codes,
         })
     }
 
@@ -70,15 +72,12 @@ impl CodeBook {
         self.code_lengths.get(symbol).is_some_and(|&l| l > 0)
     }
 
-    /// Write the code for `symbol`.
+    /// Write the code for `symbol`, most significant bit first (canonical decoding consumes it
+    /// in that order).
     pub fn encode_symbol(&self, symbol: usize, out: &mut BitWriter) {
         let len = self.code_lengths[symbol];
         debug_assert!(len > 0, "encoding symbol {symbol} with no code");
-        let code = self.codes[symbol];
-        // Canonical decoding consumes bits most-significant-first.
-        for i in (0..len).rev() {
-            out.write_bit((code >> i) & 1 == 1);
-        }
+        out.write_bits(self.reversed_codes[symbol], len);
     }
 
     /// Expected encoded length in bits of a message with the given symbol frequencies.
@@ -240,8 +239,8 @@ fn build_code_lengths(freqs: &[u64]) -> Vec<u8> {
     lengths
 }
 
-/// Assign canonical code values given code lengths.
-fn assign_canonical_codes(code_lengths: &[u8]) -> Vec<u32> {
+/// Assign canonical code values given code lengths, each bit-reversed within its length.
+fn reversed_canonical_codes(code_lengths: &[u8]) -> Vec<u32> {
     let mut count = [0u32; MAX_CODE_LEN as usize + 2];
     for &len in code_lengths {
         if len > 0 {
@@ -262,7 +261,7 @@ fn assign_canonical_codes(code_lengths: &[u8]) -> Vec<u32> {
     let mut codes = vec![0u32; code_lengths.len()];
     for s in order {
         let len = code_lengths[s] as usize;
-        codes[s] = next_code[len];
+        codes[s] = next_code[len].reverse_bits() >> (32 - len);
         next_code[len] += 1;
     }
     codes
@@ -283,7 +282,17 @@ pub fn encode_block(alphabet_size: usize, symbols: &[u32]) -> Vec<u8> {
     for &s in symbols {
         book.encode_symbol(s as usize, &mut writer);
     }
-    writer.into_bytes()
+    let bytes = writer.into_bytes();
+    debug_assert_eq!(bytes.len(), block_len(&freqs));
+    bytes
+}
+
+/// Length in bytes of the block [`encode_block`] writes for a stream with these symbol
+/// frequencies (one per symbol of the alphabet): the 32-bit count, 4 bits of code length per
+/// symbol and the payload, padded to a byte. No bit is written.
+pub(crate) fn block_len(freqs: &[u64]) -> usize {
+    let payload = CodeBook::from_frequencies(freqs).encoded_bits(freqs);
+    (32 + 4 * freqs.len() as u64 + payload).div_ceil(8) as usize
 }
 
 /// Decode a block produced by [`encode_block`].
@@ -293,6 +302,11 @@ pub fn decode_block(bytes: &[u8], alphabet_size: usize) -> Result<Vec<u32>, Comp
         .read_bits(32)
         .ok_or_else(|| CompressError::new("truncated block header"))? as usize;
     let book = CodeBook::read_lengths(&mut reader, alphabet_size)?;
+    // Every code is at least one bit long, so the payload bounds the count (and with it the
+    // allocation and the loop below) whatever the header claims.
+    if count > bytes.len() * 8 - reader.bits_consumed() {
+        return Err(CompressError::new("symbol count exceeds the block payload"));
+    }
     let decoder = book.decoder();
     let mut out = Vec::with_capacity(count);
     for _ in 0..count {

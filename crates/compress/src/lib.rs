@@ -17,6 +17,12 @@
 //! it) because the compressibility measurement is only meaningful for lossless codes. The
 //! [`Compressor`] trait is what the workflow's `Measure` activities consume: they only need
 //! [`Compressor::compressed_len`], but the full decoder is retained so correctness is testable.
+//!
+//! `compressed_len` is a counting pass: gzip and ppmz run the same tokenizer and model loop as
+//! `compress`, generic over where the output goes, but count instead of writing, so the length
+//! always equals `compress(input).len()` without a byte of output being produced. The
+//! decoders treat their input as hostile: a forged or cut stream is an error, never a panic,
+//! an allocation or a loop sized by its header alone.
 
 pub mod arith;
 pub mod bitio;
@@ -41,7 +47,9 @@ pub trait Compressor: Send + Sync {
     /// Decompress bytes produced by [`Self::compress`].
     fn decompress(&self, input: &[u8]) -> Result<Vec<u8>, CompressError>;
 
-    /// Length of the compressed form — the only quantity the experiment needs.
+    /// Length of the compressed form — the only quantity the experiment needs. Always equal to
+    /// `self.compress(input).len()`; gzip and ppmz override it with a counting pass that never
+    /// materialises the output.
     fn compressed_len(&self, input: &[u8]) -> usize {
         self.compress(input).len()
     }

@@ -1,9 +1,19 @@
 //! LZ77 dictionary matching.
 //!
 //! The gzip-class codec first factors the input into a stream of tokens — literals and
-//! back-references `(length, distance)` into a sliding window — using hash-chain match finding,
-//! then entropy-codes the serialized token stream. Matching parameters mirror DEFLATE's:
-//! a 32 KiB window, minimum match of 3 and maximum match of 258 bytes.
+//! back-references `(length, distance)` into a sliding window — then entropy-codes the
+//! serialized token stream. Matching parameters mirror DEFLATE's: a 32 KiB window, minimum
+//! match of 3 and maximum match of 258 bytes.
+//!
+//! Match finding is greedy over hash buckets. Every position with a full 3-byte prefix is
+//! hashed once, up front, and a counting sort lays the positions out bucket by bucket in one
+//! flat array, ascending within each bucket. The candidates for position `p` are then the
+//! entries just before `p` in its own bucket: they are walked newest first, at most
+//! `MAX_CHAIN` of them and none older than the window, and the longest match wins, the
+//! nearest on a tie. Walking a contiguous list instead of a linked chain keeps the loads
+//! sequential, and a match length comes from one 8-byte XOR and its trailing zeros; only a
+//! candidate that agrees on all 8 bytes, or one within 8 bytes of the end, is compared byte
+//! by byte.
 
 /// Sliding window size (32 KiB, as in DEFLATE).
 pub const WINDOW_SIZE: usize = 32 * 1024;
@@ -14,7 +24,7 @@ pub const MAX_MATCH: usize = 258;
 /// Number of hash buckets for match finding.
 const HASH_BITS: usize = 15;
 const HASH_SIZE: usize = 1 << HASH_BITS;
-/// Limit on how many chain entries are examined per position (greedy, bounded effort).
+/// Limit on how many bucket entries are examined per position (greedy, bounded effort).
 const MAX_CHAIN: usize = 64;
 
 /// One LZ77 token.
@@ -39,37 +49,73 @@ fn hash(data: &[u8], pos: usize) -> usize {
         & (HASH_SIZE - 1)
 }
 
-/// Factor `data` into LZ77 tokens using greedy hash-chain matching.
+/// Factor `data` into LZ77 tokens using greedy hash-bucket matching.
 pub fn tokenize(data: &[u8]) -> Vec<Token> {
     let mut tokens = Vec::with_capacity(data.len() / 2 + 16);
-    if data.len() < MIN_MATCH {
-        tokens.extend(data.iter().map(|&b| Token::Literal(b)));
-        return tokens;
+    factor(data, |token| tokens.push(token));
+    tokens
+}
+
+/// Factor `data` into LZ77 tokens, handing each to `sink` in order.
+pub(crate) fn factor(data: &[u8], mut sink: impl FnMut(Token)) {
+    let n = data.len();
+    if n < MIN_MATCH {
+        data.iter().for_each(|&b| sink(Token::Literal(b)));
+        return;
+    }
+    // Positions 0..hashed have a full 3-byte prefix and so a bucket.
+    let hashed = n - MIN_MATCH + 1;
+    let hashes: Vec<u16> = (0..hashed).map(|p| hash(data, p) as u16).collect();
+    // bucket_start[h]..bucket_start[h + 1] is bucket h's run of `positions`; slot[p] is where
+    // position p sits in it, so its candidates are the entries just below.
+    let mut bucket_start = vec![0u32; HASH_SIZE + 1];
+    for &h in &hashes {
+        bucket_start[h as usize + 1] += 1;
+    }
+    for h in 0..HASH_SIZE {
+        bucket_start[h + 1] += bucket_start[h];
+    }
+    let mut fill = bucket_start.clone();
+    let mut positions = vec![0u32; hashed];
+    let mut slot = vec![0u32; hashed];
+    for (p, &h) in hashes.iter().enumerate() {
+        let at = &mut fill[h as usize];
+        positions[*at as usize] = p as u32;
+        slot[p] = *at;
+        *at += 1;
     }
 
-    // head[h] = most recent position with hash h; prev[pos % WINDOW] = previous position in chain.
-    let mut head = vec![usize::MAX; HASH_SIZE];
-    let mut prev = vec![usize::MAX; WINDOW_SIZE];
     let mut pos = 0usize;
-
-    while pos < data.len() {
-        if pos + MIN_MATCH > data.len() {
-            tokens.push(Token::Literal(data[pos]));
+    while pos < n {
+        if pos >= hashed {
+            sink(Token::Literal(data[pos]));
             pos += 1;
             continue;
         }
-        let h = hash(data, pos);
+        let max_len = MAX_MATCH.min(n - pos);
+        let window_start = pos.saturating_sub(WINDOW_SIZE);
+        let end = slot[pos] as usize;
+        let first =
+            (bucket_start[hashes[pos] as usize] as usize).max(end.saturating_sub(MAX_CHAIN));
         let mut best_len = 0usize;
         let mut best_dist = 0usize;
-        let mut candidate = head[h];
-        let mut chain = 0usize;
-        let window_start = pos.saturating_sub(WINDOW_SIZE);
-        while candidate != usize::MAX && candidate >= window_start && chain < MAX_CHAIN {
-            let max_len = MAX_MATCH.min(data.len() - pos);
-            let mut len = 0usize;
-            while len < max_len && data[candidate + len] == data[pos + len] {
-                len += 1;
+        let near_end = max_len < 8;
+        let here = if near_end { 0 } else { word(data, pos) };
+        for &candidate in positions[first..end].iter().rev() {
+            let candidate = candidate as usize;
+            if candidate < window_start {
+                break;
             }
+            let diff = if near_end {
+                0
+            } else {
+                word(data, candidate) ^ here
+            };
+            let len = if diff != 0 {
+                (diff.trailing_zeros() / 8) as usize
+            } else {
+                match_len(data, candidate, pos, max_len)
+            };
             if len > best_len {
                 best_len = len;
                 best_dist = pos - candidate;
@@ -77,38 +123,41 @@ pub fn tokenize(data: &[u8]) -> Vec<Token> {
                     break;
                 }
             }
-            let next = prev[candidate % WINDOW_SIZE];
-            if next >= candidate {
-                break; // stale entry from a previous window lap
-            }
-            candidate = next;
-            chain += 1;
         }
 
-        // Insert the current position into the chain before moving on.
-        prev[pos % WINDOW_SIZE] = head[h];
-        head[h] = pos;
-
         if best_len >= MIN_MATCH {
-            tokens.push(Token::Match {
+            sink(Token::Match {
                 length: best_len as u16,
                 distance: best_dist as u16,
             });
-            // Insert the skipped positions into the hash chains so later matches can refer to
-            // them (bounded to keep this O(n) in practice).
-            let insert_until = (pos + best_len).min(data.len().saturating_sub(MIN_MATCH));
-            for p in (pos + 1)..insert_until {
-                let hp = hash(data, p);
-                prev[p % WINDOW_SIZE] = head[hp];
-                head[hp] = p;
-            }
             pos += best_len;
         } else {
-            tokens.push(Token::Literal(data[pos]));
+            sink(Token::Literal(data[pos]));
             pos += 1;
         }
     }
-    tokens
+}
+
+/// The 8 bytes at `at`, first byte lowest.
+fn word(data: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(data[at..at + 8].try_into().unwrap())
+}
+
+/// Length of the common prefix of `data[earlier..]` and `data[pos..]`, at most `max_len`
+/// (`pos + max_len <= data.len()`, `earlier < pos`).
+fn match_len(data: &[u8], earlier: usize, pos: usize, max_len: usize) -> usize {
+    let mut len = 0usize;
+    while len + 8 <= max_len {
+        let diff = word(data, earlier + len) ^ word(data, pos + len);
+        if diff != 0 {
+            return len + (diff.trailing_zeros() / 8) as usize;
+        }
+        len += 8;
+    }
+    while len < max_len && data[earlier + len] == data[pos + len] {
+        len += 1;
+    }
+    len
 }
 
 /// Reconstruct the original bytes from a token stream.
@@ -164,103 +213,4 @@ pub fn token_stats(tokens: &[Token]) -> TokenStats {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn roundtrip(data: &[u8]) {
-        let tokens = tokenize(data);
-        let back = detokenize(&tokens).unwrap();
-        assert_eq!(back, data);
-    }
-
-    #[test]
-    fn empty_and_tiny_inputs() {
-        roundtrip(b"");
-        roundtrip(b"a");
-        roundtrip(b"ab");
-        roundtrip(b"abc");
-    }
-
-    #[test]
-    fn repetitive_input_produces_matches() {
-        let data = b"abcabcabcabcabcabcabcabc".to_vec();
-        let tokens = tokenize(&data);
-        let stats = token_stats(&tokens);
-        assert!(
-            stats.matches >= 1,
-            "expected at least one back-reference, got {stats:?}"
-        );
-        assert_eq!(detokenize(&tokens).unwrap(), data);
-    }
-
-    #[test]
-    fn overlapping_match_is_handled() {
-        // "aaaaa..." forces distance-1 matches that overlap their own output.
-        let data = vec![b'a'; 500];
-        let tokens = tokenize(&data);
-        let stats = token_stats(&tokens);
-        assert!(stats.match_bytes > 400);
-        assert_eq!(detokenize(&tokens).unwrap(), data);
-    }
-
-    #[test]
-    fn random_like_input_roundtrips() {
-        let data: Vec<u8> = (0..10_000u32)
-            .map(|i| (i.wrapping_mul(2654435761) >> 13) as u8)
-            .collect();
-        roundtrip(&data);
-    }
-
-    #[test]
-    fn long_input_exceeding_window() {
-        let mut data = Vec::new();
-        for i in 0..(WINDOW_SIZE * 3) {
-            data.push(((i * 7) % 251) as u8);
-        }
-        roundtrip(&data);
-    }
-
-    #[test]
-    fn protein_like_text_roundtrips_and_compacts() {
-        let motif = b"MKVLAAGGSTLLQN";
-        let mut data = Vec::new();
-        for i in 0..2000 {
-            data.extend_from_slice(motif);
-            data.push(b'A' + (i % 20) as u8);
-        }
-        let tokens = tokenize(&data);
-        assert!(
-            tokens.len() < data.len() / 2,
-            "token stream should be much shorter than input"
-        );
-        assert_eq!(detokenize(&tokens).unwrap(), data);
-    }
-
-    #[test]
-    fn detokenize_rejects_bad_distances() {
-        let bad = vec![Token::Match {
-            length: 5,
-            distance: 3,
-        }];
-        assert!(detokenize(&bad).is_err());
-        let bad = vec![
-            Token::Literal(b'x'),
-            Token::Match {
-                length: 3,
-                distance: 0,
-            },
-        ];
-        assert!(detokenize(&bad).is_err());
-    }
-
-    #[test]
-    fn match_lengths_respect_bounds() {
-        let data = vec![b'z'; 4096];
-        for token in tokenize(&data) {
-            if let Token::Match { length, distance } = token {
-                assert!((MIN_MATCH..=MAX_MATCH).contains(&(length as usize)));
-                assert!(distance as usize >= 1 && (distance as usize) <= WINDOW_SIZE);
-            }
-        }
-    }
-}
+mod tests;

@@ -8,15 +8,21 @@
 //! once they have seen data, which is the essence of PPM's escape mechanism, while staying
 //! simple enough to verify exhaustively with round-trip tests.
 
-use crate::arith::{BitModel, Decoder, Encoder};
+use crate::arith::{BitCount, BitModel, BitSink, ByteSink, Decoder, Encoder};
 use crate::{CompressError, Compressor};
 
 /// Stream magic for the ppm-class container.
 const MAGIC: &[u8; 4] = b"PZP1";
+/// Magic, context order and original length.
+const HEADER_LEN: usize = 13;
 /// log2 of the context table size per order.
 const TABLE_BITS: usize = 18;
 const TABLE_SIZE: usize = 1 << TABLE_BITS;
 const TABLE_MASK: u64 = (TABLE_SIZE as u64) - 1;
+/// A byte costs at least 8·log2(4096/4065) ≈ 0.088 bits, because every blended estimate lies
+/// within [`BitModel::MIN`]`..=`[`BitModel::MAX`]; so no payload byte decodes to more than
+/// this many bytes.
+const MAX_BYTES_PER_PAYLOAD_BYTE: usize = 92;
 
 /// Context-modelling compressor (ppmz substitute).
 #[derive(Debug, Clone)]
@@ -38,62 +44,141 @@ impl PpmCompressor {
             max_order: max_order.clamp(1, 3),
         }
     }
+
+    /// The order actually modelled (and written to the stream header).
+    fn order(&self) -> u8 {
+        self.max_order.clamp(1, 3)
+    }
+
+    /// The arithmetic-coded payload of `input`, written to sink `S`.
+    fn encode<S: BitSink>(&self, input: &[u8]) -> S::Output {
+        match self.order() {
+            1 => encode_with::<S, 1>(input),
+            2 => encode_with::<S, 2>(input),
+            _ => encode_with::<S, 3>(input),
+        }
+    }
 }
 
-struct Model {
-    /// One adaptive table per order; index = hash(context, partial byte).
-    tables: Vec<Vec<BitModel>>,
-    max_order: usize,
+/// The context model for orders `1..=ORDERS`.
+struct Model<const ORDERS: usize> {
+    /// One adaptive table per order, indexed by a hash of the context and the partial byte.
+    /// (Separate 512 KiB blocks rather than one 1.5 MiB block: freeing a block that large
+    /// every call raises the allocator's mmap threshold, and with it a sweep's peak RSS.)
+    tables: [Box<[BitModel; TABLE_SIZE]>; ORDERS],
+    /// The last four bytes, newest lowest.
     history: u32,
+    /// Per order, the history term of the context hash, fixed for the eight bits of a byte.
+    bases: [u64; ORDERS],
 }
 
-impl Model {
-    fn new(max_order: usize) -> Self {
-        Model {
-            tables: (0..max_order)
-                .map(|_| vec![BitModel::default(); TABLE_SIZE])
-                .collect(),
-            max_order,
+impl<const ORDERS: usize> Model<ORDERS> {
+    fn new() -> Self {
+        let mut model = Model {
+            tables: std::array::from_fn(|_| {
+                vec![BitModel::default(); TABLE_SIZE]
+                    .into_boxed_slice()
+                    .try_into()
+                    .expect("the table has TABLE_SIZE entries")
+            }),
             history: 0,
+            bases: [0; ORDERS],
+        };
+        model.push_byte_bases();
+        model
+    }
+
+    /// Recompute the per-order history terms: keep only `order` bytes of history.
+    fn push_byte_bases(&mut self) {
+        for (o, base) in self.bases.iter_mut().enumerate() {
+            let order = o as u32 + 1;
+            let kept = self.history & (0xFFFF_FFFFu32 >> (8 * (4 - order)));
+            *base = (kept as u64)
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                .wrapping_add(order as u64);
         }
     }
 
-    fn context_hash(&self, order: usize, node: u32) -> usize {
-        // Keep only `order` bytes of history, mix with the bit-tree node.
-        let kept = self.history & (0xFFFF_FFFFu32 >> (8 * (4 - order as u32)));
-        let mixed = (kept as u64)
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add((node as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F))
-            .wrapping_add(order as u64);
-        ((mixed >> 17) & TABLE_MASK) as usize
-    }
-
-    /// Blend the per-order estimates. Orders are weighted by how far their estimate is from
-    /// "no information" (p0 = 1/2): contexts that have learnt something dominate the mix.
-    fn predict(&self, node: u32, indices: &mut [usize; 3]) -> u32 {
-        let mut num = 0u64;
-        let mut den = 0u64;
-        for (order, slot) in indices.iter_mut().enumerate().take(self.max_order) {
-            let idx = self.context_hash(order + 1, node);
-            *slot = idx;
-            let p0 = self.tables[order][idx].probability() as u64;
-            let confidence = p0.abs_diff(2048) + 32 + (order as u64) * 32;
+    /// Code one bit at bit-tree `node`: blend the per-order estimates into the probability
+    /// that the bit is zero, let `code` encode or decode the bit with it, then teach every
+    /// order the outcome.
+    ///
+    /// Orders are weighted by how far their estimate is from "no information" (p0 = 1/2):
+    /// contexts that have learnt something dominate the mix. Every estimate lies in
+    /// [`BitModel::MIN`]`..=`[`BitModel::MAX`], so the weights sum to at least 32 and the blend
+    /// is a valid probability as it stands.
+    #[inline]
+    fn code_bit(&mut self, node: u32, code: impl FnOnce(u32) -> bool) -> bool {
+        let node_term = (node as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
+        let mut slots = [0usize; ORDERS];
+        let mut num = 0u32;
+        let mut den = 0u32;
+        for (o, slot) in slots.iter_mut().enumerate() {
+            *slot = ((self.bases[o].wrapping_add(node_term) >> 17) & TABLE_MASK) as usize;
+            let p0 = self.tables[o][*slot].probability();
+            let confidence = p0.abs_diff(2048) + 32 + o as u32 * 32;
             num += p0 * confidence;
             den += confidence;
         }
-        ((num / den.max(1)) as u32).clamp(1, 4095)
-    }
-
-    fn update(&mut self, node: u32, bit: bool, indices: &[usize; 3]) {
-        let _ = node;
-        for (order, &idx) in indices.iter().enumerate().take(self.max_order) {
-            self.tables[order][idx].update(bit);
+        let bit = code(num / den);
+        for (table, slot) in self.tables.iter_mut().zip(slots) {
+            table[slot].update(bit);
         }
+        bit
     }
 
     fn push_byte(&mut self, byte: u8) {
         self.history = (self.history << 8) | byte as u32;
+        self.push_byte_bases();
     }
+}
+
+/// The one model loop behind both [`Compressor::compress`] and
+/// [`Compressor::compressed_len`]: only the sink differs.
+fn encode_with<S: BitSink, const ORDERS: usize>(input: &[u8]) -> S::Output {
+    let mut model = Model::<ORDERS>::new();
+    let mut encoder = Encoder::<S>::default();
+    for &byte in input {
+        let mut node = 1u32;
+        for bit_index in (0..8).rev() {
+            let bit = (byte >> bit_index) & 1 == 1;
+            model.code_bit(node, |p0| {
+                encoder.encode(bit, p0);
+                bit
+            });
+            node = (node << 1) | bit as u32;
+        }
+        model.push_byte(byte);
+    }
+    encoder.finish()
+}
+
+fn decode_with<const ORDERS: usize>(
+    payload: &[u8],
+    original_len: usize,
+) -> Result<Vec<u8>, CompressError> {
+    let mut model = Model::<ORDERS>::new();
+    let mut decoder = Decoder::new(payload);
+    let capacity = payload.len().saturating_mul(MAX_BYTES_PER_PAYLOAD_BYTE);
+    let mut out = Vec::with_capacity(original_len.min(capacity));
+    for _ in 0..original_len {
+        let mut node = 1u32;
+        for _ in 0..8 {
+            let bit = model.code_bit(node, |p0| decoder.decode(p0));
+            node = (node << 1) | bit as u32;
+        }
+        // A valid stream is padded so the decoder never reads past it; one that makes it
+        // do so is cut or forged, whatever length its header claims.
+        if decoder.overran() {
+            return Err(CompressError::new(
+                "ppm payload ends before the declared length",
+            ));
+        }
+        let byte = (node & 0xFF) as u8;
+        out.push(byte);
+        model.push_byte(byte);
+    }
+    Ok(out)
 }
 
 impl Compressor for PpmCompressor {
@@ -102,56 +187,32 @@ impl Compressor for PpmCompressor {
     }
 
     fn compress(&self, input: &[u8]) -> Vec<u8> {
-        let mut model = Model::new(self.max_order as usize);
-        let mut encoder = Encoder::new();
-        for &byte in input {
-            let mut node = 1u32;
-            for bit_index in (0..8).rev() {
-                let bit = (byte >> bit_index) & 1 == 1;
-                let mut indices = [0usize; 3];
-                let p0 = model.predict(node, &mut indices);
-                encoder.encode(bit, p0);
-                model.update(node, bit, &indices);
-                node = (node << 1) | bit as u32;
-            }
-            model.push_byte(byte);
-        }
-        let payload = encoder.finish();
-        let mut out = Vec::with_capacity(payload.len() + 16);
+        let payload = self.encode::<ByteSink>(input);
+        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
         out.extend_from_slice(MAGIC);
-        out.push(self.max_order);
+        out.push(self.order());
         out.extend_from_slice(&(input.len() as u64).to_le_bytes());
         out.extend_from_slice(&payload);
         out
     }
 
+    /// Runs the model loop with a bit counter in place of the byte writer.
+    fn compressed_len(&self, input: &[u8]) -> usize {
+        HEADER_LEN + self.encode::<BitCount>(input).div_ceil(8) as usize
+    }
+
     fn decompress(&self, input: &[u8]) -> Result<Vec<u8>, CompressError> {
-        if input.len() < 13 || &input[..4] != MAGIC {
+        if input.len() < HEADER_LEN || &input[..4] != MAGIC {
             return Err(CompressError::new("not a ppm-class stream"));
         }
-        let max_order = input[4] as usize;
-        if !(1..=3).contains(&max_order) {
-            return Err(CompressError::new("invalid context order"));
-        }
         let original_len = u64::from_le_bytes(input[5..13].try_into().unwrap()) as usize;
-        let payload = &input[13..];
-        let mut model = Model::new(max_order);
-        let mut decoder = Decoder::new(payload);
-        let mut out = Vec::with_capacity(original_len);
-        for _ in 0..original_len {
-            let mut node = 1u32;
-            for _ in 0..8 {
-                let mut indices = [0usize; 3];
-                let p0 = model.predict(node, &mut indices);
-                let bit = decoder.decode(p0);
-                model.update(node, bit, &indices);
-                node = (node << 1) | bit as u32;
-            }
-            let byte = (node & 0xFF) as u8;
-            out.push(byte);
-            model.push_byte(byte);
+        let payload = &input[HEADER_LEN..];
+        match input[4] {
+            1 => decode_with::<1>(payload, original_len),
+            2 => decode_with::<2>(payload, original_len),
+            3 => decode_with::<3>(payload, original_len),
+            _ => Err(CompressError::new("invalid context order")),
         }
-        Ok(out)
     }
 }
 

@@ -71,7 +71,7 @@ proptest! {
     }
 
     #[test]
-    fn compressed_len_is_consistent(data in protein_like_bytes()) {
+    fn compressed_len_is_consistent(data in prop_oneof![protein_like_bytes(), arbitrary_bytes()]) {
         for method in Method::ALL {
             let c = method.compressor();
             prop_assert_eq!(c.compressed_len(&data), c.compress(&data).len());

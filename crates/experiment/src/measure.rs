@@ -40,8 +40,9 @@ pub struct MeasureOutcome {
     pub sizes: BTreeMap<Method, usize>,
 }
 
-/// Reusable compressor set (instantiating codecs once per batch keeps the hot loop allocation-
-/// light, which matters when a script processes 100 permutations).
+/// The compressor set of a sweep, built once per run. The codecs are stateless: each call
+/// allocates its own tables (the ppm context model, the LZ77 bucket lists), so what a
+/// measurement costs is the compression itself, not the kit.
 pub struct MeasureKit {
     compressors: Vec<(Method, Arc<dyn Compressor>)>,
 }
