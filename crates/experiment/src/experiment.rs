@@ -2,17 +2,25 @@
 //!
 //! A run deploys (or reuses) a PReServ store, builds the recorder matching the requested
 //! configuration, generates the synthetic input sequences, executes Collate Sample and Encode
-//! by Groups through the workflow engine, sweeps the permutations in granularity-partitioned
-//! batches (parallelised with rayon across batches, as Condor would schedule the scripts on a
-//! cluster), collates the sizes and averages them into compressibility results — and reports
-//! the overall execution time "measured by the time difference between the last and first
-//! activities", which is the quantity Figure 4 plots.
+//! by Groups through the workflow engine, sweeps the permutations, collates the sizes and
+//! averages them into compressibility results — and reports the overall execution time
+//! "measured by the time difference between the last and first activities", which is the
+//! quantity Figure 4 plots.
+//!
+//! The sweep runs measurements side by side, as Condor ran the paper's scripts on a cluster:
+//! [`ExperimentConfig::workers`] threads (the calling thread among them) pull permutation
+//! indices from a shared cursor and compress with no lock held, while a sequencer documents
+//! the finished measurements strictly in index order. Interaction keys and message ids are
+//! drawn inside that ordered section, so the stored documentation of a run is the same, byte
+//! for byte and in the same order, whatever the worker count and thread schedule.
 
 use std::collections::BTreeMap;
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rayon::prelude::*;
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use pasoa_bioseq::grouping::StandardGrouping;
@@ -25,10 +33,10 @@ use pasoa_core::recorder::{
 };
 use pasoa_preserv::PreservService;
 use pasoa_wire::{LatencyModel, ServiceHost, Transport, TransportConfig};
-use pasoa_workflow::{EngineConfig, GranularityPartitioner, OverheadModel, WorkflowEngine};
+use pasoa_workflow::{EngineConfig, OverheadModel, WorkflowEngine};
 
 use crate::activities::{synthetic_inputs, CollateSampleActivity, EncodeByGroupsActivity};
-use crate::measure::MeasureKit;
+use crate::measure::{MeasureKit, MeasureOutcome};
 use crate::results::{CompressibilityResult, SizesTable};
 
 /// The four recording configurations of Figure 4.
@@ -236,8 +244,10 @@ pub struct ExperimentConfig {
     pub sample_size: usize,
     /// Number of permutations to measure.
     pub permutations: usize,
-    /// Permutations grouped into one scheduled script (paper: 100).
-    pub permutations_per_script: usize,
+    /// Threads measuring permutations side by side, the caller among them (default: every
+    /// hardware thread; 0 counts as 1). `1` is the serial sweep of the paper's single machine,
+    /// which wall-clock shape checks need. The stored documentation does not depend on it.
+    pub workers: usize,
     /// The amino-acid grouping applied by *Encode by Groups*.
     pub grouping: StandardGrouping,
     /// Compression methods measured (paper: gzip and ppmz in the Measure workflow).
@@ -255,7 +265,7 @@ impl Default for ExperimentConfig {
         ExperimentConfig {
             sample_size: 100 * 1024,
             permutations: 100,
-            permutations_per_script: 100,
+            workers: std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
             grouping: StandardGrouping::Dayhoff6,
             methods: vec![Method::Gzip, Method::Ppmz],
             recording: RunRecording::Asynchronous,
@@ -272,7 +282,6 @@ impl ExperimentConfig {
         ExperimentConfig {
             sample_size: 8 * 1024,
             permutations,
-            permutations_per_script: 10,
             methods: vec![Method::Gzip, Method::Ppmz],
             recording,
             synthetic: SyntheticConfig {
@@ -341,6 +350,15 @@ impl ExperimentRunner {
 
     /// Execute one run.
     pub fn run(&self, config: &ExperimentConfig) -> ExperimentReport {
+        self.run_wrapped(config, |recorder| recorder)
+    }
+
+    /// [`Self::run`] with the run's recorder passed through `wrap` before anything records.
+    fn run_wrapped(
+        &self,
+        config: &ExperimentConfig,
+        wrap: impl FnOnce(Arc<dyn ProvenanceRecorder>) -> Arc<dyn ProvenanceRecorder>,
+    ) -> ExperimentReport {
         let start = Instant::now();
         let transport = self.deployment.transport();
         let run = self
@@ -361,7 +379,7 @@ impl ExperimentRunner {
         let ids = IdGenerator::new(session.as_str().to_string());
         let asserter = ActorId::new("compressibility-experiment");
 
-        let recorder: Arc<dyn ProvenanceRecorder> = match config.recording.mode() {
+        let recorder: Arc<dyn ProvenanceRecorder> = wrap(match config.recording.mode() {
             RecordingMode::None => Arc::new(NullRecorder::new(session.clone())),
             RecordingMode::Asynchronous => Arc::new(AsyncRecorder::new(
                 session.clone(),
@@ -376,7 +394,7 @@ impl ExperimentRunner {
                 transport.clone(),
                 ids.clone(),
             )),
-        };
+        });
 
         // Coarse-grained workflow prefix: Collate Sample then Encode by Groups, run through the
         // engine so their invocations are documented like any other activity.
@@ -401,39 +419,23 @@ impl ExperimentRunner {
         let encoded = engine
             .invoke_activity(&encode, &sample, 0)
             .expect("encoding a valid protein sample cannot fail");
-        let encoded_bytes = encoded[0].bytes.clone();
 
         // Permutation sweep: measurement index 0 is the unpermuted sample, then the requested
-        // number of permutations, grouped into scripts and run in parallel across scripts.
+        // number of permutations.
         let kit = MeasureKit::new(&config.methods);
-        let partitioner = GranularityPartitioner::new(config.permutations_per_script);
-        let total_measurements = config.permutations + 1;
-        let jobs = partitioner.jobs(total_measurements);
-        let outcomes: Vec<crate::measure::MeasureOutcome> = jobs
-            .par_iter()
-            .flat_map(|range| {
-                range
-                    .clone()
-                    .map(|index| {
-                        kit.measure(
-                            &encoded_bytes,
-                            index,
-                            config.seed,
-                            recorder.as_ref(),
-                            &ids,
-                            config.recording.extra_actor_state(),
-                        )
-                        .expect("recording failure aborts the run")
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-
-        let mut sizes = SizesTable::default();
-        for outcome in outcomes {
-            sizes.push(outcome);
+        let entries = Sweep {
+            kit: &kit,
+            sample: &encoded[0].bytes,
+            seed: config.seed,
+            recorder: recorder.as_ref(),
+            ids: &ids,
+            extra_actor_state: config.recording.extra_actor_state(),
+            total: config.permutations + 1,
+            cursor: AtomicUsize::new(0),
+            sequencer: Mutex::default(),
         }
-        sizes.entries.sort_by_key(|e| e.permutation_index);
+        .run(config.workers);
+        let sizes = SizesTable { entries };
         let results = sizes.compressibility();
 
         // Close the session: register the group and ship any journalled documentation. The
@@ -456,6 +458,108 @@ impl ExperimentRunner {
             sizes,
             results,
             session,
+        }
+    }
+}
+
+/// One run's permutation sweep. Workers pull the next measurement index from `cursor` and
+/// compute its sizes with no lock held; the [`Sequencer`] then has them documented strictly in
+/// index order, so ids are drawn exactly as a one-thread sweep draws them.
+struct Sweep<'a> {
+    kit: &'a MeasureKit,
+    sample: &'a [u8],
+    seed: u64,
+    recorder: &'a dyn ProvenanceRecorder,
+    ids: &'a IdGenerator,
+    extra_actor_state: bool,
+    /// Measurements in the sweep (the permutations plus the unpermuted sample).
+    total: usize,
+    /// The next index to measure; moved to `total` when a worker fails, which stops the rest.
+    cursor: AtomicUsize,
+    sequencer: Mutex<Sequencer>,
+}
+
+/// Measurements whose sizes are known, on their way to the store in index order.
+#[derive(Default)]
+struct Sequencer {
+    /// Measured ahead of their turn, by index.
+    waiting: BTreeMap<usize, MeasureOutcome>,
+    /// Documented, in index order: the next index to document is `documented.len()`.
+    documented: Vec<MeasureOutcome>,
+    /// A worker is documenting a run of consecutive measurements, outside the lock.
+    documenting: bool,
+}
+
+impl Sweep<'_> {
+    /// Measure and document every index on `workers` threads (the caller among them), and
+    /// return the outcomes in index order. A worker's panic — a failed record among them —
+    /// is re-raised here once the other workers have stopped.
+    fn run(self, workers: usize) -> Vec<MeasureOutcome> {
+        let workers = workers.clamp(1, self.total);
+        std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(|| self.work())).collect();
+            self.work();
+            for helper in helpers {
+                if let Err(panic) = helper.join() {
+                    std::panic::resume_unwind(panic);
+                }
+            }
+        });
+        let documented = self.sequencer.into_inner().documented;
+        debug_assert_eq!(documented.len(), self.total);
+        documented
+    }
+
+    fn work(&self) {
+        let _stop = StopOnUnwind(self);
+        loop {
+            let index = self.cursor.fetch_add(1, Ordering::Relaxed);
+            if index >= self.total {
+                return;
+            }
+            let outcome = self.kit.sizes(self.sample, index, self.seed);
+
+            let mut sequencer = self.sequencer.lock();
+            sequencer.waiting.insert(index, outcome);
+            if sequencer.documenting {
+                // The documenting worker takes this one when its turn comes.
+                continue;
+            }
+            sequencer.documenting = true;
+            loop {
+                let mut next = sequencer.documented.len();
+                let mut run = Vec::new();
+                while let Some(outcome) = sequencer.waiting.remove(&next) {
+                    run.push(outcome);
+                    next += 1;
+                }
+                if run.is_empty() {
+                    sequencer.documenting = false;
+                    break;
+                }
+                // A synchronous record is a store round trip: make it with the lock released,
+                // so the other workers keep compressing and queueing meanwhile.
+                drop(sequencer);
+                for outcome in &run {
+                    self.kit
+                        .document(outcome, self.recorder, self.ids, self.extra_actor_state)
+                        .expect("recording failure aborts the run");
+                }
+                sequencer = self.sequencer.lock();
+                sequencer.documented.extend(run);
+            }
+        }
+    }
+}
+
+/// Stops the sweep's cursor when its worker unwinds, so the other workers finish the index
+/// they hold and exit instead of measuring the rest of a failed run.
+struct StopOnUnwind<'a, 'b>(&'a Sweep<'b>);
+
+impl Drop for StopOnUnwind<'_, '_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.cursor.store(self.0.total, Ordering::Relaxed);
         }
     }
 }
@@ -485,10 +589,223 @@ pub fn run_grid(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pasoa_core::group::Group;
+    use pasoa_core::passertion::{
+        ActorStatePAssertion, PAssertion, PAssertionContent, RecordedAssertion,
+    };
+    use pasoa_core::recorder::{RecordError, RecorderStats};
     use pasoa_wire::NetworkProfile;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::AtomicU64;
+
+    const RECORDS: u64 = crate::measure::RECORDS_PER_PERMUTATION as u64;
 
     fn deployment() -> StoreDeployment {
         StoreDeployment::in_memory(NetworkProfile::InProcess.latency_model(), false)
+    }
+
+    /// Wraps a run's recorder and calls `tamper` with each record's draw number first: it may
+    /// delay the record, fail it, or panic.
+    struct TamperingRecorder {
+        inner: Arc<dyn ProvenanceRecorder>,
+        draws: AtomicU64,
+        tamper: Box<dyn Fn(u64) -> Result<(), RecordError> + Send + Sync>,
+    }
+
+    impl TamperingRecorder {
+        fn wrap(
+            tamper: impl Fn(u64) -> Result<(), RecordError> + Send + Sync + 'static,
+        ) -> impl FnOnce(Arc<dyn ProvenanceRecorder>) -> Arc<dyn ProvenanceRecorder> {
+            |inner| {
+                Arc::new(TamperingRecorder {
+                    inner,
+                    draws: AtomicU64::new(0),
+                    tamper: Box::new(tamper),
+                })
+            }
+        }
+    }
+
+    impl ProvenanceRecorder for TamperingRecorder {
+        fn session(&self) -> &SessionId {
+            self.inner.session()
+        }
+        fn record(&self, assertion: PAssertion) -> Result<(), RecordError> {
+            (self.tamper)(self.draws.fetch_add(1, Ordering::Relaxed))?;
+            self.inner.record(assertion)
+        }
+        fn register_group(&self, group: Group) -> Result<(), RecordError> {
+            self.inner.register_group(group)
+        }
+        fn flush(&self) -> Result<(), RecordError> {
+            self.inner.flush()
+        }
+        fn stats(&self) -> RecorderStats {
+            self.inner.stats()
+        }
+        fn mode(&self) -> RecordingMode {
+            self.inner.mode()
+        }
+    }
+
+    /// Sleeps a seeded 0–2 ms per record (splitmix64 over `seed` and the draw number), so the
+    /// workers of a parallel sweep reach the recorder in a different interleaving every run.
+    fn jitter(seed: u64) -> impl Fn(u64) -> Result<(), RecordError> + Send + Sync {
+        move |draw| {
+            let mut x = seed ^ draw.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            x ^= x >> 31;
+            std::thread::sleep(Duration::from_micros(x % 2_001));
+            Ok(())
+        }
+    }
+
+    /// The stored documentation of a run without its one measured quantity: the engine's
+    /// per-activity `cpu_time_us`, recorded with extra actor provenance.
+    fn stored_documentation(
+        runner: &ExperimentRunner,
+        session: &SessionId,
+    ) -> Vec<RecordedAssertion> {
+        let mut stored = runner
+            .deployment()
+            .store_handle()
+            .assertions_for_session(session)
+            .unwrap();
+        for recorded in &mut stored {
+            if let PAssertion::ActorState(ActorStatePAssertion {
+                content: PAssertionContent::Structured(serde_json::Value::Object(usage)),
+                ..
+            }) = &mut recorded.assertion
+            {
+                usage.remove("cpu_time_us");
+            }
+        }
+        stored
+    }
+
+    #[test]
+    fn stored_documentation_is_identical_for_any_worker_count() {
+        for recording in [
+            RunRecording::Synchronous,
+            RunRecording::Asynchronous,
+            RunRecording::SynchronousWithExtra,
+        ] {
+            let runs: Vec<_> = [1, 2, 8]
+                .into_iter()
+                .map(|workers| {
+                    let runner = ExperimentRunner::new(deployment());
+                    let config = ExperimentConfig {
+                        workers,
+                        ..ExperimentConfig::small(12, recording)
+                    };
+                    let report = runner
+                        .run_wrapped(&config, TamperingRecorder::wrap(jitter(workers as u64)));
+                    let stored = stored_documentation(&runner, &report.session);
+                    (workers, stored, report)
+                })
+                .collect();
+            let (_, serial, serial_report) = &runs[0];
+            assert_eq!(serial.len() as u64, serial_report.passertions);
+            for (workers, stored, report) in &runs[1..] {
+                assert_eq!(
+                    stored.len(),
+                    serial.len(),
+                    "{recording:?}, {workers} workers"
+                );
+                for (i, (got, want)) in stored.iter().zip(serial).enumerate() {
+                    assert_eq!(
+                        got, want,
+                        "{recording:?}: stored assertion {i} differs between 1 and {workers} workers"
+                    );
+                }
+                assert_eq!(report.sizes, serial_report.sizes);
+                assert_eq!(report.results, serial_report.results);
+            }
+        }
+    }
+
+    #[test]
+    fn a_failed_record_aborts_the_run_and_stops_the_sweep() {
+        let runner = ExperimentRunner::new(deployment());
+        let config = ExperimentConfig {
+            workers: 4,
+            ..ExperimentConfig::small(30, RunRecording::Synchronous)
+        };
+        // The engine's two activities record 12; fail the third measurement's first record.
+        let fail_at = 12 + 2 * RECORDS;
+        let attempts = Arc::new(AtomicU64::new(0));
+        let seen = Arc::clone(&attempts);
+        let panic = catch_unwind(AssertUnwindSafe(|| {
+            runner.run_wrapped(
+                &config,
+                TamperingRecorder::wrap(move |draw| {
+                    seen.fetch_add(1, Ordering::Relaxed);
+                    if draw == fail_at {
+                        Err(RecordError::Rejected(vec!["store is full".into()]))
+                    } else {
+                        Ok(())
+                    }
+                }),
+            )
+        }))
+        .expect_err("a failed record must abort the run");
+        let message = panic
+            .downcast_ref::<String>()
+            .expect("the run's own message");
+        assert!(
+            message.contains("recording failure aborts the run")
+                && message.contains("store is full"),
+            "{message}"
+        );
+        // Documentation stops at the failure: no later measurement reaches the recorder.
+        assert_eq!(attempts.load(Ordering::Relaxed), fail_at + 1);
+    }
+
+    #[test]
+    fn a_recorder_panic_propagates_as_itself() {
+        let runner = ExperimentRunner::new(deployment());
+        let config = ExperimentConfig {
+            workers: 3,
+            ..ExperimentConfig::small(20, RunRecording::Asynchronous)
+        };
+        let panic = catch_unwind(AssertUnwindSafe(|| {
+            runner.run_wrapped(
+                &config,
+                TamperingRecorder::wrap(|draw| {
+                    if draw == 12 + 5 * RECORDS {
+                        panic!("journal disk vanished");
+                    }
+                    Ok(())
+                }),
+            )
+        }))
+        .expect_err("a recorder panic must abort the run");
+        assert_eq!(panic.downcast_ref::<&str>(), Some(&"journal disk vanished"));
+    }
+
+    #[test]
+    fn workers_default_to_every_hardware_thread_and_zero_counts_as_one() {
+        let threads = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        assert_eq!(ExperimentConfig::default().workers, threads);
+        assert_eq!(
+            ExperimentConfig::small(3, RunRecording::None).workers,
+            threads
+        );
+
+        let runner = ExperimentRunner::new(deployment());
+        let sizes = |workers| {
+            let config = ExperimentConfig {
+                workers,
+                ..ExperimentConfig::small(3, RunRecording::Synchronous)
+            };
+            runner.run(&config).sizes
+        };
+        let serial = sizes(1);
+        assert_eq!(sizes(0), serial);
+        assert_eq!(sizes(64), serial);
+        let indices: Vec<usize> = serial.entries.iter().map(|e| e.permutation_index).collect();
+        assert_eq!(indices, vec![0, 1, 2, 3]);
     }
 
     #[test]

@@ -195,11 +195,11 @@ mod tests {
         // linear component dominates wall-clock noise.
         let deployment =
             StoreDeployment::in_memory(NetworkProfile::FastLocal.latency_model(), false);
-        // One script per run keeps the permutation sweep serial (the paper's single-machine
+        // One worker keeps the permutation sweep serial (the paper's single-machine
         // deployment), so wall-clock time scales linearly with the permutation count instead of
-        // being flattened by rayon's parallelism across scripts.
+        // being flattened by measurements running side by side.
         let base = ExperimentConfig {
-            permutations_per_script: 10_000,
+            workers: 1,
             ..ExperimentConfig::small(0, RunRecording::None)
         };
         Figure4Series::collect(deployment, &[5, 15, 30], &base)

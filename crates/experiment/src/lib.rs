@@ -16,9 +16,11 @@
 //!   against the paper-2005 latency model with [`passertions::pregenerated_record_message`].
 //!
 //! Per permutation the experiment records **six p-assertions** covering the activities of the
-//! measure workflow (the paper: "each permutation involves the creation of 6 records"), and
-//! permutations are grouped 100-to-a-script before being handed to the scheduler, mirroring the
-//! paper's granularity partitioning.
+//! measure workflow (the paper: "each permutation involves the creation of 6 records"). The
+//! paper grouped permutations 100-to-a-script for Condor; here the sweep instead runs one
+//! measurement at a time per worker thread on every hardware thread (see [`experiment`]), and
+//! the 100-to-a-script granularity lives on only in the `ablations` example's scheduling
+//! overhead model (`pasoa_workflow::GranularityPartitioner`).
 
 pub mod activities;
 pub mod experiment;

@@ -10,6 +10,7 @@
 //! sample, and the measure-size interaction — plus two further actor-state p-assertions when
 //! the "extra actor provenance" configuration is active.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -17,7 +18,7 @@ use serde::{Deserialize, Serialize};
 
 use pasoa_bioseq::shuffle::shuffle_with_seed;
 use pasoa_compress::{Compressor, Method};
-use pasoa_core::ids::{ActorId, DataId, IdGenerator, SessionId};
+use pasoa_core::ids::{ActorId, DataId, IdGenerator};
 use pasoa_core::passertion::{
     ActorStateKind, ActorStatePAssertion, InteractionPAssertion, PAssertion, PAssertionContent,
     RelationshipPAssertion, ViewKind,
@@ -60,9 +61,9 @@ impl MeasureKit {
         self.compressors.iter().map(|(m, _)| *m).collect()
     }
 
-    /// Run the Measure sub-workflow for permutation `index` of `encoded_sample`.
+    /// Run the Measure sub-workflow for permutation `index` of `encoded_sample`: its
+    /// [`Self::sizes`], then its [`Self::document`]ation.
     ///
-    /// Index 0 measures the sample itself; higher indices measure seeded permutations.
     /// `recorder` receives the per-permutation p-assertions; pass a
     /// [`pasoa_core::recorder::NullRecorder`] for the no-recording configuration.
     pub fn measure(
@@ -74,28 +75,40 @@ impl MeasureKit {
         ids: &IdGenerator,
         extra_actor_state: bool,
     ) -> Result<MeasureOutcome, RecordError> {
-        let data: Vec<u8> = if index == 0 {
-            encoded_sample.to_vec()
-        } else {
-            shuffle_with_seed(encoded_sample, base_seed.wrapping_add(index as u64))
-        };
-
-        let mut sizes = BTreeMap::new();
-        for (method, compressor) in &self.compressors {
-            sizes.insert(*method, compressor.compressed_len(&data));
-        }
-        let outcome = MeasureOutcome {
-            permutation_index: index,
-            original_len: data.len(),
-            sizes,
-        };
-
+        let outcome = self.sizes(encoded_sample, index, base_seed);
         self.document(&outcome, recorder, ids, extra_actor_state)?;
         Ok(outcome)
     }
 
+    /// The science of permutation `index`: the sample's length and its compressed size under
+    /// each method. Index 0 measures the sample itself; higher indices measure seeded
+    /// permutations. Touches no shared state, so sweeps call it from many threads at once.
+    pub fn sizes(&self, encoded_sample: &[u8], index: usize, base_seed: u64) -> MeasureOutcome {
+        let data: Cow<'_, [u8]> = if index == 0 {
+            Cow::Borrowed(encoded_sample)
+        } else {
+            Cow::Owned(shuffle_with_seed(
+                encoded_sample,
+                base_seed.wrapping_add(index as u64),
+            ))
+        };
+        let sizes = self
+            .compressors
+            .iter()
+            .map(|(method, compressor)| (*method, compressor.compressed_len(&data)))
+            .collect();
+        MeasureOutcome {
+            permutation_index: index,
+            original_len: data.len(),
+            sizes,
+        }
+    }
+
     /// Record the per-permutation p-assertions (six, plus two in the extra configuration).
-    fn document(
+    ///
+    /// Draws three interaction keys from `ids`, so the documentation of a run is reproducible
+    /// only if its measurements are documented in a fixed order.
+    pub fn document(
         &self,
         outcome: &MeasureOutcome,
         recorder: &dyn ProvenanceRecorder,
@@ -217,24 +230,10 @@ impl MeasureKit {
     }
 }
 
-/// Convenience: the sizes of one permutation without any provenance (used by tests comparing
-/// the recorded and unrecorded paths).
-pub fn measure_without_provenance(
-    encoded_sample: &[u8],
-    index: usize,
-    base_seed: u64,
-    methods: &[Method],
-) -> MeasureOutcome {
-    let kit = MeasureKit::new(methods);
-    let recorder = pasoa_core::recorder::NullRecorder::new(SessionId::new("session:unrecorded"));
-    let ids = IdGenerator::new("unrecorded");
-    kit.measure(encoded_sample, index, base_seed, &recorder, &ids, false)
-        .expect("null recording cannot fail")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pasoa_core::ids::SessionId;
     use pasoa_core::recorder::NullRecorder;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -333,12 +332,39 @@ mod tests {
 
     #[test]
     fn same_seed_and_index_reproduce_the_same_sizes() {
-        let a = measure_without_provenance(&sample(), 5, 99, &[Method::Gzip]);
-        let b = measure_without_provenance(&sample(), 5, 99, &[Method::Gzip]);
-        let c = measure_without_provenance(&sample(), 6, 99, &[Method::Gzip]);
+        let kit = MeasureKit::new(&[Method::Gzip]);
+        let a = kit.sizes(&sample(), 5, 99);
+        let b = kit.sizes(&sample(), 5, 99);
+        let c = kit.sizes(&sample(), 6, 99);
         assert_eq!(a, b);
         assert_eq!(a.sizes.len(), 1);
         assert_ne!(a.permutation_index, c.permutation_index);
+    }
+
+    #[test]
+    fn measure_is_sizes_then_document() {
+        let kit = MeasureKit::new(&[Method::Gzip, Method::Ppmz]);
+        let recorder = CountingRecorder {
+            session: SessionId::new("s"),
+            count: AtomicUsize::new(0),
+        };
+        let ids = IdGenerator::new("m");
+        for index in 0..3 {
+            let measured = kit
+                .measure(&sample(), index, 7, &recorder, &ids, false)
+                .unwrap();
+            assert_eq!(measured, kit.sizes(&sample(), index, 7));
+        }
+        assert_eq!(
+            recorder.count.load(Ordering::SeqCst),
+            3 * RECORDS_PER_PERMUTATION
+        );
+        // Index 0 is the sample itself; a permutation keeps its length but not its bytes.
+        let original = kit.sizes(&sample(), 0, 7);
+        let permuted = kit.sizes(&sample(), 1, 7);
+        assert_eq!(original.original_len, sample().len());
+        assert_eq!(permuted.original_len, sample().len());
+        assert!(original.sizes[&Method::Gzip] < permuted.sizes[&Method::Gzip]);
     }
 
     #[test]

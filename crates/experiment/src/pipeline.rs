@@ -32,7 +32,7 @@ use crate::activities::{
     EncodeByGroupsActivity,
 };
 use crate::experiment::{RunRecording, StoreDeployment};
-use crate::measure::measure_without_provenance;
+use crate::measure::MeasureKit;
 use crate::results::{CompressibilityResult, SizesTable};
 
 /// *Measure (slice)*: run the Figure 2 measure sub-workflow over a contiguous slice of
@@ -83,14 +83,10 @@ impl Activity for MeasureSliceActivity {
         let encoded = inputs
             .first()
             .ok_or_else(|| ActivityError::new(self.name(), "missing encoded sample"))?;
+        let kit = MeasureKit::new(&self.methods);
         let mut table = SizesTable::default();
         for index in self.range.clone() {
-            table.push(measure_without_provenance(
-                &encoded.bytes,
-                index,
-                self.seed,
-                &self.methods,
-            ));
+            table.push(kit.sizes(&encoded.bytes, index, self.seed));
         }
         let bytes = serde_json::to_vec(&table)
             .map_err(|e| ActivityError::new(self.name(), e.to_string()))?;

@@ -19,16 +19,13 @@ fn main() {
     let (counts, base): (Vec<usize>, ExperimentConfig) = if full {
         (
             vec![100, 200, 300, 400, 500, 600, 700, 800],
-            ExperimentConfig {
-                permutations_per_script: 100,
-                ..ExperimentConfig::default() // 100 KB sample, gzip + ppmz
-            },
+            ExperimentConfig::default(), // 100 KB sample, gzip + ppmz, every hardware thread
         )
     } else {
         (
             vec![10, 20, 30, 40],
             ExperimentConfig {
-                permutations_per_script: 1_000,
+                workers: 1, // serial, so wall-clock time grows linearly with the count
                 ..ExperimentConfig::small(0, RunRecording::None)
             },
         )

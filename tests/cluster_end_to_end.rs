@@ -8,13 +8,10 @@ use pasoa::model::ids::SessionId;
 use pasoa::model::prep::{PrepMessage, QueryRequest, QueryResponse};
 use pasoa::wire::{Envelope, NetworkProfile, ServiceHost, TransportConfig};
 
-/// A serial (one script per run) configuration: deterministic activity ordering makes the
-/// recorded documentation of two runs byte-comparable.
-fn serial_config(recording: RunRecording) -> ExperimentConfig {
-    ExperimentConfig {
-        permutations_per_script: 10_000,
-        ..ExperimentConfig::small(6, recording)
-    }
+/// The default (parallel) sweep: measurements are documented in permutation order whatever
+/// the thread schedule, so the recorded documentation of two runs is byte-comparable.
+fn run_config(recording: RunRecording) -> ExperimentConfig {
+    ExperimentConfig::small(6, recording)
 }
 
 #[test]
@@ -29,7 +26,7 @@ fn experiment_through_cluster_matches_single_store() {
         false,
     ));
 
-    let config = serial_config(RunRecording::Synchronous);
+    let config = run_config(RunRecording::Synchronous);
     let single_report = single.run(&config);
     let sharded_report = sharded.run(&config);
 
@@ -95,7 +92,7 @@ fn wire_level_queries_agree_between_deployments() {
         NetworkProfile::InProcess.latency_model(),
         false,
     ));
-    let config = serial_config(RunRecording::Asynchronous);
+    let config = run_config(RunRecording::Asynchronous);
     let single_report = single.run(&config);
     let sharded_report = sharded.run(&config);
     assert_eq!(single_report.session, sharded_report.session);
@@ -126,10 +123,7 @@ fn wire_level_queries_agree_between_deployments() {
 fn figure4_runs_against_the_sharded_deployment() {
     use pasoa::experiment::figure4::Figure4Series;
     let deployment = StoreDeployment::sharded(4, NetworkProfile::FastLocal.latency_model(), false);
-    let base = ExperimentConfig {
-        permutations_per_script: 10_000,
-        ..ExperimentConfig::small(0, RunRecording::None)
-    };
+    let base = ExperimentConfig::small(0, RunRecording::None);
     let series = Figure4Series::collect(deployment, &[4, 8], &base);
     assert_eq!(series.points.len(), 8);
     for recording in RunRecording::ALL {
@@ -231,7 +225,7 @@ fn experiment_through_replicated_cluster_matches_single_store() {
         false,
     ));
 
-    let config = serial_config(RunRecording::Synchronous);
+    let config = run_config(RunRecording::Synchronous);
     let single_report = single.run(&config);
     let replicated_report = replicated.run(&config);
 

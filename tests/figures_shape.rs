@@ -10,7 +10,7 @@ use pasoa::wire::NetworkProfile;
 fn figure4_ordering_and_async_bound_hold_at_reduced_scale() {
     let deployment = StoreDeployment::in_memory(NetworkProfile::FastLocal.latency_model(), false);
     let base = ExperimentConfig {
-        permutations_per_script: 10_000, // serial sweep, as on the paper's single machine
+        workers: 1, // serial sweep, as on the paper's single machine
         ..ExperimentConfig::small(0, RunRecording::None)
     };
     let series = Figure4Series::collect(deployment, &[5, 15, 30], &base);
