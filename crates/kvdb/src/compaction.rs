@@ -172,6 +172,36 @@ mod tests {
     }
 
     #[test]
+    fn compaction_keeps_cached_values_readable() {
+        let dir = tempdir("cache");
+        let db = Db::open(&dir).unwrap();
+        for i in 0..100u32 {
+            db.put(
+                format!("doc{i}").as_bytes(),
+                format!("value-{i}").as_bytes(),
+            )
+            .unwrap();
+            db.put(format!("marker{i}").as_bytes(), b"").unwrap();
+        }
+        let before = db.stats();
+        db.compact().unwrap();
+        for i in 0..100u32 {
+            assert_eq!(
+                db.get(format!("doc{i}").as_bytes()).unwrap().unwrap(),
+                format!("value-{i}").as_bytes()
+            );
+        }
+        // Every read was a cache hit, and the cache holds what it held before.
+        let after = db.stats();
+        assert_eq!(after.cache_hits - before.cache_hits, 100);
+        assert_eq!(
+            (after.cache_entries, after.cache_bytes),
+            (before.cache_entries, before.cache_bytes)
+        );
+        db.destroy().unwrap();
+    }
+
+    #[test]
     fn contents_survive_reopen_after_compaction() {
         let dir = tempdir("reopen");
         let options = DbOptions {

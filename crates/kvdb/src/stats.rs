@@ -16,8 +16,13 @@ pub struct DbStats {
     pub deletes: u64,
     /// Number of get operations since open.
     pub gets: u64,
-    /// Number of gets served from the in-memory value cache.
+    /// Number of gets served without reading the log: from the value cache, or from the index
+    /// for an empty value.
     pub cache_hits: u64,
+    /// Bytes the value cache charges against its budget.
+    pub cache_bytes: u64,
+    /// Number of values in the value cache.
+    pub cache_entries: u64,
     /// Number of compactions performed since open.
     pub compactions: u64,
     /// Number of segment files currently on disk.

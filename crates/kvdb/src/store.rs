@@ -5,6 +5,12 @@
 //! to share across threads (`Db: Send + Sync + Clone`), which lets the provenance store serve
 //! concurrent record and query requests against one backend, as PReServ does with its Berkeley
 //! DB backend.
+//!
+//! The cache holds only non-empty values: an [`IndexEntry`] records its value's length, so a
+//! key whose value is empty is answered from the index alone. Most of the provenance store's
+//! records are such index entries (an interaction marker, a session membership, the
+//! per-assertion index keys), so the cache's budget goes to documents. Writes go through the
+//! cache because the store reads what it has just recorded.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -39,7 +45,10 @@ pub enum SyncPolicy {
 pub struct DbOptions {
     /// Rotate the active segment once it exceeds this many bytes.
     pub segment_target_bytes: u64,
-    /// Byte budget for the in-memory value cache.
+    /// Byte budget for the in-memory value cache, which holds the non-empty values of recently
+    /// written or read records, each charged [`Memtable::cost`]. Empty values are never cached:
+    /// the key index records every value's length, so it answers them without the cache or the
+    /// log.
     pub cache_budget_bytes: usize,
     /// Durability policy for appends.
     pub sync: SyncPolicy,
@@ -302,15 +311,21 @@ impl Db {
     }
 
     /// Attach this database to an observability registry: append/fsync latency lands in the
-    /// `kvdb.append_nanos` / `kvdb.fsync_nanos` histograms and what the opening recovery scan
-    /// repaired is published as `kvdb.recovery.*` counters. Until attached (and on a detached
-    /// handle forever) the instruments are disabled and the append path pays one branch.
+    /// `kvdb.append_nanos` / `kvdb.fsync_nanos` histograms, the value cache's size in the
+    /// `kvdb.cache_bytes` / `kvdb.cache_entries` gauges (adjusted, never set, so databases
+    /// sharing a registry sum), and what the opening recovery scan repaired is published as
+    /// `kvdb.recovery.*` counters. Until attached (and on a detached handle forever) the
+    /// instruments are disabled and the append path pays one branch.
     pub fn attach_observability(&self, registry: &Registry) {
         {
             let mut obs = self.inner.obs.write();
             obs.append_nanos = registry.histogram("kvdb.append_nanos");
             obs.fsync_nanos = registry.histogram("kvdb.fsync_nanos");
         }
+        self.inner.cache.lock().attach(
+            registry.gauge("kvdb.cache_bytes"),
+            registry.gauge("kvdb.cache_entries"),
+        );
         let report = &self.inner.recovery;
         registry
             .counter("kvdb.recovery.torn_segments")
@@ -425,32 +440,51 @@ impl Db {
     /// Fetch the value stored under `key`.
     pub fn get(&self, key: &[u8]) -> DbResult<Option<Vec<u8>>> {
         self.check_open()?;
-        {
-            let mut stats = self.inner.stats.lock();
-            stats.gets += 1;
-        }
-        let entry = {
-            let index = self.inner.index.read();
-            match index.get(key) {
-                Some(e) => *e,
-                None => return Ok(None),
-            }
+        self.inner.stats.lock().gets += 1;
+        let Some(mut entry) = self.inner.index.read().get(key).copied() else {
+            return Ok(None);
         };
-        if let Some(value) = self.inner.cache.lock().get(key).cloned() {
-            self.inner.stats.lock().cache_hits += 1;
-            return Ok(Some(value));
-        }
-        // Cache miss: read from the log. Flush the active segment first so a freshly appended
-        // record is visible to the read.
-        {
-            let mut log = self.inner.log.lock();
-            if entry.ptr.segment == log.active.id() {
-                log.active.flush()?;
+        loop {
+            // Every index entry was CRC-checked at open or written by this process, so an empty
+            // value needs nothing the index does not hold; it counts as a cache hit.
+            if entry.value_len == 0 {
+                self.inner.stats.lock().cache_hits += 1;
+                return Ok(Some(Vec::new()));
+            }
+            if let Some(value) = self.inner.cache.lock().get(key).map(<[u8]>::to_vec) {
+                self.inner.stats.lock().cache_hits += 1;
+                return Ok(Some(value));
+            }
+            // Cache miss: read from the log. Flush the active segment first so a freshly
+            // appended record is visible to the read.
+            {
+                let mut log = self.inner.log.lock();
+                if entry.ptr.segment == log.active.id() {
+                    log.active.flush()?;
+                }
+            }
+            match segment::read_record(&self.inner.dir, entry.ptr) {
+                Ok(record) => {
+                    // Cache only a value the index still points at: a write that landed since
+                    // the lookup above has cached its own value, which this one must not replace.
+                    let index = self.inner.index.read();
+                    if index.get(key).is_some_and(|now| now.ptr == entry.ptr) {
+                        self.inner.cache.lock().insert(key, &record.value);
+                    }
+                    return Ok(Some(record.value));
+                }
+                // Compaction repointed the key and retired its segment after the lookup: read
+                // wherever the index points now. A pointer that did not move is a real loss.
+                Err(DbError::Io(error)) if error.kind() == std::io::ErrorKind::NotFound => {
+                    match self.inner.index.read().get(key).copied() {
+                        None => return Ok(None),
+                        Some(now) if now.ptr != entry.ptr => entry = now,
+                        Some(_) => return Err(DbError::Io(error)),
+                    }
+                }
+                Err(error) => return Err(error),
             }
         }
-        let record = segment::read_record(&self.inner.dir, entry.ptr)?;
-        self.inner.cache.lock().insert(key, &record.value);
-        Ok(Some(record.value))
     }
 
     /// Whether `key` currently has a value.
@@ -535,6 +569,11 @@ impl Db {
     /// A snapshot of operational statistics.
     pub fn stats(&self) -> DbStats {
         let mut stats = *self.inner.stats.lock();
+        {
+            let cache = self.inner.cache.lock();
+            stats.cache_bytes = cache.bytes() as u64;
+            stats.cache_entries = cache.len() as u64;
+        }
         let index = self.inner.index.read();
         stats.live_keys = index.len() as u64;
         stats.live_bytes = index.live_bytes();
@@ -642,7 +681,8 @@ impl Db {
         if threshold <= 0.0 {
             return Ok(());
         }
-        let stats = self.stats();
+        // The append path keeps these counters current; no other lock is needed to read them.
+        let stats = *self.inner.stats.lock();
         // Only bother once a meaningful amount of data has been written.
         if stats.appended_bytes > 4 * 1024 * 1024 && stats.garbage_ratio() > threshold {
             self.compact()?;
@@ -852,6 +892,55 @@ mod tests {
         let _ = db.get(b"hot").unwrap();
         assert!(db.stats().cache_hits >= 1);
         db.destroy().unwrap();
+    }
+
+    #[test]
+    fn empty_values_are_answered_from_the_index_without_caching() {
+        let dir = tempdir("empty");
+        let db = Db::open(&dir).unwrap();
+        let key = |i: u32| format!("x/s/{i:05}").into_bytes();
+        for i in 0..10_000 {
+            db.put(&key(i), b"").unwrap();
+        }
+        assert_eq!((db.stats().cache_bytes, db.stats().cache_entries), (0, 0));
+        for i in 0..10_000 {
+            assert_eq!(db.get(&key(i)).unwrap(), Some(Vec::new()));
+        }
+        let stats = db.stats();
+        assert_eq!((stats.cache_bytes, stats.cache_hits), (0, 10_000));
+        db.destroy().unwrap();
+    }
+
+    #[test]
+    fn cache_gauges_sum_across_databases_sharing_a_registry() {
+        let registry = Registry::new();
+        let level = || {
+            let snapshot = registry.snapshot();
+            (
+                snapshot.gauge("kvdb.cache_bytes"),
+                snapshot.gauge("kvdb.cache_entries"),
+            )
+        };
+        let (a, b) = (tempdir("gauge-a"), tempdir("gauge-b"));
+        let first = Db::open(&a).unwrap();
+        first.put(b"before-attach", b"value").unwrap();
+        first.attach_observability(&registry);
+        let second = Db::open(&b).unwrap();
+        second.attach_observability(&registry);
+        second.put(b"doc", b"document").unwrap();
+        second.put(b"marker", b"").unwrap();
+        first.put(b"before-attach", b"overwritten").unwrap();
+        let (one, two) = (first.stats(), second.stats());
+        assert_eq!((one.cache_entries, two.cache_entries), (1, 1));
+        assert_eq!(
+            level(),
+            ((one.cache_bytes + two.cache_bytes) as i64, 2),
+            "the gauges are the sum of both caches"
+        );
+        first.destroy().unwrap();
+        assert_eq!(level(), (two.cache_bytes as i64, 1));
+        second.destroy().unwrap();
+        assert_eq!(level(), (0, 0));
     }
 
     #[test]

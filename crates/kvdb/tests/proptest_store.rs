@@ -1,5 +1,6 @@
 //! Property-based tests: the on-disk store must behave exactly like an in-memory BTreeMap
-//! under arbitrary interleavings of puts, deletes, reopens and compactions.
+//! under arbitrary interleavings of puts (empty values among them), deletes, reads, reopens and
+//! compactions, with the value cache inside its budget throughout.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -11,7 +12,10 @@ use pasoa_kvdb::{Db, DbOptions, SyncPolicy, WriteBatch};
 #[derive(Debug, Clone)]
 enum Op {
     Put(Vec<u8>, Vec<u8>),
+    /// Overwrite the key, switching its value between empty and `.1` (which is non-empty).
+    Flip(Vec<u8>, Vec<u8>),
     Delete(Vec<u8>),
+    Get(Vec<u8>),
     Batch(Vec<(Vec<u8>, Option<Vec<u8>>)>),
     Compact,
     Reopen,
@@ -28,13 +32,23 @@ fn key_strategy() -> impl Strategy<Value = Vec<u8>> {
 }
 
 fn value_strategy() -> impl Strategy<Value = Vec<u8>> {
-    prop::collection::vec(prop::num::u8::ANY, 0..64)
+    // Empty values are most of what the provenance store writes (its index entries).
+    prop_oneof![
+        1 => Just(Vec::new()),
+        3 => nonempty_value_strategy(),
+    ]
+}
+
+fn nonempty_value_strategy() -> impl Strategy<Value = Vec<u8>> {
+    prop::collection::vec(prop::num::u8::ANY, 1..64)
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         6 => (key_strategy(), value_strategy()).prop_map(|(k, v)| Op::Put(k, v)),
+        2 => (key_strategy(), nonempty_value_strategy()).prop_map(|(k, v)| Op::Flip(k, v)),
         2 => key_strategy().prop_map(Op::Delete),
+        3 => key_strategy().prop_map(Op::Get),
         2 => prop::collection::vec(
             (key_strategy(), prop::option::of(value_strategy())),
             1..6
@@ -79,9 +93,18 @@ proptest! {
                     db.put(&k, &v).unwrap();
                     model.insert(k, v);
                 }
+                Op::Flip(k, v) => {
+                    let v = if model.get(&k).is_some_and(|old| !old.is_empty()) { Vec::new() } else { v };
+                    db.put(&k, &v).unwrap();
+                    model.insert(k, v);
+                }
                 Op::Delete(k) => {
                     db.delete(&k).unwrap();
                     model.remove(&k);
+                }
+                Op::Get(k) => {
+                    let got = db.get(&k).unwrap();
+                    prop_assert_eq!(got.as_ref(), model.get(&k));
                 }
                 Op::Batch(entries) => {
                     let mut batch = WriteBatch::new();
@@ -106,6 +129,7 @@ proptest! {
                     db = Db::open_with(&dir, options()).unwrap();
                 }
             }
+            prop_assert!(db.stats().cache_bytes <= options().cache_budget_bytes as u64);
         }
 
         // Full logical equality with the model.
