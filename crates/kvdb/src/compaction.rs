@@ -41,7 +41,6 @@ pub fn compact(db: &Db) -> DbResult<()> {
         index
             .iter()
             .filter(|(_, e)| rewrite_ids.contains(&e.ptr.segment))
-            .map(|(k, e)| (k.clone(), *e))
             .collect()
     };
 
@@ -63,7 +62,7 @@ pub fn compact(db: &Db) -> DbResult<()> {
             if let Some(current) = index.get(&key) {
                 if current.ptr == old_entry.ptr {
                     index.insert(
-                        key,
+                        &key,
                         IndexEntry {
                             ptr: new_ptr,
                             value_len: record.value.len() as u32,

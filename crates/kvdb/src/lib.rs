@@ -5,7 +5,8 @@
 //! a small, embedded, log-structured key-value store with
 //!
 //! * a write-ahead, append-only segment log on disk,
-//! * an in-memory ordered index (`BTreeMap`) rebuilt on open by scanning the log,
+//! * an in-memory ordered key index (front-coded sorted blocks) rebuilt on open by scanning the
+//!   log,
 //! * CRC-protected records so torn writes are detected and truncated on recovery,
 //! * ordered range scans (required by the provenance store's prefix queries), and
 //! * log compaction that rewrites live records into a fresh segment and drops garbage.

@@ -23,6 +23,8 @@ pub struct DbStats {
     pub cache_bytes: u64,
     /// Number of values in the value cache.
     pub cache_entries: u64,
+    /// Heap bytes the key index holds (see [`crate::index::KeyIndex::heap_bytes`]).
+    pub index_bytes: u64,
     /// Number of compactions performed since open.
     pub compactions: u64,
     /// Number of segment files currently on disk.

@@ -1,16 +1,22 @@
 //! The public database handle.
 //!
 //! [`Db`] ties the pieces together: an append-only segment log on disk, an ordered in-memory
-//! [`KeyIndex`], and a bounded [`Memtable`] value cache. The handle is cheap to clone and safe
-//! to share across threads (`Db: Send + Sync + Clone`), which lets the provenance store serve
-//! concurrent record and query requests against one backend, as PReServ does with its Berkeley
-//! DB backend.
+//! [`KeyIndex`] of every live key, and a bounded [`Memtable`] value cache. The handle is cheap
+//! to clone and safe to share across threads (`Db: Send + Sync + Clone`), which lets the
+//! provenance store serve concurrent record and query requests against one backend, as PReServ
+//! does with its Berkeley DB backend.
 //!
 //! The cache holds only non-empty values: an [`IndexEntry`] records its value's length, so a
 //! key whose value is empty is answered from the index alone. Most of the provenance store's
 //! records are such index entries (an interaction marker, a session membership, the
 //! per-assertion index keys), so the cache's budget goes to documents. Writes go through the
 //! cache because the store reads what it has just recorded.
+//!
+//! The key index, unlike the cache, grows with the store: it holds every live key. It keeps
+//! them front-coded in sorted blocks (see [`crate::index`]), ~43 B per key on the provenance
+//! store's keys against ~171 B for a map with one allocation per key, and it is handed
+//! borrowed keys, so neither the log replay in [`Db::open_with`] nor an append copies a key
+//! for it. Its heap is the `kvdb.index_bytes` gauge and [`DbStats::index_bytes`].
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -222,7 +228,7 @@ impl Db {
                 match record.kind {
                     RecordKind::Put => {
                         index.insert(
-                            record.key,
+                            &record.key,
                             IndexEntry {
                                 ptr,
                                 value_len: record.value.len() as u32,
@@ -312,10 +318,11 @@ impl Db {
 
     /// Attach this database to an observability registry: append/fsync latency lands in the
     /// `kvdb.append_nanos` / `kvdb.fsync_nanos` histograms, the value cache's size in the
-    /// `kvdb.cache_bytes` / `kvdb.cache_entries` gauges (adjusted, never set, so databases
-    /// sharing a registry sum), and what the opening recovery scan repaired is published as
-    /// `kvdb.recovery.*` counters. Until attached (and on a detached handle forever) the
-    /// instruments are disabled and the append path pays one branch.
+    /// `kvdb.cache_bytes` / `kvdb.cache_entries` gauges and the key index's heap in the
+    /// `kvdb.index_bytes` gauge (adjusted, never set, so databases sharing a registry sum), and
+    /// what the opening recovery scan repaired is published as `kvdb.recovery.*` counters.
+    /// Until attached (and on a detached handle forever) the instruments are disabled and the
+    /// append path pays one branch.
     pub fn attach_observability(&self, registry: &Registry) {
         {
             let mut obs = self.inner.obs.write();
@@ -326,6 +333,10 @@ impl Db {
             registry.gauge("kvdb.cache_bytes"),
             registry.gauge("kvdb.cache_entries"),
         );
+        self.inner
+            .index
+            .write()
+            .attach(registry.gauge("kvdb.index_bytes"));
         let report = &self.inner.recovery;
         registry
             .counter("kvdb.recovery.torn_segments")
@@ -440,20 +451,29 @@ impl Db {
     /// Fetch the value stored under `key`.
     pub fn get(&self, key: &[u8]) -> DbResult<Option<Vec<u8>>> {
         self.check_open()?;
-        self.inner.stats.lock().gets += 1;
-        let Some(mut entry) = self.inner.index.read().get(key).copied() else {
-            return Ok(None);
+        let outcome = self.read(key);
+        let mut stats = self.inner.stats.lock();
+        stats.gets += 1;
+        if let Ok((_, true)) = outcome {
+            stats.cache_hits += 1;
+        }
+        drop(stats);
+        outcome.map(|(value, _)| value)
+    }
+
+    /// Read `key`'s value, and whether it was answered without reading the log.
+    fn read(&self, key: &[u8]) -> DbResult<(Option<Vec<u8>>, bool)> {
+        let Some(mut entry) = self.inner.index.read().get(key) else {
+            return Ok((None, false));
         };
         loop {
             // Every index entry was CRC-checked at open or written by this process, so an empty
             // value needs nothing the index does not hold; it counts as a cache hit.
             if entry.value_len == 0 {
-                self.inner.stats.lock().cache_hits += 1;
-                return Ok(Some(Vec::new()));
+                return Ok((Some(Vec::new()), true));
             }
             if let Some(value) = self.inner.cache.lock().get(key).map(<[u8]>::to_vec) {
-                self.inner.stats.lock().cache_hits += 1;
-                return Ok(Some(value));
+                return Ok((Some(value), true));
             }
             // Cache miss: read from the log. Flush the active segment first so a freshly
             // appended record is visible to the read.
@@ -471,13 +491,13 @@ impl Db {
                     if index.get(key).is_some_and(|now| now.ptr == entry.ptr) {
                         self.inner.cache.lock().insert(key, &record.value);
                     }
-                    return Ok(Some(record.value));
+                    return Ok((Some(record.value), false));
                 }
                 // Compaction repointed the key and retired its segment after the lookup: read
                 // wherever the index points now. A pointer that did not move is a real loss.
                 Err(DbError::Io(error)) if error.kind() == std::io::ErrorKind::NotFound => {
-                    match self.inner.index.read().get(key).copied() {
-                        None => return Ok(None),
+                    match self.inner.index.read().get(key) {
+                        None => return Ok((None, false)),
                         Some(now) if now.ptr != entry.ptr => entry = now,
                         Some(_) => return Err(DbError::Io(error)),
                     }
@@ -507,7 +527,7 @@ impl Db {
     pub fn scan_prefix(&self, prefix: &[u8]) -> DbResult<Vec<Vec<u8>>> {
         self.check_open()?;
         let index = self.inner.index.read();
-        Ok(index.iter_prefix(prefix).map(|(k, _)| k.clone()).collect())
+        Ok(index.iter_prefix(prefix).into_keys().collect())
     }
 
     /// All `(key, value)` pairs whose key starts with `prefix`, in key order.
@@ -526,10 +546,7 @@ impl Db {
     pub fn scan_range(&self, start: &[u8], end: &[u8]) -> DbResult<Vec<Vec<u8>>> {
         self.check_open()?;
         let index = self.inner.index.read();
-        Ok(index
-            .iter_range(start, end)
-            .map(|(k, _)| k.clone())
-            .collect())
+        Ok(index.iter_range(start, end).into_keys().collect())
     }
 
     /// At most `limit` keys in the half-open range `[start, end)`, in order. The iteration
@@ -542,12 +559,12 @@ impl Db {
         limit: usize,
     ) -> DbResult<Vec<Vec<u8>>> {
         self.check_open()?;
+        // Sized for the page up front: the keys' count is unknown, so collecting would grow
+        // the page by doubling.
+        let mut page = Vec::with_capacity(limit.min(1024));
         let index = self.inner.index.read();
-        Ok(index
-            .iter_range(start, end)
-            .take(limit)
-            .map(|(k, _)| k.clone())
-            .collect())
+        page.extend(index.iter_range(start, end).into_keys().take(limit));
+        Ok(page)
     }
 
     /// Force all appended data to stable storage.
@@ -577,6 +594,7 @@ impl Db {
         let index = self.inner.index.read();
         stats.live_keys = index.len() as u64;
         stats.live_bytes = index.live_bytes();
+        stats.index_bytes = index.heap_bytes() as u64;
         stats.segments = 1 + self.inner.log.lock().sealed.len() as u64;
         stats
     }
@@ -641,7 +659,7 @@ impl Db {
                     RecordKind::Put => {
                         stats.puts += 1;
                         index.insert(
-                            record.key.clone(),
+                            &record.key,
                             IndexEntry {
                                 ptr,
                                 value_len: record.value.len() as u32,
@@ -941,6 +959,36 @@ mod tests {
         assert_eq!(level(), (two.cache_bytes as i64, 1));
         second.destroy().unwrap();
         assert_eq!(level(), (0, 0));
+    }
+
+    #[test]
+    fn index_gauge_sums_across_databases_sharing_a_registry() {
+        let registry = Registry::new();
+        let level = || registry.snapshot().gauge("kvdb.index_bytes");
+        let (a, b) = (tempdir("index-a"), tempdir("index-b"));
+        let first = Db::open(&a).unwrap();
+        first.put(b"before-attach", b"").unwrap();
+        first.attach_observability(&registry);
+        let second = Db::open(&b).unwrap();
+        second.attach_observability(&registry);
+        for i in 0..100u32 {
+            second
+                .put(format!("x/s/session/{i:012}").as_bytes(), b"")
+                .unwrap();
+        }
+        first.delete(b"before-attach").unwrap();
+        first.put(b"after", b"value").unwrap();
+        let (one, two) = (first.stats().index_bytes, second.stats().index_bytes);
+        assert!(one > 0 && two > one, "{one} {two}");
+        assert_eq!(
+            level(),
+            (one + two) as i64,
+            "the gauge is the sum of both indexes"
+        );
+        first.destroy().unwrap();
+        assert_eq!(level(), two as i64);
+        second.destroy().unwrap();
+        assert_eq!(level(), 0);
     }
 
     #[test]
