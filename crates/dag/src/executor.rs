@@ -11,6 +11,9 @@
 //!   "completed" event; on failure a "retrying" or "failed" event,
 //! - per skipped task: a single "skipped" event carrying the cause and parent edges.
 //!
+//! The records between an attempt's "start" and "completed" events are those of
+//! [`Invocation`], the same set the experiment writes for its Collate/Encode prefix.
+//!
 //! [`ExecutedDag::from_assertions`](crate::report::ExecutedDag::from_assertions) inverts this
 //! mapping, so recorded provenance reconstructs the executed DAG (topology, retry counts, skip
 //! set) bit-exactly — the paper's "use provenance to validate the experiment" claim.
@@ -20,7 +23,6 @@
 //! lose sibling tasks' provenance.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -28,10 +30,9 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use pasoa_core::group::{Group, GroupKind};
-use pasoa_core::ids::{ActorId, DataId, IdGenerator, InteractionKey};
+use pasoa_core::ids::{ActorId, IdGenerator, InteractionKey};
 use pasoa_core::passertion::{
-    ActorStateKind, ActorStatePAssertion, InteractionPAssertion, PAssertion, PAssertionContent,
-    RelationshipPAssertion, ViewKind,
+    ActorStateKind, ActorStatePAssertion, PAssertion, PAssertionContent, ViewKind,
 };
 use pasoa_core::recorder::{ProvenanceRecorder, RecordError};
 use pasoa_obs::Registry;
@@ -40,6 +41,7 @@ use crate::data::DataItem;
 use crate::report::{DagRunReport, TaskOutcome, TRANSITION_KIND};
 use crate::spec::Dag;
 use crate::state::{ExecutorConfig, FailurePolicy, SkipCause, TaskState};
+use crate::task::Invocation;
 
 /// Errors that abort a run before or outside task execution. Individual task failures do not
 /// abort the run — they land in the report, governed by the failure policy.
@@ -102,7 +104,6 @@ pub struct Executor {
     ids: IdGenerator,
     config: ExecutorConfig,
     actor: ActorId,
-    stage_charge: Option<Arc<dyn Fn(usize) + Send + Sync>>,
     group: Mutex<Group>,
     passertions: AtomicU64,
     recording_errors: AtomicU64,
@@ -122,7 +123,6 @@ impl Executor {
             ids,
             config,
             actor: ActorId::new("dag-executor"),
-            stage_charge: None,
             group: Mutex::new(group),
             passertions: AtomicU64::new(0),
             recording_errors: AtomicU64::new(0),
@@ -149,13 +149,6 @@ impl Executor {
     /// Override the actor identity the executor asserts under (default `dag-executor`).
     pub fn with_actor(mut self, actor: ActorId) -> Self {
         self.actor = actor;
-        self
-    }
-
-    /// Install a staging-overhead hook, called with the staged input byte count before every
-    /// attempt (wrap an `OverheadModel::charge` here to model grid scheduling cost).
-    pub fn with_stage_charge(mut self, charge: Arc<dyn Fn(usize) + Send + Sync>) -> Self {
-        self.stage_charge = Some(charge);
         self
     }
 
@@ -510,9 +503,10 @@ impl Executor {
         unreachable!("attempt loop always returns")
     }
 
-    /// One attempt: provenance + the activity invocation itself. Any recording failure on the
-    /// success path fails the attempt — a task only counts as completed once its provenance is
-    /// durably acknowledged.
+    /// One attempt: the `start` transition, the documented [`Invocation`] and the `completed`
+    /// transition, all under the invocation's request and response keys. Any recording
+    /// failure on the success path fails the attempt — a task only counts as completed once
+    /// its provenance is durably acknowledged.
     fn attempt_once(
         &self,
         dag: &Dag,
@@ -520,13 +514,8 @@ impl Executor {
         inputs: &[DataItem],
         attempt: usize,
     ) -> Result<Vec<DataItem>, String> {
-        let activity = dag.activity(task).clone();
+        let activity = dag.activity(task);
         let task_name = dag.task_id(task).as_str();
-        let activity_actor = ActorId::new(activity.name().to_string());
-        let staged_bytes: usize = inputs.iter().map(|i| i.len()).sum();
-        if let Some(charge) = &self.stage_charge {
-            charge(staged_bytes);
-        }
 
         let request_key = self.ids.interaction_key();
         self.group.lock().add(request_key.clone());
@@ -554,125 +543,22 @@ impl Executor {
             })),
         }))?;
 
-        // Both views of the request interaction.
-        let input_ids: Vec<DataId> = inputs.iter().map(|i| i.id.clone()).collect();
-        let request_content = PAssertionContent::text(format!(
-            "invoke {} with {} input item(s), {} byte(s)",
-            activity.name(),
-            inputs.len(),
-            staged_bytes
-        ));
-        for (asserter, view) in [
-            (self.actor.clone(), ViewKind::Sender),
-            (activity_actor.clone(), ViewKind::Receiver),
-        ] {
-            self.try_record(PAssertion::Interaction(InteractionPAssertion {
-                interaction_key: request_key.clone(),
-                asserter,
-                view,
-                sender: self.actor.clone(),
-                receiver: activity_actor.clone(),
-                operation: activity.name().to_string(),
-                content: request_content.clone(),
-                data_ids: input_ids.clone(),
-            }))?;
+        let invoked = Invocation {
+            caller: &self.actor,
+            activity: activity.as_ref(),
+            inputs,
+            request_key: &request_key,
+            record_extra_actor_state: self.config.record_extra_actor_state,
+            configuration: &[
+                ("task", serde_json::json!(task_name)),
+                ("attempt", serde_json::json!(attempt)),
+            ],
         }
-
-        // The script the activity executes.
-        self.try_record(PAssertion::ActorState(ActorStatePAssertion {
-            interaction_key: request_key.clone(),
-            asserter: activity_actor.clone(),
-            view: ViewKind::Receiver,
-            kind: ActorStateKind::Script,
-            content: PAssertionContent::text(activity.script()),
-        }))?;
-
-        // The actual work — panics are contained, exactly like NetServer's dispatch.
-        let ctx = crate::task::ActivityContext::new(self.ids.clone(), 0);
-        let invoke_started = Instant::now();
-        let invoked = std::panic::catch_unwind(AssertUnwindSafe(|| activity.invoke(inputs, &ctx)));
-        let elapsed = invoke_started.elapsed();
-        let produced = match invoked {
-            Ok(Ok(outputs)) => outputs,
-            Ok(Err(e)) => return Err(e.to_string()),
-            Err(payload) => {
-                let msg = payload
-                    .downcast_ref::<String>()
-                    .map(String::as_str)
-                    .or_else(|| payload.downcast_ref::<&str>().copied())
-                    .unwrap_or("opaque panic payload");
-                return Err(format!("task panicked: {msg}"));
-            }
-        };
-
-        // Relationship p-assertions linking every output to the inputs.
-        let response_key = self.ids.interaction_key();
-        self.group.lock().add(response_key.clone());
-        for item in &produced {
-            self.try_record(PAssertion::Relationship(RelationshipPAssertion {
-                interaction_key: response_key.clone(),
-                asserter: activity_actor.clone(),
-                effect: item.id.clone(),
-                causes: input_ids
-                    .iter()
-                    .map(|d| (request_key.clone(), d.clone()))
-                    .collect(),
-                relation: format!("produced-by-{}", activity.name()),
-            }))?;
-        }
-
-        // Extra actor provenance (the paper's fourth recording configuration).
-        if self.config.record_extra_actor_state {
-            self.try_record(PAssertion::ActorState(ActorStatePAssertion {
-                interaction_key: request_key.clone(),
-                asserter: activity_actor.clone(),
-                view: ViewKind::Receiver,
-                kind: ActorStateKind::Configuration,
-                content: PAssertionContent::structured(&serde_json::json!({
-                    "activity": activity.name(),
-                    "task": task_name,
-                    "attempt": attempt,
-                    "input_items": inputs.len(),
-                    "input_bytes": staged_bytes,
-                })),
-            }))?;
-            self.try_record(PAssertion::ActorState(ActorStatePAssertion {
-                interaction_key: request_key.clone(),
-                asserter: activity_actor.clone(),
-                view: ViewKind::Receiver,
-                kind: ActorStateKind::ResourceUsage,
-                content: PAssertionContent::structured(&serde_json::json!({
-                    "cpu_time_us": elapsed.as_micros() as u64,
-                    "output_bytes": produced.iter().map(|i| i.len()).sum::<usize>(),
-                })),
-            }))?;
-        }
-
-        // Both views of the response interaction.
-        let output_ids: Vec<DataId> = produced.iter().map(|i| i.id.clone()).collect();
-        let response_content = PAssertionContent::text(format!(
-            "{} returned {} output item(s)",
-            activity.name(),
-            produced.len()
-        ));
-        for (asserter, view) in [
-            (activity_actor.clone(), ViewKind::Sender),
-            (self.actor.clone(), ViewKind::Receiver),
-        ] {
-            self.try_record(PAssertion::Interaction(InteractionPAssertion {
-                interaction_key: response_key.clone(),
-                asserter,
-                view,
-                sender: activity_actor.clone(),
-                receiver: self.actor.clone(),
-                operation: format!("{}-response", activity.name()),
-                content: response_content.clone(),
-                data_ids: output_ids.clone(),
-            }))?;
-        }
+        .run(&self.ids, &self.group, &|assertion| self.record(assertion))
+        .map_err(|e| e.to_string())?;
 
         self.try_record(PAssertion::ActorState(ActorStatePAssertion {
-            interaction_key: response_key,
+            interaction_key: invoked.response_key,
             asserter: self.actor.clone(),
             view: ViewKind::Sender,
             kind: ActorStateKind::Other(TRANSITION_KIND.into()),
@@ -681,11 +567,11 @@ impl Executor {
                 "task": task_name,
                 "event": "completed",
                 "attempt": attempt,
-                "outputs": output_ids.iter().map(|d| d.as_str()).collect::<Vec<_>>(),
+                "outputs": invoked.outputs.iter().map(|i| i.id.as_str()).collect::<Vec<_>>(),
             })),
         }))?;
 
-        Ok(produced)
+        Ok(invoked.outputs)
     }
 
     fn emit_skip(&self, dag: &Dag, task: usize, cause: &SkipCause) {

@@ -17,8 +17,10 @@
 //!   discipline) with `catch_unwind` panic containment per task.
 //! - [`report`]: run reports and [`ExecutedDag`] — the normalized "what happened" view,
 //!   computable independently from the report and from recorded provenance.
-//! - [`task`] / [`data`]: the `Activity` trait and `DataItem` values flowing along edges
-//!   (re-exported by `pasoa-workflow` for backwards compatibility).
+//! - [`task`] / [`data`]: the `Activity` trait, [`Invocation`] — the one place an activity
+//!   invocation is documented with the paper's standard p-assertions, for the executor and for
+//!   the experiment's Collate/Encode prefix alike — and the `DataItem` values flowing along
+//!   edges.
 
 pub mod data;
 pub mod executor;
@@ -32,4 +34,6 @@ pub use executor::{DagRunError, Executor};
 pub use report::{DagRunReport, ExecutedDag, TaskOutcome, TRANSITION_KIND};
 pub use spec::{Dag, DagError, DagSpec, EdgeKind, TaskId};
 pub use state::{ExecutorConfig, FailurePolicy, RetryPolicy, SkipCause, TaskState};
-pub use task::{Activity, ActivityContext, ActivityError, FnActivity};
+pub use task::{
+    Activity, ActivityContext, ActivityError, FnActivity, Invocation, InvocationError, Invoked,
+};

@@ -90,13 +90,6 @@ impl DagRunReport {
             .all(|o| o.state == TaskState::Completed)
     }
 
-    /// The first failed task in id order, if any.
-    pub fn first_failure(&self) -> Option<&TaskOutcome> {
-        self.outcomes
-            .values()
-            .find(|o| o.state == TaskState::Failed)
-    }
-
     /// Number of tasks in the given terminal state.
     pub fn count(&self, state: TaskState) -> usize {
         self.outcomes.values().filter(|o| o.state == state).count()
@@ -105,21 +98,6 @@ impl DagRunReport {
     /// Total attempts across all tasks.
     pub fn total_attempts(&self) -> usize {
         self.outcomes.values().map(|o| o.attempts).sum()
-    }
-
-    /// Wall-clock span covered by the named tasks: latest finish minus earliest start.
-    /// `None` unless every named task both started and finished.
-    pub fn stage_span(&self, tasks: &[&str]) -> Option<Duration> {
-        let mut earliest: Option<Duration> = None;
-        let mut latest: Option<Duration> = None;
-        for task in tasks {
-            let outcome = self.outcomes.get(*task)?;
-            let started = outcome.started_at?;
-            let finished = outcome.finished_at?;
-            earliest = Some(earliest.map_or(started, |e| e.min(started)));
-            latest = Some(latest.map_or(finished, |l| l.max(finished)));
-        }
-        Some(latest?.saturating_sub(earliest?))
     }
 }
 
@@ -289,18 +267,11 @@ mod tests {
             recording_errors: 0,
         };
         assert!(!report.succeeded());
-        assert_eq!(report.first_failure().unwrap().task, "b");
         assert_eq!(report.count(TaskState::Completed), 1);
         assert_eq!(report.count(TaskState::Skipped), 1);
         assert_eq!(report.total_attempts(), 3);
         assert!(report.outcome("a").is_some());
         assert!(report.outputs_of("a").unwrap().is_empty());
-        // Skipped task never started, so a span including it is undefined.
-        assert!(report.stage_span(&["c"]).is_none());
-        assert_eq!(
-            report.stage_span(&["a", "b"]),
-            Some(Duration::from_millis(1))
-        );
     }
 
     #[test]

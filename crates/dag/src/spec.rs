@@ -373,22 +373,6 @@ impl Dag {
         out
     }
 
-    /// Width of the widest topological level — an upper bound on useful worker parallelism.
-    pub fn max_level_width(&self) -> usize {
-        let mut level = vec![0usize; self.tasks.len()];
-        let mut counts: BTreeMap<usize, usize> = BTreeMap::new();
-        for &t in &self.topo {
-            let l = self.parents[t]
-                .iter()
-                .map(|&p| level[p] + 1)
-                .max()
-                .unwrap_or(0);
-            level[t] = l;
-            *counts.entry(l).or_default() += 1;
-        }
-        counts.values().copied().max().unwrap_or(0)
-    }
-
     /// Structured description of the graph, recorded as the run's `workflow` actor-state
     /// p-assertion (and usable for post-hoc comparison of definitions).
     pub fn describe_json(&self) -> serde_json::Value {
@@ -462,7 +446,6 @@ mod tests {
         assert_eq!(dag.parents(di).len(), 2);
         assert_eq!(dag.children(ai).len(), 2);
         assert_eq!(dag.edges().len(), 4);
-        assert_eq!(dag.max_level_width(), 2);
         assert_eq!(dag.descendants_of(ai).len(), 3);
         assert!(dag.descendants_of(di).is_empty());
         let desc = dag.describe_json();

@@ -1,15 +1,14 @@
-//! Workflow activities of the Figure 1 compressibility workflow.
+//! The coarse-grained activities of the Figure 1 compressibility workflow.
 //!
-//! The coarse-grained activities (Collate Sample, Encode by Groups, Collate Sizes, Average) are
-//! implemented as [`pasoa_workflow::Activity`] services so the engine can schedule and document
-//! them. The fine-grained per-permutation work lives in [`crate::measure`].
+//! Collate Sample and Encode by Groups are [`pasoa_dag::Activity`] services: the experiment
+//! invokes them through [`pasoa_dag::Invocation`], which documents each invocation with the
+//! paper's standard p-assertions. The per-permutation work (Shuffle, Measure, Collate Sizes)
+//! lives in [`crate::measure`] and the averaging in [`crate::results`].
 
 use pasoa_bioseq::grouping::GroupCoding;
 use pasoa_bioseq::sample::collate_sample;
 use pasoa_bioseq::sequence::Sequence;
-use pasoa_workflow::{Activity, ActivityContext, ActivityError, DataItem};
-
-use crate::results::SizesTable;
+use pasoa_dag::{Activity, ActivityContext, ActivityError, DataItem};
 
 /// Semantic type names used when registering these services (see `pasoa-registry`).
 pub mod semantic {
@@ -116,82 +115,6 @@ impl Activity for EncodeByGroupsActivity {
     }
 }
 
-/// *Collate Sizes*: merge per-permutation size tables (serialized as JSON) into one table.
-pub struct CollateSizesActivity;
-
-impl Activity for CollateSizesActivity {
-    fn name(&self) -> &str {
-        "collate-sizes"
-    }
-
-    fn script(&self) -> String {
-        "collate-sizes --format json".to_string()
-    }
-
-    fn invoke(
-        &self,
-        inputs: &[DataItem],
-        ctx: &ActivityContext,
-    ) -> Result<Vec<DataItem>, ActivityError> {
-        let mut table = SizesTable::default();
-        for item in inputs {
-            let partial: SizesTable = serde_json::from_slice(&item.bytes)
-                .map_err(|e| ActivityError::new(self.name(), e.to_string()))?;
-            table.merge(partial);
-        }
-        let bytes = serde_json::to_vec(&table)
-            .map_err(|e| ActivityError::new(self.name(), e.to_string()))?;
-        Ok(vec![DataItem::new(ctx.ids.data_id(), "sizes-table", bytes)
-            .with_semantic_type(semantic::SIZES_TABLE)])
-    }
-
-    fn input_types(&self) -> Vec<String> {
-        vec![semantic::SIZES_TABLE.to_string()]
-    }
-
-    fn output_types(&self) -> Vec<String> {
-        vec![semantic::SIZES_TABLE.to_string()]
-    }
-}
-
-/// *Average*: compute the compressibility results from the collated sizes table.
-pub struct AverageActivity;
-
-impl Activity for AverageActivity {
-    fn name(&self) -> &str {
-        "average"
-    }
-
-    fn script(&self) -> String {
-        "average --estimate-std-dev".to_string()
-    }
-
-    fn invoke(
-        &self,
-        inputs: &[DataItem],
-        ctx: &ActivityContext,
-    ) -> Result<Vec<DataItem>, ActivityError> {
-        let table_item = inputs
-            .first()
-            .ok_or_else(|| ActivityError::new(self.name(), "missing sizes table"))?;
-        let table: SizesTable = serde_json::from_slice(&table_item.bytes)
-            .map_err(|e| ActivityError::new(self.name(), e.to_string()))?;
-        let results = table.compressibility();
-        let bytes = serde_json::to_vec(&results)
-            .map_err(|e| ActivityError::new(self.name(), e.to_string()))?;
-        Ok(vec![DataItem::new(ctx.ids.data_id(), "results", bytes)
-            .with_semantic_type(semantic::COMPRESSIBILITY_RESULT)])
-    }
-
-    fn input_types(&self) -> Vec<String> {
-        vec![semantic::SIZES_TABLE.to_string()]
-    }
-
-    fn output_types(&self) -> Vec<String> {
-        vec![semantic::COMPRESSIBILITY_RESULT.to_string()]
-    }
-}
-
 /// Generate the FASTA input items the workflow starts from (the RefSeq substitute).
 pub fn synthetic_inputs(
     config: &pasoa_bioseq::synthetic::SyntheticConfig,
@@ -211,7 +134,6 @@ mod tests {
     use super::*;
     use pasoa_bioseq::grouping::StandardGrouping;
     use pasoa_bioseq::synthetic::SyntheticConfig;
-    use pasoa_compress::Method;
     use pasoa_core::ids::IdGenerator;
 
     fn ctx() -> ActivityContext {
@@ -279,39 +201,6 @@ mod tests {
     }
 
     #[test]
-    fn collate_sizes_and_average_produce_results() {
-        let mut table_a = SizesTable::default();
-        table_a.push(crate::measure::MeasureOutcome {
-            permutation_index: 0,
-            original_len: 1000,
-            sizes: [(Method::Gzip, 400usize)].into_iter().collect(),
-        });
-        let mut table_b = SizesTable::default();
-        for i in 1..4 {
-            table_b.push(crate::measure::MeasureOutcome {
-                permutation_index: i,
-                original_len: 1000,
-                sizes: [(Method::Gzip, 500 + i)].into_iter().collect(),
-            });
-        }
-        let ids = IdGenerator::new("test");
-        let items: Vec<DataItem> = [&table_a, &table_b]
-            .iter()
-            .map(|t| DataItem::new(ids.data_id(), "sizes", serde_json::to_vec(t).unwrap()))
-            .collect();
-        let collated = CollateSizesActivity.invoke(&items, &ctx()).unwrap();
-        let merged: SizesTable = serde_json::from_slice(&collated[0].bytes).unwrap();
-        assert_eq!(merged.len(), 4);
-
-        let results = AverageActivity.invoke(&collated, &ctx()).unwrap();
-        let parsed: Vec<crate::results::CompressibilityResult> =
-            serde_json::from_slice(&results[0].bytes).unwrap();
-        assert_eq!(parsed.len(), 1);
-        assert_eq!(parsed[0].method, Method::Gzip);
-        assert!(AverageActivity.invoke(&[], &ctx()).is_err());
-    }
-
-    #[test]
     fn activity_semantic_declarations_are_consistent() {
         let collate = CollateSampleActivity { target_size: 10 };
         let encode = EncodeByGroupsActivity {
@@ -325,9 +214,5 @@ mod tests {
             .input_types()
             .contains(&semantic::AMINO_ACID_SEQUENCE.to_string()));
         assert!(encode.input_types().contains(&collate.output_types()[0]));
-        assert_eq!(CollateSizesActivity.name(), "collate-sizes");
-        assert_eq!(AverageActivity.name(), "average");
-        assert!(!CollateSizesActivity.script().is_empty());
-        assert!(!AverageActivity.script().is_empty());
     }
 }

@@ -1,9 +1,10 @@
 //! The full experiment runner: Figure 1 end to end, under a chosen recording configuration.
 //!
 //! A run deploys (or reuses) a PReServ store, builds the recorder matching the requested
-//! configuration, generates the synthetic input sequences, executes Collate Sample and Encode
-//! by Groups through the workflow engine, sweeps the permutations, collates the sizes and
-//! averages them into compressibility results — and reports the overall execution time
+//! configuration, generates the synthetic input sequences, invokes Collate Sample and Encode
+//! by Groups (each documented by [`pasoa_dag::Invocation`], the record the DAG executor writes
+//! per task), sweeps the permutations, collates the sizes and averages them into
+//! compressibility results — and reports the overall execution time
 //! "measured by the time difference between the last and first activities", which is the
 //! quantity Figure 4 plots.
 //!
@@ -27,13 +28,14 @@ use pasoa_bioseq::grouping::StandardGrouping;
 use pasoa_bioseq::synthetic::SyntheticConfig;
 use pasoa_cluster::{PreservCluster, StoreHandle};
 use pasoa_compress::Method;
+use pasoa_core::group::{Group, GroupKind};
 use pasoa_core::ids::{ActorId, IdGenerator, SessionId};
 use pasoa_core::recorder::{
     AsyncRecorder, NullRecorder, ProvenanceRecorder, RecordingMode, SyncRecorder,
 };
+use pasoa_dag::{Activity, DataItem, Invocation};
 use pasoa_preserv::PreservService;
 use pasoa_wire::{LatencyModel, ServiceHost, Transport, TransportConfig};
-use pasoa_workflow::{EngineConfig, OverheadModel, WorkflowEngine};
 
 use crate::activities::{synthetic_inputs, CollateSampleActivity, EncodeByGroupsActivity};
 use crate::measure::{MeasureKit, MeasureOutcome};
@@ -276,7 +278,7 @@ impl Default for ExperimentConfig {
 }
 
 impl ExperimentConfig {
-    /// A scaled-down configuration suitable for tests and Criterion benches (a few KB sample,
+    /// A scaled-down configuration for tests and the reduced-scale examples (a few KB sample,
     /// few permutations) that keeps every code path of the full experiment.
     pub fn small(permutations: usize, recording: RunRecording) -> Self {
         ExperimentConfig {
@@ -396,29 +398,37 @@ impl ExperimentRunner {
             )),
         });
 
-        // Coarse-grained workflow prefix: Collate Sample then Encode by Groups, run through the
-        // engine so their invocations are documented like any other activity.
-        let engine = WorkflowEngine::new(
-            Arc::clone(&recorder),
-            ids.clone(),
-            EngineConfig {
-                overhead: OverheadModel::free(),
+        // Coarse-grained workflow prefix: Collate Sample then Encode by Groups, invoked by the
+        // workflow engine and documented like any other activity invocation.
+        let engine = ActorId::new("workflow-engine");
+        let session_group =
+            Mutex::new(Group::new(session.as_str().to_string(), GroupKind::Session));
+        let invoke = |activity: &dyn Activity, inputs: &[DataItem]| {
+            let request_key = ids.interaction_key();
+            session_group.lock().add(request_key.clone());
+            Invocation {
+                caller: &engine,
+                activity,
+                inputs,
+                request_key: &request_key,
                 record_extra_actor_state: config.recording.extra_actor_state(),
-            },
-        );
+                configuration: &[("invocation", serde_json::json!(0))],
+            }
+            .run(&ids, &session_group, &|assertion| {
+                recorder.record(assertion)
+            })
+            .map(|invoked| invoked.outputs)
+        };
         let inputs = synthetic_inputs(&config.synthetic, &ids);
         let collate = CollateSampleActivity {
             target_size: config.sample_size,
         };
-        let sample = engine
-            .invoke_activity(&collate, &inputs, 0)
-            .expect("collation of synthetic inputs cannot fail");
+        let sample = invoke(&collate, &inputs).expect("collation of synthetic inputs cannot fail");
         let encode = EncodeByGroupsActivity {
             coding: config.grouping.coding(),
         };
-        let encoded = engine
-            .invoke_activity(&encode, &sample, 0)
-            .expect("encoding a valid protein sample cannot fail");
+        let encoded =
+            invoke(&encode, &sample).expect("encoding a valid protein sample cannot fail");
 
         // Permutation sweep: measurement index 0 is the unpermuted sample, then the requested
         // number of permutations.
@@ -440,8 +450,8 @@ impl ExperimentRunner {
 
         // Close the session: register the group and ship any journalled documentation. The
         // paper includes this in the measured execution time for the asynchronous mode.
-        engine
-            .finish_session()
+        recorder
+            .register_group(session_group.into_inner())
             .expect("group registration cannot fail against a live store");
         recorder
             .flush()
@@ -564,28 +574,6 @@ impl Drop for StopOnUnwind<'_, '_> {
     }
 }
 
-/// Run every recording configuration at every permutation count — the full Figure 4 grid.
-pub fn run_grid(
-    deployment: StoreDeployment,
-    permutation_counts: &[usize],
-    base: &ExperimentConfig,
-) -> BTreeMap<(String, usize), ExperimentReport> {
-    let runner = ExperimentRunner::new(deployment);
-    let mut out = BTreeMap::new();
-    for &permutations in permutation_counts {
-        for recording in RunRecording::ALL {
-            let config = ExperimentConfig {
-                permutations,
-                recording,
-                ..base.clone()
-            };
-            let report = runner.run(&config);
-            out.insert((recording.label().to_string(), permutations), report);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -661,7 +649,7 @@ mod tests {
         }
     }
 
-    /// The stored documentation of a run without its one measured quantity: the engine's
+    /// The stored documentation of a run without its one measured quantity: the prefix's
     /// per-activity `cpu_time_us`, recorded with extra actor provenance.
     fn stored_documentation(
         runner: &ExperimentRunner,
@@ -732,7 +720,7 @@ mod tests {
             workers: 4,
             ..ExperimentConfig::small(30, RunRecording::Synchronous)
         };
-        // The engine's two activities record 12; fail the third measurement's first record.
+        // The prefix's two invocations record 12; fail the third measurement's first record.
         let fail_at = 12 + 2 * RECORDS;
         let attempts = Arc::new(AtomicU64::new(0));
         let seen = Arc::clone(&attempts);
@@ -842,8 +830,8 @@ mod tests {
             RunRecording::SynchronousWithExtra,
         ));
 
-        // 6 per measurement (original + permutations), plus the two engine-driven activities
-        // (6 each) and the workflow-less session bookkeeping.
+        // 6 per measurement (original + permutations), plus the prefix's two invocations (6
+        // each, 8 with extra actor provenance).
         let measurements = (permutations + 1) as u64;
         assert_eq!(sync.passertions, 6 * measurements + 12);
         assert_eq!(asyn.passertions, sync.passertions);
@@ -901,21 +889,6 @@ mod tests {
         assert!(asyn > none);
         assert!(sync > asyn, "sync {sync:?} should exceed async {asyn:?}");
         assert!(extra > sync, "extra {extra:?} should exceed sync {sync:?}");
-    }
-
-    #[test]
-    fn run_grid_covers_every_cell() {
-        let grid = run_grid(
-            deployment(),
-            &[2, 4],
-            &ExperimentConfig::small(0, RunRecording::None),
-        );
-        assert_eq!(grid.len(), 8);
-        assert!(grid.contains_key(&("No recording".to_string(), 2)));
-        assert!(grid.contains_key(&(
-            "Synchronous recording with extra actor provenance".to_string(),
-            4
-        )));
     }
 
     #[test]

@@ -11,8 +11,6 @@
 //!    (the paper reports "less than 10%"; the bound is configuration-dependent, so the check
 //!    takes the threshold as a parameter).
 
-use std::time::Duration;
-
 use serde::{Deserialize, Serialize};
 
 use pasoa_bioseq::stats::correlation;
@@ -179,11 +177,6 @@ impl Figure4Series {
     }
 }
 
-/// Convenience wrapper: the total duration represented by a point.
-pub fn point_duration(point: &Figure4Point) -> Duration {
-    Duration::from_secs_f64(point.execution_seconds)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,17 +229,5 @@ mod tests {
             series.mean_comm_seconds(RunRecording::Synchronous.label())
                 > series.mean_comm_seconds(RunRecording::Asynchronous.label())
         );
-    }
-
-    #[test]
-    fn point_duration_converts() {
-        let p = Figure4Point {
-            configuration: "x".into(),
-            permutations: 1,
-            execution_seconds: 1.5,
-            comm_seconds: 0.5,
-            passertions: 6,
-        };
-        assert_eq!(point_duration(&p), Duration::from_millis(1500));
     }
 }

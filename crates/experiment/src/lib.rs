@@ -3,8 +3,8 @@
 //! This crate assembles the paper's application: the comparative protein compressibility
 //! workflow of Figure 1 (Collate Sample → Encode by Groups → Shuffle/Measure over N
 //! permutations → Collate Sizes → Average) and the Measure sub-workflow of Figure 2
-//! (gzip/ppmz compression → Measure Size → Collate Sizes), executed over the workflow
-//! substrate with provenance recorded through PReP into PReServ.
+//! (gzip/ppmz compression → Measure Size → Collate Sizes), with provenance recorded through
+//! PReP into PReServ.
 //!
 //! The experiment is the workload of the paper's evaluation:
 //!
@@ -20,14 +20,14 @@
 //! paper grouped permutations 100-to-a-script for Condor; here the sweep instead runs one
 //! measurement at a time per worker thread on every hardware thread (see [`experiment`]), and
 //! the 100-to-a-script granularity lives on only in the `ablations` example's scheduling
-//! overhead model (`pasoa_workflow::GranularityPartitioner`).
+//! overhead model ([`overhead::GranularityPartitioner`]).
 
 pub mod activities;
 pub mod experiment;
 pub mod figure4;
 pub mod measure;
+pub mod overhead;
 pub mod passertions;
-pub mod pipeline;
 pub mod results;
 
 pub use experiment::{
@@ -36,7 +36,4 @@ pub use experiment::{
 };
 pub use measure::MeasureOutcome;
 pub use pasoa_cluster::StoreHandle;
-pub use pipeline::{
-    build_pipeline_dag, MeasureSliceActivity, PipelineConfig, PipelineReport, PipelineRunner,
-};
 pub use results::{CompressibilityResult, SizesTable};

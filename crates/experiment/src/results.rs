@@ -28,12 +28,6 @@ impl SizesTable {
         self.entries.push(outcome);
     }
 
-    /// Merge another table into this one.
-    pub fn merge(&mut self, other: SizesTable) {
-        self.entries.extend(other.entries);
-        self.entries.sort_by_key(|e| e.permutation_index);
-    }
-
     /// Number of measurements.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -142,19 +136,6 @@ mod tests {
         assert!(!t.is_empty());
         assert_eq!(t.original().unwrap().permutation_index, 0);
         assert!(SizesTable::default().original().is_none());
-    }
-
-    #[test]
-    fn merge_sorts_by_permutation_index() {
-        let mut a = SizesTable::default();
-        a.push(outcome(3, 1, 1));
-        a.push(outcome(1, 1, 1));
-        let mut b = SizesTable::default();
-        b.push(outcome(0, 1, 1));
-        b.push(outcome(2, 1, 1));
-        a.merge(b);
-        let indices: Vec<usize> = a.entries.iter().map(|e| e.permutation_index).collect();
-        assert_eq!(indices, vec![0, 1, 2, 3]);
     }
 
     #[test]

@@ -24,12 +24,12 @@ use pasoa::bioseq::grouping::StandardGrouping;
 use pasoa::bioseq::shuffle::shuffle_with_seed;
 use pasoa::bioseq::synthetic::{SyntheticConfig, SyntheticGenerator};
 use pasoa::compress::{compression_ratio, Method};
+use pasoa::experiment::overhead::{GranularityPartitioner, OverheadModel};
 use pasoa::experiment::passertions::{interaction_assertion, script_assertion};
 use pasoa::model::ids::{ActorId, IdGenerator, SessionId};
 use pasoa::model::recorder::{AsyncRecorder, ProvenanceRecorder};
 use pasoa::preserv::{FileBackend, KvBackend, MemoryBackend, PreservService, StorageBackend};
 use pasoa::wire::{ServiceHost, SimClock, TransportConfig};
-use pasoa::workflow::{GranularityPartitioner, OverheadModel};
 
 /// Runs per wall-clock row; the row reports their median.
 const REPS: usize = 5;

@@ -17,7 +17,6 @@
 //!   skip policies, every state transition recorded as p-assertions;
 //! * [`feed`] — the durable asynchronous subscription tier: provenance change feeds with
 //!   per-subscriber job queues, capped backoff redelivery and replay-on-reconnect;
-//! * [`workflow`] — the workflow definition layer, lowered onto [`dag`] for execution;
 //! * [`experiment`] — the protein compressibility experiment and the Figure 4 harness;
 //! * [`usecases`] — execution comparison, semantic validation and the Figure 5 harness.
 //!
@@ -40,7 +39,6 @@ pub use pasoa_registry as registry;
 pub use pasoa_sim as sim;
 pub use pasoa_usecases as usecases;
 pub use pasoa_wire as wire;
-pub use pasoa_workflow as workflow;
 
 #[cfg(test)]
 mod tests {

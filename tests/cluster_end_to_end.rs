@@ -82,6 +82,39 @@ fn experiment_through_cluster_matches_single_store() {
 }
 
 #[test]
+fn experiment_over_tcp_cluster_matches_single_store() {
+    // The same run over the paper's single store and over a cluster behind real sockets:
+    // transport is invisible to the science and to the stored documentation.
+    let config = run_config(RunRecording::Synchronous);
+    let single = ExperimentRunner::new(StoreDeployment::in_memory(
+        NetworkProfile::InProcess.latency_model(),
+        false,
+    ));
+    let tcp = ExperimentRunner::new(StoreDeployment::sharded_tcp(
+        2,
+        NetworkProfile::InProcess.latency_model(),
+        false,
+    ));
+    let single_report = single.run(&config);
+    let tcp_report = tcp.run(&config);
+
+    assert_eq!(single_report.sizes, tcp_report.sizes);
+    assert_eq!(single_report.results, tcp_report.results);
+    assert_eq!(single_report.passertions, tcp_report.passertions);
+    let stored = |runner: &ExperimentRunner, session: &SessionId| {
+        runner
+            .deployment()
+            .store_handle()
+            .assertions_for_session(session)
+            .unwrap()
+    };
+    assert_eq!(
+        stored(&single, &single_report.session),
+        stored(&tcp, &tcp_report.session)
+    );
+}
+
+#[test]
 fn wire_level_queries_agree_between_deployments() {
     let single = ExperimentRunner::new(StoreDeployment::in_memory(
         NetworkProfile::InProcess.latency_model(),

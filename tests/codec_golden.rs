@@ -18,13 +18,13 @@
 use pasoa::bioseq::shuffle::shuffle_with_seed;
 use pasoa::compress::lz77::WINDOW_SIZE;
 use pasoa::compress::Method;
+use pasoa::dag::{Activity, ActivityContext};
 use pasoa::experiment::activities::{
     synthetic_inputs, CollateSampleActivity, EncodeByGroupsActivity,
 };
 use pasoa::experiment::{ExperimentConfig, ExperimentRunner, RunRecording, StoreDeployment};
 use pasoa::model::ids::IdGenerator;
 use pasoa::wire::NetworkProfile;
-use pasoa::workflow::{Activity, ActivityContext};
 
 const FIXTURE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
