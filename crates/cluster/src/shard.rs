@@ -63,10 +63,7 @@ impl Shard {
             return true;
         }
         let store = self.service.store();
-        match store
-            .interactions_in_session(&pasoa_core::ids::SessionId::new(session))
-            .map(|interactions| !interactions.is_empty())
-        {
+        match store.has_session(&pasoa_core::ids::SessionId::new(session)) {
             Ok(true) => true,
             Ok(false) => store.has_group_id(session).unwrap_or(true),
             // Conservative on probe failure: keeping the old owner can never split a session.

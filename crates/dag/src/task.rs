@@ -55,15 +55,12 @@ impl std::error::Error for ActivityError {}
 pub struct ActivityContext {
     /// Identifier generator shared by the whole run (fresh data ids come from here).
     pub ids: IdGenerator,
-    /// Index of this invocation among the node's invocations (0 except for partitioned fan-out
-    /// nodes, where it is the permutation number).
-    pub invocation: usize,
 }
 
 impl ActivityContext {
     /// Create a context.
-    pub fn new(ids: IdGenerator, invocation: usize) -> Self {
-        ActivityContext { ids, invocation }
+    pub fn new(ids: IdGenerator) -> Self {
+        ActivityContext { ids }
     }
 }
 
@@ -260,7 +257,7 @@ impl Invocation<'_> {
         }))?;
 
         // The actual work — panics are contained, exactly like NetServer's dispatch.
-        let ctx = ActivityContext::new(ids.clone(), 0);
+        let ctx = ActivityContext::new(ids.clone());
         let started = Instant::now();
         let invoked =
             std::panic::catch_unwind(AssertUnwindSafe(|| activity.invoke(self.inputs, &ctx)));
@@ -374,7 +371,7 @@ mod tests {
         });
         assert_eq!(upper.name(), "uppercase");
         assert_eq!(upper.script(), "tr a-z A-Z");
-        let ctx = ActivityContext::new(IdGenerator::new("test"), 0);
+        let ctx = ActivityContext::new(IdGenerator::new("test"));
         let input = DataItem::new(DataId::new("data:in"), "text", b"hello".to_vec());
         let out = upper.invoke(&[input], &ctx).unwrap();
         assert_eq!(out.len(), 1);
@@ -388,8 +385,7 @@ mod tests {
         let failing = FnActivity::new("broken", "false", |_, _| {
             Err(ActivityError::new("broken", "deliberate failure"))
         });
-        let ctx = ActivityContext::new(IdGenerator::new("test"), 3);
-        assert_eq!(ctx.invocation, 3);
+        let ctx = ActivityContext::new(IdGenerator::new("test"));
         let err = failing.invoke(&[], &ctx).unwrap_err();
         assert_eq!(err.activity, "broken");
         assert!(err.to_string().contains("deliberate failure"));

@@ -137,7 +137,7 @@ mod tests {
     use pasoa_core::ids::IdGenerator;
 
     fn ctx() -> ActivityContext {
-        ActivityContext::new(IdGenerator::new("test"), 0)
+        ActivityContext::new(IdGenerator::new("test"))
     }
 
     #[test]

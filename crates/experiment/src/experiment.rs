@@ -187,37 +187,9 @@ impl StoreDeployment {
         }
     }
 
-    /// [`Self::sharded_tcp`] with synchronous replication: killing any single shard's TCP
-    /// server mid-run loses no acked p-assertion (for `replication` ≥ 2).
-    pub fn replicated_tcp(
-        shards: usize,
-        replication: usize,
-        latency: LatencyModel,
-        sleep_latency: bool,
-    ) -> Self {
-        let host = ServiceHost::new();
-        let cluster =
-            pasoa_cluster::PreservCluster::deploy_tcp_replicated(&host, shards, replication)
-                .expect("loopback tcp cluster deploys");
-        StoreDeployment {
-            host,
-            access: StoreAccess::Sharded(cluster),
-            latency,
-            sleep_latency,
-        }
-    }
-
     /// A uniform query handle over whatever tier is deployed.
     pub fn store_handle(&self) -> StoreHandle {
         self.access.store_handle()
-    }
-
-    /// The single store service, when this deployment is not sharded.
-    pub fn single_service(&self) -> Option<&Arc<PreservService>> {
-        match &self.access {
-            StoreAccess::Single(service) => Some(service),
-            StoreAccess::Sharded(_) => None,
-        }
     }
 
     /// The cluster, when this deployment is sharded.

@@ -62,11 +62,10 @@ impl MeasureKit {
     }
 
     /// Run the Measure sub-workflow for permutation `index` of `encoded_sample`: its
-    /// [`Self::sizes`], then its [`Self::document`]ation.
-    ///
-    /// `recorder` receives the per-permutation p-assertions; pass a
-    /// [`pasoa_core::recorder::NullRecorder`] for the no-recording configuration.
-    pub fn measure(
+    /// [`Self::sizes`], then its [`Self::document`]ation. Sweeps call the two separately (the
+    /// sizes on many threads, the documentation in order); the tests use this pairing.
+    #[cfg(test)]
+    pub(crate) fn measure(
         &self,
         encoded_sample: &[u8],
         index: usize,

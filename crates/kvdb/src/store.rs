@@ -8,8 +8,8 @@
 //!
 //! The cache holds only non-empty values: an [`IndexEntry`] records its value's length, so a
 //! key whose value is empty is answered from the index alone. Most of the provenance store's
-//! records are such index entries (an interaction marker, a session membership, the
-//! per-assertion index keys), so the cache's budget goes to documents. Writes go through the
+//! records are such index entries (an interaction marker, a by-session index key), so the
+//! cache's budget goes to documents. Writes go through the
 //! cache because the store reads what it has just recorded.
 //!
 //! The key index, unlike the cache, grows with the store: it holds every live key. It keeps

@@ -5,7 +5,9 @@
 //! [`AccessPath::for_lineage`] are the only place that maps a request onto one. The
 //! index-or-scan fallback rule lives here and nowhere else: the store consults the table with
 //! its own configuration, and the `pasoa-query` planner overlays its forced modes on the same
-//! table.
+//! table. Only two rows have a secondary index: `BySession` (`x/s/`) and lineage edges
+//! (`x/e/`). `ByActor` and `ByRelation` are always the bulk-retrieval scan — neither of the
+//! paper's reasoners asks them, so no write pays for an index that would serve them.
 
 use serde::{Deserialize, Serialize};
 
@@ -16,10 +18,6 @@ use pasoa_core::prep::QueryRequest;
 pub enum AccessPath {
     /// Bounded lookup through the by-session secondary index (`x/s/`).
     SessionIndex,
-    /// Bounded lookup through the by-actor secondary index (`x/a/`).
-    ActorIndex,
-    /// Bounded lookup through the by-relation secondary index (`x/r/`).
-    RelationIndex,
     /// Traversal over the lineage adjacency index (`x/e/`).
     EdgeIndex,
     /// Prefix scan of the primary assertion keyspace (`a/<interaction>/`), which is already
@@ -37,10 +35,8 @@ pub enum AccessPath {
 
 impl AccessPath {
     /// Every path, in declaration order (so `path as usize` indexes it).
-    pub const ALL: [AccessPath; 9] = [
+    pub const ALL: [AccessPath; 7] = [
         AccessPath::SessionIndex,
-        AccessPath::ActorIndex,
-        AccessPath::RelationIndex,
         AccessPath::EdgeIndex,
         AccessPath::AssertionPrefix,
         AccessPath::FullScan,
@@ -49,9 +45,10 @@ impl AccessPath {
         AccessPath::Counters,
     ];
 
-    /// The request→access-path table. A store that maintains secondary indexes serves
-    /// session, actor and relation requests through them; one that does not falls back to the
-    /// bulk-retrieval scan. Every other request has a single path regardless.
+    /// The request→access-path table. A store that maintains secondary indexes serves session
+    /// requests through the by-session index; one that does not falls back to the
+    /// bulk-retrieval scan. Actor and relation requests are the scan on any store. Every other
+    /// request has a single path regardless.
     pub fn for_request(request: &QueryRequest, indexes_enabled: bool) -> AccessPath {
         match request {
             QueryRequest::ByInteraction(_) | QueryRequest::ActorStateByKind { .. } => {
@@ -60,10 +57,10 @@ impl AccessPath {
             QueryRequest::ListInteractions { .. } => AccessPath::InteractionMarkers,
             QueryRequest::GroupsByKind(_) => AccessPath::GroupPrefix,
             QueryRequest::Statistics => AccessPath::Counters,
-            _ if !indexes_enabled => AccessPath::FullScan,
-            QueryRequest::BySession(_) => AccessPath::SessionIndex,
-            QueryRequest::ByActor(_) => AccessPath::ActorIndex,
-            QueryRequest::ByRelation(_) => AccessPath::RelationIndex,
+            QueryRequest::BySession(_) if indexes_enabled => AccessPath::SessionIndex,
+            QueryRequest::BySession(_) | QueryRequest::ByActor(_) | QueryRequest::ByRelation(_) => {
+                AccessPath::FullScan
+            }
         }
     }
 
@@ -80,21 +77,13 @@ impl AccessPath {
     /// Whether this path reads a secondary-index keyspace, which only exists (and is only
     /// trustworthy) on a store opened with index maintenance.
     pub fn needs_index(self) -> bool {
-        matches!(
-            self,
-            AccessPath::SessionIndex
-                | AccessPath::ActorIndex
-                | AccessPath::RelationIndex
-                | AccessPath::EdgeIndex
-        )
+        matches!(self, AccessPath::SessionIndex | AccessPath::EdgeIndex)
     }
 
     /// Short name used in `Explain` output, metric names and logs.
     pub fn label(self) -> &'static str {
         match self {
             AccessPath::SessionIndex => "session-index",
-            AccessPath::ActorIndex => "actor-index",
-            AccessPath::RelationIndex => "relation-index",
             AccessPath::EdgeIndex => "edge-index",
             AccessPath::AssertionPrefix => "assertion-prefix",
             AccessPath::FullScan => "full-scan",

@@ -1,35 +1,36 @@
 //! Secondary-index keyspaces of the provenance store.
 //!
 //! The paper makes provenance *recording* cheap but leaves *querying* as bulk retrieval; these
-//! indexes close that gap. Each keyspace lives in the same [`crate::StorageBackend`] as the
-//! primary documents, so the backend's durability and crash-recovery guarantees cover index
-//! entries exactly as they cover p-assertions:
+//! indexes close that gap for the two reads the paper's reasoners and lineage traversals make
+//! by something other than an interaction key. Each keyspace lives in the same
+//! [`crate::StorageBackend`] as the primary documents, so the backend's durability and
+//! crash-recovery guarantees cover index entries exactly as they cover p-assertions:
 //!
 //! ```text
 //! a/<interaction>/<seq>                  → the p-assertion, packed (the primary keyspace; see
 //!                                          `pasoa_core::prepwire::encode_document`)
 //! x/!v                                   → index version marker (JSON)
 //! x/s/<session>/<interaction>/<seq>      → "" (by-session assertion index)
-//! x/a/<actor>/<interaction>/<seq>        → "" (by-actor assertion index)
-//! x/r/<relation>/<interaction>/<seq>     → "" (by-relation assertion index)
 //! x/e/<session>/<effect>/<seq>           → EdgeRecord (lineage adjacency index)
 //! ```
 //!
 //! All components are escaped with [`keys::escape_component`], and `<seq>` keeps the primary
-//! key's zero-padded formatting, so every index scan yields entries in the exact
+//! key's zero-padded formatting, so a by-session scan yields entries in the exact
 //! `(escaped interaction, seq)` order the primary `a/` keyspace uses — which is what makes
-//! indexed answers bit-identical to scan answers.
+//! indexed answers bit-identical to scan answers. By-actor and by-relation requests have no
+//! index: they are served by the bulk-retrieval scan.
 //!
 //! ## Crash consistency
 //!
-//! Index entries are staged *after* their assertion document inside the same backend batch,
-//! with the by-actor entry staged last in each per-assertion group. A power loss that truncates
-//! the log mid-batch can therefore leave an assertion without some of its index entries, but
-//! never an index entry without its assertion. The open-time consistency check exploits this:
-//! the index is consistent iff the version marker is current **and** the by-session and
-//! by-actor entry counts both equal the assertion count (a truncated group always shorts one of
-//! them). On mismatch the store rebuilds every index keyspace from the primary `a/` scan before
-//! serving — a stale index is never consulted.
+//! Each assertion's group in a backend batch is its document, its interaction marker (when
+//! the interaction is new), its edge entry (if any) and, **last**, its by-session entry. A
+//! power loss that truncates the log mid-batch can therefore leave a document without the
+//! rest of its group, but never a by-session entry without everything staged before it. The
+//! open-time consistency check exploits this: the store is consistent iff the version marker
+//! is current **and** the by-session entry count equals the assertion count (a truncated
+//! group always shorts it). On mismatch the store rebuilds the index keyspaces and the
+//! interaction markers from the primary `a/` scan before serving — a stale index is never
+//! consulted, and no interaction stays hidden from the listing.
 
 use serde::{Deserialize, Serialize};
 
@@ -43,15 +44,15 @@ use crate::store::{corrupt, StoreError};
 pub const VERSION_KEY: &[u8] = b"x/!v";
 /// Prefix of by-session index entries.
 pub const SESSION_IDX_PREFIX: &str = "x/s/";
-/// Prefix of by-actor index entries.
-pub const ACTOR_IDX_PREFIX: &str = "x/a/";
-/// Prefix of by-relation index entries.
-pub const RELATION_IDX_PREFIX: &str = "x/r/";
 /// Prefix of lineage adjacency (edge) index entries.
 pub const EDGE_IDX_PREFIX: &str = "x/e/";
 
 /// Current index layout version. Bumping it forces a rebuild on the next open.
-pub const CURRENT_VERSION: u32 = 1;
+pub const CURRENT_VERSION: u32 = 2;
+
+/// Keyspaces the version-1 layout also wrote (the by-actor and by-relation indexes, and a
+/// second session keyspace); nothing reads them, and the rebuild deletes what is left of them.
+pub(crate) const RETIRED_PREFIXES: [&str; 3] = ["x/a/", "x/r/", "s/"];
 
 /// The version marker document.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -133,15 +134,18 @@ pub fn assertion_key_for_sort_key(sort_key: &str) -> Vec<u8> {
     format!("{}{sort_key}", keys::ASSERTION_PREFIX).into_bytes()
 }
 
-/// Key of the entry for the assertion `sort_key` points at, under `component` (a session,
-/// actor or relation) of the assertion-index keyspace `keyspace` (`x/s/`, `x/a/` or `x/r/`).
-pub fn entry_key(keyspace: &str, component: &str, sort_key: &str) -> Vec<u8> {
-    format!("{keyspace}{}/{sort_key}", keys::escape_component(component)).into_bytes()
+/// By-session index key of the assertion `sort_key` points at, recorded under `session`.
+pub fn session_entry_key(session: &str, sort_key: &str) -> Vec<u8> {
+    format!(
+        "{SESSION_IDX_PREFIX}{}/{sort_key}",
+        keys::escape_component(session)
+    )
+    .into_bytes()
 }
 
-/// Prefix of all entries of `component` in the assertion-index keyspace `keyspace`.
-pub fn entry_prefix(keyspace: &str, component: &str) -> Vec<u8> {
-    format!("{keyspace}{}/", keys::escape_component(component)).into_bytes()
+/// Prefix of all by-session index entries of `session`.
+pub fn session_entry_prefix(session: &str) -> Vec<u8> {
+    format!("{SESSION_IDX_PREFIX}{}/", keys::escape_component(session)).into_bytes()
 }
 
 /// Adjacency index key for the edge produced by assertion `seq` with effect `effect` under
@@ -183,29 +187,24 @@ pub fn sort_key_from_entry(entry_key: &[u8], prefix: &[u8]) -> Option<String> {
 }
 
 /// Stage the index entries of one recorded assertion into `entries`, in crash-detectable
-/// group order: by-session first, then edge and relation entries (if any), then the by-actor
-/// entry last — the sentinel whose count proves the whole group landed. The caller must have
-/// staged the assertion document itself first.
+/// group order: the edge entry (if any), then the by-session entry last — the sentinel whose
+/// count proves the whole group landed. The caller must have staged the assertion document
+/// and its interaction marker first.
 pub fn stage_assertion_entries(
     entries: &mut Vec<(Vec<u8>, Vec<u8>)>,
     recorded: &RecordedAssertion,
     seq: u64,
 ) {
-    let interaction = recorded.assertion.interaction_key().as_str();
-    let sort = sort_key(interaction, seq);
     let session = recorded.session.as_str();
-    entries.push((entry_key(SESSION_IDX_PREFIX, session, &sort), Vec::new()));
     if let PAssertion::Relationship(rel) = &recorded.assertion {
         let edge = EdgeRecord::from_relationship(rel);
         entries.push((
             edge_entry_key(session, rel.effect.as_str(), seq),
             edge.to_stored(),
         ));
-        let relation = entry_key(RELATION_IDX_PREFIX, &rel.relation, &sort);
-        entries.push((relation, Vec::new()));
     }
-    let actor = recorded.assertion.asserter().as_str();
-    entries.push((entry_key(ACTOR_IDX_PREFIX, actor, &sort), Vec::new()));
+    let sort = sort_key(recorded.assertion.interaction_key().as_str(), seq);
+    entries.push((session_entry_key(session, &sort), Vec::new()));
 }
 
 #[cfg(test)]
@@ -226,20 +225,20 @@ mod tests {
 
     #[test]
     fn index_entry_keys_sort_like_primary_keys() {
-        let entry = |sort: String| entry_key(SESSION_IDX_PREFIX, "session:1", &sort);
+        let entry = |sort: String| session_entry_key("session:1", &sort);
         let a = entry(sort_key("interaction:1", 5));
         let b = entry(sort_key("interaction:1", 50));
         let c = entry(sort_key("interaction:2", 0));
         assert!(a < b && b < c);
-        assert!(a.starts_with(&entry_prefix(SESSION_IDX_PREFIX, "session:1")));
-        assert!(!a.starts_with(&entry_prefix(SESSION_IDX_PREFIX, "session:10")));
+        assert!(a.starts_with(&session_entry_prefix("session:1")));
+        assert!(!a.starts_with(&session_entry_prefix("session:10")));
     }
 
     #[test]
     fn sort_key_recovered_from_entry_keys() {
         let sort = sort_key("interaction:9", 3);
-        let prefix = entry_prefix(ACTOR_IDX_PREFIX, "engine");
-        let entry = entry_key(ACTOR_IDX_PREFIX, "engine", &sort);
+        let prefix = session_entry_prefix("session:9");
+        let entry = session_entry_key("session:9", &sort);
         assert_eq!(sort_key_from_entry(&entry, &prefix).unwrap(), sort);
         assert_eq!(sort_key_from_entry(&entry, b"x/s/other/"), None);
     }
@@ -256,7 +255,7 @@ mod tests {
     }
 
     #[test]
-    fn relationship_assertions_stage_edge_and_relation_entries() {
+    fn relationship_assertions_stage_the_edge_before_the_session_entry() {
         let recorded = RecordedAssertion {
             session: SessionId::new("session:e"),
             assertion: PAssertion::Relationship(RelationshipPAssertion {
@@ -269,13 +268,11 @@ mod tests {
         };
         let mut entries = Vec::new();
         stage_assertion_entries(&mut entries, &recorded, 7);
-        // session, edge, relation, actor — actor last (the crash-detection sentinel).
-        assert_eq!(entries.len(), 4);
-        assert!(entries[0].0.starts_with(SESSION_IDX_PREFIX.as_bytes()));
-        assert!(entries[1].0.starts_with(EDGE_IDX_PREFIX.as_bytes()));
-        assert!(entries[2].0.starts_with(RELATION_IDX_PREFIX.as_bytes()));
-        assert!(entries[3].0.starts_with(ACTOR_IDX_PREFIX.as_bytes()));
-        let edge = EdgeRecord::from_stored(&entries[1].1).unwrap();
+        // edge, then session — session last (the crash-detection sentinel).
+        assert_eq!(entries.len(), 2);
+        assert!(entries[0].0.starts_with(EDGE_IDX_PREFIX.as_bytes()));
+        assert!(entries[1].0.starts_with(SESSION_IDX_PREFIX.as_bytes()));
+        let edge = EdgeRecord::from_stored(&entries[0].1).unwrap();
         assert_eq!(edge.effect, DataId::new("data:out"));
         assert_eq!(edge.causes, vec![DataId::new("data:in")]);
         assert_eq!(edge.relation, "compressed-from");

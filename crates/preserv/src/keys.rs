@@ -2,13 +2,13 @@
 //!
 //! Every backend is an ordered key/value namespace; the store encodes its access paths as key
 //! prefixes so that the queries the use cases need (all assertions of an interaction, all
-//! interactions of a session, all groups of a kind) become ordered prefix scans.
+//! interactions, all groups of a kind) become ordered prefix scans.
 //!
 //! ```text
-//! a/<interaction>/<seq>        → RecordedAssertion (JSON)
+//! a/<interaction>/<seq>        → the p-assertion, packed (`pasoa_core::prepwire::encode_document`)
 //! i/<interaction>              → "" (interaction existence marker)
-//! s/<session>/<interaction>    → "" (session membership index)
 //! g/<kind>/<group id>          → Group (JSON)
+//! x/...                        → secondary indexes (see `crate::index`)
 //! ```
 //!
 //! Identifier components are percent-escaped so user-supplied ids containing `/` cannot break
@@ -18,8 +18,6 @@
 pub const ASSERTION_PREFIX: &str = "a/";
 /// Prefix of interaction marker keys.
 pub const INTERACTION_PREFIX: &str = "i/";
-/// Prefix of session index keys.
-pub const SESSION_PREFIX: &str = "s/";
 /// Prefix of group keys.
 pub const GROUP_PREFIX: &str = "g/";
 
@@ -64,31 +62,6 @@ pub fn interaction_key(interaction: &str) -> Vec<u8> {
 pub fn interaction_from_key(key: &[u8]) -> Option<String> {
     let text = std::str::from_utf8(key).ok()?;
     text.strip_prefix(INTERACTION_PREFIX)
-        .map(unescape_component)
-}
-
-/// Key indexing `interaction` under `session`.
-pub fn session_member_key(session: &str, interaction: &str) -> Vec<u8> {
-    format!(
-        "{SESSION_PREFIX}{}/{}",
-        escape_component(session),
-        escape_component(interaction)
-    )
-    .into_bytes()
-}
-
-/// Prefix of all session index keys of `session`.
-pub fn session_prefix(session: &str) -> Vec<u8> {
-    format!("{SESSION_PREFIX}{}/", escape_component(session)).into_bytes()
-}
-
-/// Extract the interaction id from a session index key with the given prefix.
-pub fn interaction_from_session_key(key: &[u8], prefix: &[u8]) -> Option<String> {
-    if !key.starts_with(prefix) {
-        return None;
-    }
-    std::str::from_utf8(&key[prefix.len()..])
-        .ok()
         .map(unescape_component)
 }
 
@@ -142,18 +115,6 @@ mod tests {
         let key = interaction_key("interaction:run/9");
         assert_eq!(interaction_from_key(&key).unwrap(), "interaction:run/9");
         assert_eq!(interaction_from_key(b"x/nope"), None);
-    }
-
-    #[test]
-    fn session_member_roundtrip() {
-        let prefix = session_prefix("session:42");
-        let key = session_member_key("session:42", "interaction:7");
-        assert!(key.starts_with(&prefix));
-        assert_eq!(
-            interaction_from_session_key(&key, &prefix).unwrap(),
-            "interaction:7"
-        );
-        assert_eq!(interaction_from_session_key(&key, b"s/other/"), None);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use pasoa_wire::{
     Envelope, MessageHandler, ServiceHost, WireError, WireResult, STATS_SNAPSHOT_ACTION,
 };
 
-use crate::backend::{FileBackend, KvBackend, MemoryBackend, StorageBackend};
+use crate::backend::{KvBackend, MemoryBackend, StorageBackend};
 use crate::plugins::{BasicQueryPlugin, LineageQueryPlugin, PagedQueryPlugin, PlugIn, StorePlugin};
 use crate::store::ProvenanceStore;
 
@@ -105,12 +105,6 @@ impl PreservService {
     /// Create a service over an in-memory backend.
     pub fn in_memory() -> Result<Self, crate::StoreError> {
         Self::with_backend(Arc::new(MemoryBackend::new()))
-    }
-
-    /// Create a service over a file-system backend rooted at `dir`.
-    pub fn with_file_backend(dir: impl AsRef<Path>) -> Result<Self, crate::StoreError> {
-        let backend = FileBackend::open(dir).map_err(crate::StoreError::Backend)?;
-        Self::with_backend(Arc::new(backend))
     }
 
     /// Create a service over the database backend rooted at `dir` (the configuration the

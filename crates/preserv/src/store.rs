@@ -39,7 +39,7 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock};
 
 use pasoa_core::group::Group;
-use pasoa_core::ids::{ActorId, DataId, InteractionKey, SessionId};
+use pasoa_core::ids::{DataId, InteractionKey, SessionId};
 use pasoa_core::passertion::{PAssertion, RecordedAssertion};
 use pasoa_core::prep::{
     PagedQuery, QueryRequest, QueryResponse, ShardQueryPage, StoreStatistics, MAX_PAGE_SIZE,
@@ -136,7 +136,8 @@ pub struct IndexReport {
     pub enabled: bool,
     /// Whether the open-time check found the index stale or absent and rebuilt it.
     pub rebuilt: bool,
-    /// Index entries written by the rebuild (0 when no rebuild ran).
+    /// Entries written by the rebuild — index entries, interaction markers and the version
+    /// marker (0 when no rebuild ran).
     pub entries_rebuilt: usize,
 }
 
@@ -279,20 +280,16 @@ impl ProvenanceStore {
         let assertions = self
             .backend
             .count_prefix(keys::ASSERTION_PREFIX.as_bytes())?;
-        let marker_ok = self.index_marker_is_current()?;
         let by_session = self
             .backend
             .count_prefix(index::SESSION_IDX_PREFIX.as_bytes())?;
-        let by_actor = self
-            .backend
-            .count_prefix(index::ACTOR_IDX_PREFIX.as_bytes())?;
-        let report = if marker_ok && by_session == assertions && by_actor == assertions {
+        let report = if by_session == assertions && self.index_marker_is_current()? {
             IndexReport {
                 enabled: true,
                 rebuilt: false,
                 entries_rebuilt: 0,
             }
-        } else if assertions == 0 && by_session == 0 && by_actor == 0 {
+        } else if assertions == 0 && by_session == 0 {
             // Fresh (or empty) store: initialize the marker, nothing to rebuild.
             self.backend
                 .put(index::VERSION_KEY, &IndexMarker::current().payload())?;
@@ -308,33 +305,48 @@ impl ProvenanceStore {
         Ok(report)
     }
 
-    /// Regenerate every index keyspace from the primary `a/` scan and stamp the version
-    /// marker (written last, so a crash mid-rebuild is re-detected on the next open).
-    /// Backends have no delete, but index entries are pure functions of their assertions and
-    /// assertions are immutable, so rewriting in place converges; orphan entries cannot exist
-    /// because index entries are always staged after their assertion document.
-    pub fn rebuild_indexes(&self) -> Result<IndexReport, StoreError> {
+    /// Delete what the retired keyspaces still hold, regenerate the index keyspaces and the
+    /// interaction markers from the primary `a/` scan, recount the interactions, and stamp the
+    /// version marker (written last, so a crash mid-rebuild is re-detected on the next open).
+    /// Index entries and markers are pure functions of their assertions and assertions are
+    /// immutable, so rewriting in place converges; orphan entries cannot exist because every
+    /// entry is staged after its assertion document.
+    fn rebuild_indexes(&self) -> Result<IndexReport, StoreError> {
+        let mut retired = Vec::new();
+        for prefix in index::RETIRED_PREFIXES {
+            retired.extend(self.backend.scan_prefix(prefix.as_bytes())?);
+        }
+        if !retired.is_empty() {
+            self.backend.delete_many(&retired)?;
+        }
         let mut entries: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+        let mut marker = Vec::new();
         for (key, value) in self
             .backend
             .scan_prefix_values(keys::ASSERTION_PREFIX.as_bytes())?
         {
             let recorded = decode_document(&String::from_utf8_lossy(&key), &value)?;
+            // `a/` is interaction-ordered, so one marker per run of equal interactions.
+            let interaction = keys::interaction_key(recorded.assertion.interaction_key().as_str());
+            if interaction != marker {
+                marker = interaction;
+                entries.push((marker.clone(), Vec::new()));
+            }
             index::stage_assertion_entries(&mut entries, &recorded, key_seq(&key)?);
         }
         entries.push((
             index::VERSION_KEY.to_vec(),
             IndexMarker::current().payload(),
         ));
-        let written = entries.len();
         self.backend.put_many(&entries)?;
-        let report = IndexReport {
+        self.stats.lock().interactions =
+            self.backend
+                .count_prefix(keys::INTERACTION_PREFIX.as_bytes())? as u64;
+        Ok(IndexReport {
             enabled: true,
             rebuilt: true,
-            entries_rebuilt: written,
-        };
-        *self.index_report.lock() = report;
-        Ok(report)
+            entries_rebuilt: entries.len(),
+        })
     }
 
     /// Invalidate the version marker on an index-disabled open: assertions recorded without
@@ -353,14 +365,9 @@ impl ProvenanceStore {
         self.maintain_indexes
     }
 
-    /// What the open-time index consistency check (or the last explicit rebuild) did.
+    /// What the open-time index consistency check did.
     pub fn index_report(&self) -> IndexReport {
         *self.index_report.lock()
-    }
-
-    /// The backend kind in use (reported by benchmarks).
-    pub fn backend_kind(&self) -> crate::backend::BackendKind {
-        self.backend.kind()
     }
 
     /// What crash recovery found and repaired when the backing storage was opened (`None` for
@@ -397,15 +404,15 @@ impl ProvenanceStore {
 
     /// Record a batch of p-assertions, returning how many were accepted.
     ///
-    /// The assertion documents, interaction markers and session index entries of the whole
-    /// batch are staged and handed to the backend as one `put_many` run, so a flushed
+    /// The assertion documents, interaction markers and index entries of the whole batch are
+    /// staged and handed to the backend as one `put_many` run, so a flushed
     /// asynchronous-recorder batch commits as a single group append on the database backend
     /// instead of one write per assertion.
     pub fn record_all(&self, recorded: &[RecordedAssertion]) -> Result<usize, StoreError> {
         if recorded.is_empty() {
             return Ok(0);
         }
-        let mut entries: Vec<(Vec<u8>, Vec<u8>)> = Vec::with_capacity(recorded.len() * 6);
+        let mut entries: Vec<(Vec<u8>, Vec<u8>)> = Vec::with_capacity(recorded.len() * 4);
         // Where in `entries` the interaction markers sit, one per distinct interaction of the
         // batch. Whether each is new is only decided under the commit lock.
         let mut marker_slots: Vec<usize> = Vec::new();
@@ -421,15 +428,11 @@ impl ProvenanceStore {
                 marker_slots.push(entries.len());
                 entries.push((marker, Vec::new()));
             }
-            entries.push((
-                keys::session_member_key(r.session.as_str(), interaction),
-                Vec::new(),
-            ));
             if self.maintain_indexes {
-                // Index entries follow their document inside the same backend batch, by-actor
-                // last: a power loss can leave an assertion missing index entries (caught and
-                // rebuilt by the open-time count check) but never an index entry without its
-                // assertion.
+                // Index entries follow their document and marker inside the same backend
+                // batch, by-session last: a power loss can leave an assertion missing the rest
+                // of its group (caught and rebuilt by the open-time count check) but never an
+                // index entry without its assertion.
                 index::stage_assertion_entries(&mut entries, r, seq);
             }
         }
@@ -506,23 +509,6 @@ impl ProvenanceStore {
         session: &SessionId,
     ) -> Result<Vec<RecordedAssertion>, StoreError> {
         self.assertions(&QueryRequest::BySession(session.clone()))
-    }
-
-    /// All p-assertions asserted by `actor`, in `(interaction key, recording order)` order.
-    pub fn assertions_by_actor(
-        &self,
-        actor: &ActorId,
-    ) -> Result<Vec<RecordedAssertion>, StoreError> {
-        self.assertions(&QueryRequest::ByActor(actor.clone()))
-    }
-
-    /// All relationship p-assertions carrying `relation`, in `(interaction key, recording
-    /// order)` order.
-    pub fn assertions_by_relation(
-        &self,
-        relation: &str,
-    ) -> Result<Vec<RecordedAssertion>, StoreError> {
-        self.assertions(&QueryRequest::ByRelation(relation.to_string()))
     }
 
     /// Actor-state p-assertions of a given kind label for one interaction.
@@ -620,20 +606,30 @@ impl ProvenanceStore {
         after: Option<&str>,
         limit: usize,
     ) -> Result<ShardQueryPage, StoreError> {
-        let Some(prefix) = key_prefix(request) else {
+        if !request.is_pageable() {
             return Err(StoreError::InvalidRequest(format!(
                 "{request:?} does not produce a p-assertion stream"
             )));
+        }
+        // The key prefix each non-scan row of the table reads: its interaction's slice of the
+        // primary keyspace, or its session's slice of the by-session index.
+        let prefix = match (path, request) {
+            (AccessPath::FullScan, _) => return self.cursor_scan(request, after, limit),
+            (
+                AccessPath::AssertionPrefix,
+                QueryRequest::ByInteraction(interaction)
+                | QueryRequest::ActorStateByKind { interaction, .. },
+            ) => keys::assertion_prefix(interaction.as_str()),
+            (AccessPath::SessionIndex, QueryRequest::BySession(session)) => {
+                index::session_entry_prefix(session.as_str())
+            }
+            _ => {
+                return Err(StoreError::InvalidRequest(format!(
+                    "{} cannot serve {request:?}",
+                    path.label()
+                )))
+            }
         };
-        if path == AccessPath::FullScan {
-            return self.cursor_scan(request, after, limit);
-        }
-        if path != AccessPath::for_request(request, true) {
-            return Err(StoreError::InvalidRequest(format!(
-                "{} cannot serve {request:?}",
-                path.label()
-            )));
-        }
         self.require_indexes(path)?;
         // A key is `<base><sort key>`: primary keys drop `a/`, index entries their whole prefix.
         let base = match path {
@@ -726,19 +722,17 @@ impl ProvenanceStore {
         Ok(ShardQueryPage { items, exhausted })
     }
 
-    /// The interactions recorded under `session`, in key order.
-    pub fn interactions_in_session(
-        &self,
-        session: &SessionId,
-    ) -> Result<Vec<InteractionKey>, StoreError> {
-        let prefix = keys::session_prefix(session.as_str());
-        let mut out = Vec::new();
-        for key in self.backend.scan_prefix(&prefix)? {
-            if let Some(interaction) = keys::interaction_from_session_key(&key, &prefix) {
-                out.push(InteractionKey::new(interaction));
-            }
-        }
-        Ok(out)
+    /// Whether any p-assertion is recorded under `session`, read through this store's
+    /// `BySession` row of the access-path table: one key of the by-session index, or the scan
+    /// on a store without indexes.
+    pub fn has_session(&self, session: &SessionId) -> Result<bool, StoreError> {
+        let request = QueryRequest::BySession(session.clone());
+        Ok(if self.access_path(&request) == AccessPath::SessionIndex {
+            let prefix = index::session_entry_prefix(session.as_str());
+            !self.backend.scan_prefix_page(&prefix, None, 1)?.is_empty()
+        } else {
+            !self.cursor_scan(&request, None, 1)?.items.is_empty()
+        })
     }
 
     /// All interaction keys known to the store (optionally limited), in key order.
@@ -967,30 +961,6 @@ fn decode_document(sort_key: &str, value: &[u8]) -> Result<RecordedAssertion, St
     })
 }
 
-/// The key prefix a pageable request's own (non-scan) access path reads: its interaction's
-/// slice of the primary keyspace, or its slice of a secondary index. `None` for requests that
-/// do not produce a p-assertion stream.
-fn key_prefix(request: &QueryRequest) -> Option<Vec<u8>> {
-    Some(match request {
-        QueryRequest::ByInteraction(interaction)
-        | QueryRequest::ActorStateByKind { interaction, .. } => {
-            keys::assertion_prefix(interaction.as_str())
-        }
-        QueryRequest::BySession(session) => {
-            index::entry_prefix(index::SESSION_IDX_PREFIX, session.as_str())
-        }
-        QueryRequest::ByActor(actor) => {
-            index::entry_prefix(index::ACTOR_IDX_PREFIX, actor.as_str())
-        }
-        QueryRequest::ByRelation(relation) => {
-            index::entry_prefix(index::RELATION_IDX_PREFIX, relation)
-        }
-        QueryRequest::ListInteractions { .. }
-        | QueryRequest::GroupsByKind(_)
-        | QueryRequest::Statistics => return None,
-    })
-}
-
 /// Whether `recorded` belongs to the answer of an assertion-producing request — the predicate
 /// the scan applies to the full bulk retrieval, and the prefix paths to what their prefix
 /// over-approximates.
@@ -1107,13 +1077,8 @@ mod tests {
         assert_eq!(b.len(), 3);
         assert_eq!(store.list_interactions(None).unwrap().len(), 8);
         assert_eq!(store.list_interactions(Some(3)).unwrap().len(), 3);
-        assert_eq!(
-            store
-                .interactions_in_session(&SessionId::new("session:B"))
-                .unwrap()
-                .len(),
-            3
-        );
+        assert!(store.has_session(&SessionId::new("session:B")).unwrap());
+        assert!(!store.has_session(&SessionId::new("session:none")).unwrap());
     }
 
     #[test]
@@ -1526,6 +1491,64 @@ mod tests {
         }
         fn kind(&self) -> crate::backend::BackendKind {
             self.0.kind()
+        }
+    }
+
+    /// A memory backend that counts the entries it is asked to write.
+    #[derive(Default)]
+    struct CountingPuts {
+        inner: MemoryBackend,
+        entries: AtomicU64,
+    }
+
+    impl StorageBackend for CountingPuts {
+        fn put(&self, key: &[u8], value: &[u8]) -> Result<(), BackendError> {
+            self.entries.fetch_add(1, Ordering::Relaxed);
+            self.inner.put(key, value)
+        }
+        fn put_many(&self, entries: &[(Vec<u8>, Vec<u8>)]) -> Result<(), BackendError> {
+            self.entries
+                .fetch_add(entries.len() as u64, Ordering::Relaxed);
+            self.inner.put_many(entries)
+        }
+        fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, BackendError> {
+            self.inner.get(key)
+        }
+        fn scan_prefix(&self, prefix: &[u8]) -> Result<Vec<Vec<u8>>, BackendError> {
+            self.inner.scan_prefix(prefix)
+        }
+        fn delete_many(&self, keys: &[Vec<u8>]) -> Result<(), BackendError> {
+            self.inner.delete_many(keys)
+        }
+        fn kind(&self) -> crate::backend::BackendKind {
+            self.inner.kind()
+        }
+    }
+
+    #[test]
+    fn an_interaction_of_one_assertion_writes_three_entries() {
+        let backend = Arc::new(CountingPuts::default());
+        let store = ProvenanceStore::open(Arc::clone(&backend) as Arc<dyn StorageBackend>).unwrap();
+        let opened = backend.entries.load(Ordering::Relaxed);
+        let batch: Vec<RecordedAssertion> = (0..50)
+            .map(|i| interaction_assertion("session:count", &format!("interaction:{i}"), "gzip"))
+            .collect();
+        store.record_all(&batch).unwrap();
+        // The document, its interaction marker and its by-session entry.
+        assert_eq!(
+            backend.entries.load(Ordering::Relaxed) - opened,
+            3 * batch.len() as u64
+        );
+        let keys = backend.scan_prefix(b"").unwrap();
+        assert_eq!(keys.len(), 3 * batch.len() + 1, "plus the version marker");
+        for key in keys {
+            assert!(
+                ["a/", "i/", "x/s/", "x/!v"]
+                    .iter()
+                    .any(|prefix| key.starts_with(prefix.as_bytes())),
+                "unexpected key {}",
+                String::from_utf8_lossy(&key)
+            );
         }
     }
 

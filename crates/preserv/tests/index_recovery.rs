@@ -2,10 +2,12 @@
 //!
 //! The kvdb layer already proves that a power loss truncates the log to a clean record
 //! boundary. These tests prove the layer above: whatever prefix of a batch survives — an
-//! assertion document with some or all of its index entries missing — the store must either
-//! find the index consistent or rebuild it at open, and **never serve a stale index**: after
-//! every possible truncation point, indexed answers equal scan answers bit-for-bit.
+//! assertion document with some or all of its marker and index entries missing — the store
+//! must either find the index consistent or rebuild it at open, and **never serve a stale
+//! index**: after every possible truncation point, indexed answers equal scan answers
+//! bit-for-bit, and every surviving interaction is listed and counted.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use pasoa_core::ids::{ActorId, DataId, InteractionKey, SessionId};
@@ -85,6 +87,28 @@ fn assert_index_equals_scan(store: &ProvenanceStore, session: &str) {
     let _ = LineageGraph::trace_session(store, &sid).unwrap();
 }
 
+/// Every interaction the scan finds is listed by `ListInteractions` and counted by the
+/// statistics — the interaction markers cover every stored assertion.
+fn assert_interactions_cover_the_scan(store: &ProvenanceStore, session: &str) {
+    let scanned: BTreeSet<InteractionKey> = store
+        .assertions_via(
+            &QueryRequest::BySession(SessionId::new(session)),
+            AccessPath::FullScan,
+        )
+        .unwrap()
+        .into_iter()
+        .map(|recorded| recorded.assertion.interaction_key().clone())
+        .collect();
+    let scanned: Vec<InteractionKey> = scanned.into_iter().collect();
+    assert_eq!(
+        store.list_interactions(None).unwrap(),
+        scanned,
+        "stored {} interactions, listed another set",
+        scanned.len()
+    );
+    assert_eq!(store.statistics().interactions, scanned.len() as u64);
+}
+
 /// Power loss at *every* byte offset in the tail of the log: each truncation must reopen into
 /// a consistent store (recover or rebuild — never a stale index), and at least one offset must
 /// actually exercise the rebuild path (a surviving document whose index entries were cut).
@@ -122,6 +146,7 @@ fn torn_tail_at_any_offset_recovers_or_rebuilds_never_stale() {
             rebuilds += 1;
         }
         assert_index_equals_scan(&store, "session:sweep");
+        assert_interactions_cover_the_scan(&store, "session:sweep");
         drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -258,5 +283,83 @@ fn legacy_json_documents_migrate_at_open_and_survive_a_crash_mid_migration() {
         assert_index_equals_scan(&store, session);
     }
     drop(store);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A store the version-1 layout wrote — by-actor (`x/a/`), by-relation (`x/r/`) and a second
+/// session keyspace (`s/`) beside today's keys — rebuilds once at open, drops those ranges, and
+/// answers exactly like a store recorded fresh. The next open finds it current.
+#[test]
+fn version_one_store_rebuilds_once_and_drops_the_retired_keyspaces() {
+    use pasoa_preserv::{keys, MemoryBackend, StorageBackend};
+
+    let assertions: Vec<RecordedAssertion> = (0..30).map(|i| assertion("session:v1", i)).collect();
+    let fresh = ProvenanceStore::open(Arc::new(MemoryBackend::new())).unwrap();
+    fresh.record_all(&assertions).unwrap();
+
+    let dir = scratch("v1");
+    {
+        let backend = Arc::new(KvBackend::open(&dir).unwrap());
+        ProvenanceStore::open(Arc::clone(&backend) as Arc<_>)
+            .unwrap()
+            .record_all(&assertions)
+            .unwrap();
+        // Add what version 1 also wrote for every assertion, and its marker.
+        let mut retired = Vec::new();
+        for key in backend
+            .scan_prefix(keys::ASSERTION_PREFIX.as_bytes())
+            .unwrap()
+        {
+            let sort = String::from_utf8(key["a/".len()..].to_vec()).unwrap();
+            let interaction = sort.rsplit_once('/').unwrap().0;
+            retired.push((
+                format!("s/session:v1/{interaction}").into_bytes(),
+                Vec::new(),
+            ));
+            retired.push((format!("x/a/recoverer/{sort}").into_bytes(), Vec::new()));
+            retired.push((format!("x/r/derived-from/{sort}").into_bytes(), Vec::new()));
+        }
+        retired.push((b"x/!v".to_vec(), br#"{"version":1}"#.to_vec()));
+        backend.put_many(&retired).unwrap();
+        backend.sync().unwrap();
+    }
+    let retired_keys = |backend: &KvBackend| {
+        ["x/a/", "x/r/", "s/"]
+            .iter()
+            .map(|prefix| backend.count_prefix(prefix.as_bytes()).unwrap())
+            .sum::<usize>()
+    };
+    assert_eq!(retired_keys(&KvBackend::open(&dir).unwrap()), 90);
+
+    let backend = Arc::new(KvBackend::open(&dir).unwrap());
+    let store = ProvenanceStore::open(Arc::clone(&backend) as Arc<_>).unwrap();
+    assert!(store.index_report().rebuilt, "a version-1 store rebuilds");
+    assert_eq!(
+        retired_keys(&backend),
+        0,
+        "the retired keyspaces are dropped"
+    );
+    assert_eq!(store.statistics(), fresh.statistics());
+    let requests = [
+        QueryRequest::BySession(SessionId::new("session:v1")),
+        QueryRequest::ByActor(ActorId::new("recoverer")),
+        QueryRequest::ByRelation("derived-from".into()),
+        QueryRequest::ByInteraction(InteractionKey::new("interaction:session:v1:007")),
+        QueryRequest::ListInteractions { limit: None },
+    ];
+    for request in &requests {
+        assert_eq!(
+            store.query(request).unwrap(),
+            fresh.query(request).unwrap(),
+            "{request:?}"
+        );
+    }
+    assert_index_equals_scan(&store, "session:v1");
+    store.sync().unwrap();
+    drop(store);
+    drop(backend);
+
+    let reopened = ProvenanceStore::open(Arc::new(KvBackend::open(&dir).unwrap())).unwrap();
+    assert!(!reopened.index_report().rebuilt, "one rebuild is enough");
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -19,8 +19,9 @@ pub enum PlanMode {
     /// Always take the bulk-retrieval scan — the oracle mode equivalence checks and the
     /// `query_latency` bench run against.
     ForceScan,
-    /// Demand an index; planning fails if the store does not maintain one. For callers that
-    /// would rather error than absorb a surprise full scan.
+    /// Demand an index; planning fails if the store does not maintain one, or if no index
+    /// serves the request at all (`ByActor`, `ByRelation`). For callers that would rather
+    /// error than absorb a surprise full scan.
     ForceIndex,
 }
 
@@ -68,8 +69,15 @@ impl Planner {
         scannable: bool,
         table: impl Fn(bool) -> AccessPath,
     ) -> Result<QueryPlan, QueryError> {
+        // A row that is the scan even on an indexed store has no index to force.
+        let unindexed = table(true) == AccessPath::FullScan;
         let path = match self.mode {
             PlanMode::ForceScan if scannable => AccessPath::FullScan,
+            PlanMode::ForceIndex if unindexed => {
+                return Err(QueryError::IndexUnavailable(
+                    "no secondary index serves this request".into(),
+                ))
+            }
             PlanMode::ForceIndex => table(true),
             _ => table(indexes_enabled),
         };
@@ -83,12 +91,13 @@ impl Planner {
             AccessPath::FullScan if self.mode == PlanMode::ForceScan => {
                 "scan forced by the caller (oracle mode)"
             }
+            AccessPath::FullScan if unindexed => {
+                "no secondary index serves this request; bulk retrieval"
+            }
             AccessPath::FullScan => {
                 "store opened without index maintenance; falling back to bulk retrieval"
             }
-            AccessPath::SessionIndex | AccessPath::ActorIndex | AccessPath::RelationIndex => {
-                "secondary index maintained by the store"
-            }
+            AccessPath::SessionIndex => "secondary index maintained by the store",
             AccessPath::EdgeIndex => {
                 "lineage adjacency index: edge records only, no full-assertion deserialization"
             }
@@ -121,20 +130,19 @@ mod tests {
             planner.plan(false, &by_session).unwrap().path,
             AccessPath::FullScan
         );
-        assert_eq!(
-            planner
-                .plan(true, &QueryRequest::ByActor(ActorId::new("a")))
-                .unwrap()
-                .path,
-            AccessPath::ActorIndex
-        );
-        assert_eq!(
-            planner
-                .plan(true, &QueryRequest::ByRelation("r".into()))
-                .unwrap()
-                .path,
-            AccessPath::RelationIndex
-        );
+        // No index serves actor or relation requests, whatever the store maintains.
+        for request in [
+            QueryRequest::ByActor(ActorId::new("a")),
+            QueryRequest::ByRelation("r".into()),
+        ] {
+            let plan = planner.plan(true, &request).unwrap();
+            assert_eq!(plan.path, AccessPath::FullScan);
+            assert!(
+                plan.reason.contains("no secondary index"),
+                "{}",
+                plan.reason
+            );
+        }
     }
 
     #[test]
@@ -181,6 +189,18 @@ mod tests {
             AccessPath::AssertionPrefix
         );
         assert!(planner.plan_lineage(false).is_err());
+        // Nor do actor and relation requests, whose only path is the scan.
+        for request in [
+            QueryRequest::ByActor(ActorId::new("a")),
+            QueryRequest::ByRelation("r".into()),
+        ] {
+            for indexes in [true, false] {
+                assert!(matches!(
+                    planner.plan(indexes, &request),
+                    Err(QueryError::IndexUnavailable(_))
+                ));
+            }
+        }
         assert_eq!(
             planner.plan_lineage(true).unwrap().path,
             AccessPath::EdgeIndex

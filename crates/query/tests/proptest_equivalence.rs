@@ -5,7 +5,8 @@
 //! fallback, and the paginated path must return exactly the same answers in exactly the same
 //! order. This is the contract that lets the planner choose plans on cost alone. Pages come
 //! back in stored form; on every exact-prefix path they are served without a single decode,
-//! and decoded at the edge they equal the scan oracle's answer.
+//! and decoded at the edge they equal the scan oracle's answer. Actor and relation requests
+//! have no index: forcing one is `IndexUnavailable`, and the other modes scan.
 
 use std::sync::Arc;
 
@@ -19,7 +20,7 @@ use pasoa_core::passertion::{
 use pasoa_core::prep::{PageCursor, PagedQuery, QueryRequest, QueryResponse};
 use pasoa_obs::Registry;
 use pasoa_preserv::{LineageGraph, MemoryBackend, ProvenanceStore};
-use pasoa_query::{PlanMode, QueryEngine};
+use pasoa_query::{PlanMode, QueryEngine, QueryError};
 
 const RELATIONS: [&str; 3] = ["compressed-from", "encoded-from", "shuffled-from"];
 
@@ -135,18 +136,39 @@ proptest! {
         let forced_scan = QueryEngine::with_mode(Arc::clone(&store), PlanMode::ForceScan);
 
         for request in requests() {
+            let indexed = !matches!(request, QueryRequest::ByActor(_) | QueryRequest::ByRelation(_));
+            // Every page of an exact-prefix path is served without a decode.
+            let exact = indexed && !matches!(request, QueryRequest::ActorStateByKind { .. });
             let expected = response_assertions(store.query(&request).unwrap());
             let via_auto = response_assertions(auto.query(&request).unwrap());
-            let via_index = response_assertions(forced_index.query(&request).unwrap());
             let via_scan = response_assertions(forced_scan.query(&request).unwrap());
             prop_assert_eq!(&via_auto, &expected, "auto diverged on {:?}", &request);
-            prop_assert_eq!(&via_index, &expected, "index diverged on {:?}", &request);
             prop_assert_eq!(&via_scan, &expected, "scan diverged on {:?}", &request);
+            let via_index = forced_index.query(&request);
+            if indexed {
+                let via_index = response_assertions(via_index.unwrap());
+                prop_assert_eq!(&via_index, &expected, "index diverged on {:?}", &request);
+            } else {
+                prop_assert!(
+                    matches!(via_index, Err(QueryError::IndexUnavailable(_))),
+                    "forced index planned {:?}", &request
+                );
+                let page = forced_index.page(&PagedQuery {
+                    request: request.clone(),
+                    cursor: None,
+                    page_size: 1,
+                });
+                prop_assert!(matches!(page, Err(QueryError::IndexUnavailable(_))));
+            }
 
-            // Paginated, through the index and through the scan, from one-item pages to a
-            // page larger than the whole answer: concatenated pages reproduce it exactly.
-            let exact = !matches!(request, QueryRequest::ActorStateByKind { .. });
-            for (mode, engine) in [("index", &forced_index), ("scan", &forced_scan)] {
+            // Paginated, through the planner's own choice, the index and the scan, from
+            // one-item pages to a page larger than the whole answer: concatenated pages
+            // reproduce it exactly.
+            let mut engines = vec![("auto", &auto), ("scan", &forced_scan)];
+            if indexed {
+                engines.push(("index", &forced_index));
+            }
+            for (mode, engine) in engines {
                 for page_size in [1, 2, 7, expected.len() + 1] {
                     let mut paged = Vec::new();
                     let mut cursor: Option<PageCursor> = None;
@@ -159,7 +181,7 @@ proptest! {
                                 page_size,
                             })
                             .unwrap();
-                        if mode == "index" && exact {
+                        if mode != "scan" && exact {
                             prop_assert_eq!(decoded(), before, "{:?} page decoded", &request);
                         }
                         prop_assert!(page.items.len() <= page_size);

@@ -40,7 +40,7 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// The group-coded sample a run of `config` measures, built by the workflow's own activities.
 fn encoded_sample(config: &ExperimentConfig) -> Vec<u8> {
     let ids = IdGenerator::new("codec-golden");
-    let ctx = ActivityContext::new(ids.clone(), 0);
+    let ctx = ActivityContext::new(ids.clone());
     let inputs = synthetic_inputs(&config.synthetic, &ids);
     let sample = CollateSampleActivity {
         target_size: config.sample_size,

@@ -1,5 +1,5 @@
 //! Integration tests asserting the *shape* of the paper's evaluation results on reduced-scale
-//! runs (the full-scale series are produced by the example binaries and Criterion benches).
+//! runs (the full-scale series are produced by the example binaries).
 
 use pasoa::experiment::figure4::Figure4Series;
 use pasoa::experiment::{ExperimentConfig, RunRecording, StoreDeployment};
