@@ -4,8 +4,9 @@
 //! which every client can produce but which costs a full text round trip — format on the
 //! sender, re-parse through a value tree on the receiver — per hop. So the messages that
 //! dominate a provenance store's traffic also have a packed form: a length-prefixed binary
-//! layout shipped as base64 text inside a dedicated body element, which both wire codecs —
-//! textual XML frames and binary envelope frames — carry unchanged.
+//! layout carried as a byte run inside a dedicated body element. Binary envelope frames and
+//! in-process envelopes carry the bytes as they are; only the textual XML form spells them
+//! out as base64 text, and the unpacking side reads either.
 //!
 //! This module owns three things:
 //!
@@ -27,7 +28,9 @@
 //!   transcoded directly into the compact JSON text the typed answer serializes to —
 //!   validated as strictly as a decode, but without building a single [`RecordedAssertion`].
 
-use pasoa_wire::{Envelope, WireError, WireResult, XmlElement};
+use std::borrow::Cow;
+
+use pasoa_wire::{base64, Envelope, WireError, WireResult, XmlElement};
 
 use crate::ids::{ActorId, DataId, InteractionKey, MessageId, SessionId};
 use crate::passertion::{
@@ -61,7 +64,7 @@ pub enum PackError {
         /// Element name actually present.
         got: String,
     },
-    /// The base64 text is malformed.
+    /// A textual carrier's base64 text is malformed.
     BadBase64,
     /// The payload claims a layout version this decoder does not speak.
     BadVersion(u8),
@@ -557,21 +560,31 @@ fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
-fn unpack_payload(element: &XmlElement, expected: &'static str) -> Result<Vec<u8>, PackError> {
+/// The packed bytes of carrier element `expected`: its byte run as it is, or — from a textual
+/// frame, which spells the run out — its base64 text decoded.
+fn unpack_payload<'a>(
+    element: &'a XmlElement,
+    expected: &'static str,
+) -> Result<Cow<'a, [u8]>, PackError> {
     if element.name != expected {
         return Err(PackError::WrongElement {
             expected,
             got: element.name.clone(),
         });
     }
-    from_base64(&element.text_content())
+    match element.byte_run() {
+        Some(bytes) => Ok(Cow::Borrowed(bytes)),
+        None => base64::decode(&element.text_content())
+            .map(Cow::Owned)
+            .map_err(|_| PackError::BadBase64),
+    }
 }
 
-/// A packed body element: the layout version, then whatever `fill` writes, as base64 text.
+/// A packed body element: the layout version, then whatever `fill` writes, as a byte run.
 fn packed(name: &str, fill: impl FnOnce(&mut Vec<u8>)) -> XmlElement {
     let mut out = vec![PACK_VERSION];
     fill(&mut out);
-    XmlElement::new(name).text(to_base64(&out))
+    XmlElement::new(name).bytes(out)
 }
 
 fn put_assertion(out: &mut Vec<u8>, assertion: &PAssertion) {
@@ -848,80 +861,6 @@ impl<'a> Reader<'a> {
     }
 }
 
-const BASE64_ALPHABET: &[u8; 64] =
-    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
-
-fn to_base64(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len().div_ceil(3) * 4);
-    let mut chunks = bytes.chunks_exact(3);
-    for chunk in &mut chunks {
-        let word = (u32::from(chunk[0]) << 16) | (u32::from(chunk[1]) << 8) | u32::from(chunk[2]);
-        for shift in [18, 12, 6, 0] {
-            out.push(BASE64_ALPHABET[(word >> shift) as usize & 0x3f] as char);
-        }
-    }
-    match chunks.remainder() {
-        [] => {}
-        [a] => {
-            let word = u32::from(*a) << 16;
-            out.push(BASE64_ALPHABET[(word >> 18) as usize & 0x3f] as char);
-            out.push(BASE64_ALPHABET[(word >> 12) as usize & 0x3f] as char);
-            out.push_str("==");
-        }
-        [a, b] => {
-            let word = (u32::from(*a) << 16) | (u32::from(*b) << 8);
-            out.push(BASE64_ALPHABET[(word >> 18) as usize & 0x3f] as char);
-            out.push(BASE64_ALPHABET[(word >> 12) as usize & 0x3f] as char);
-            out.push(BASE64_ALPHABET[(word >> 6) as usize & 0x3f] as char);
-            out.push('=');
-        }
-        _ => unreachable!("chunks_exact(3) leaves at most 2 bytes"),
-    }
-    out
-}
-
-fn from_base64(text: &str) -> Result<Vec<u8>, PackError> {
-    let bytes = text.trim().as_bytes();
-    if !bytes.len().is_multiple_of(4) {
-        return Err(PackError::BadBase64);
-    }
-    let mut out = Vec::with_capacity(bytes.len() / 4 * 3);
-    for (index, quad) in bytes.chunks_exact(4).enumerate() {
-        let pad = quad.iter().rev().take_while(|&&b| b == b'=').count();
-        if pad > 2 || quad[..4 - pad].contains(&b'=') {
-            return Err(PackError::BadBase64);
-        }
-        if pad > 0 && (index + 1) * 4 != bytes.len() {
-            // Padding may only close the final quad.
-            return Err(PackError::BadBase64);
-        }
-        let mut word = 0u32;
-        for &b in &quad[..4 - pad] {
-            word = (word << 6) | u32::from(b64_value(b).ok_or(PackError::BadBase64)?);
-        }
-        word <<= 6 * pad;
-        out.push((word >> 16) as u8);
-        if pad < 2 {
-            out.push((word >> 8) as u8);
-        }
-        if pad < 1 {
-            out.push(word as u8);
-        }
-    }
-    Ok(out)
-}
-
-fn b64_value(b: u8) -> Option<u8> {
-    match b {
-        b'A'..=b'Z' => Some(b - b'A'),
-        b'a'..=b'z' => Some(b - b'a' + 26),
-        b'0'..=b'9' => Some(b - b'0' + 52),
-        b'+' => Some(62),
-        b'/' => Some(63),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1105,9 +1044,10 @@ mod tests {
         let envelope = pasoa_wire::Envelope::request("provenance-store", "record")
             .with_body(record_to_element(&message));
 
-        // Textual XML frames.
+        // Textual XML frames: the byte run arrives as its base64 text.
         let text = envelope.to_wire();
         let textual = pasoa_wire::Envelope::from_wire(&text).unwrap();
+        assert!(textual.body.byte_run().is_none());
         assert_eq!(record_from_element(&textual.body).unwrap(), message);
 
         // Binary envelope frames.
@@ -1115,7 +1055,17 @@ mod tests {
         pasoa_wire::codec::encode_envelope(&envelope, &mut bytes);
         let (binary, consumed) = pasoa_wire::codec::decode_envelope(&bytes).unwrap();
         assert_eq!(consumed, bytes.len());
+        assert_eq!(binary, envelope, "the byte run crosses as it is");
         assert_eq!(record_from_element(&binary.body).unwrap(), message);
+    }
+
+    /// The two carriers of one packed payload: the byte run binary frames and in-process
+    /// envelopes deliver, and the base64 text a textual frame delivers.
+    fn carriers(name: &str, payload: &[u8]) -> [XmlElement; 2] {
+        [
+            XmlElement::new(name).bytes(payload.to_vec()),
+            XmlElement::new(name).text(base64::encode(payload)),
+        ]
     }
 
     #[test]
@@ -1129,12 +1079,23 @@ mod tests {
             ack_from_element(&XmlElement::new(ACK_ELEMENT).text("not base64!")),
             Err(PackError::BadBase64)
         ));
-        // A truncated but base64-valid payload fails structurally, never panics.
+        // A payload cut at any offset fails structurally in either carrier, never panics.
         let element = record_to_element(&full_record());
-        let full = element.text_content();
-        for cut in (4..full.len() - 4).step_by(7) {
-            let clipped = XmlElement::new(RECORD_ELEMENT).text(full[..cut - cut % 4].to_string());
-            assert!(record_from_element(&clipped).is_err(), "cut at {cut}");
+        let full = element.byte_run().expect("a packed body is a byte run");
+        for cut in 0..full.len() {
+            for clipped in carriers(RECORD_ELEMENT, &full[..cut]) {
+                assert!(record_from_element(&clipped).is_err(), "cut at {cut}");
+            }
+        }
+        // Base64 text cut off its quad boundary is malformed text, not a short payload.
+        let text = base64::encode(full);
+        for cut in (1..text.len()).filter(|cut| cut % 4 != 0) {
+            let clipped = XmlElement::new(RECORD_ELEMENT).text(&text[..cut]);
+            assert_eq!(
+                record_from_element(&clipped),
+                Err(PackError::BadBase64),
+                "cut at {cut}"
+            );
         }
     }
 
@@ -1145,39 +1106,54 @@ mod tests {
         put_str(&mut payload, "message:h");
         put_str(&mut payload, "attacker");
         payload.extend_from_slice(&u32::MAX.to_le_bytes());
-        let element = XmlElement::new(RECORD_ELEMENT).text(to_base64(&payload));
-        assert!(matches!(
-            record_from_element(&element),
-            Err(PackError::CountOverflow {
-                count: u32::MAX,
-                ..
-            })
-        ));
+        for element in carriers(RECORD_ELEMENT, &payload) {
+            assert!(matches!(
+                record_from_element(&element),
+                Err(PackError::CountOverflow {
+                    count: u32::MAX,
+                    ..
+                })
+            ));
+        }
     }
 
     #[test]
     fn version_drift_is_rejected() {
         let mut payload = vec![PACK_VERSION + 1];
         put_str(&mut payload, "message:v");
-        let element = XmlElement::new(ACK_ELEMENT).text(to_base64(&payload));
-        assert_eq!(
-            ack_from_element(&element),
-            Err(PackError::BadVersion(PACK_VERSION + 1))
-        );
+        for element in carriers(ACK_ELEMENT, &payload) {
+            assert_eq!(
+                ack_from_element(&element),
+                Err(PackError::BadVersion(PACK_VERSION + 1))
+            );
+        }
     }
 
+    /// A textual frame's carrier holds base64 text: it unpacks to the bytes a byte run would
+    /// have held, at every length, and malformed text is `BadBase64`.
     #[test]
     fn base64_roundtrips_all_lengths_and_rejects_malformed_text() {
         for len in 0..48usize {
             let bytes: Vec<u8> = (0..len as u8).map(|b| b.wrapping_mul(37)).collect();
-            let text = to_base64(&bytes);
-            assert_eq!(from_base64(&text).unwrap(), bytes, "len {len}");
+            for element in carriers(ACK_ELEMENT, &bytes) {
+                let unpacked = unpack_payload(&element, ACK_ELEMENT).unwrap();
+                assert_eq!(unpacked.as_ref(), bytes.as_slice(), "len {len}");
+            }
         }
-        assert!(from_base64("abc").is_err(), "length not a multiple of 4");
-        assert!(from_base64("ab=c").is_err(), "padding inside a quad");
-        assert!(from_base64("ab==cdef").is_err(), "padding before the end");
-        assert!(from_base64("a===").is_err(), "over-padded quad");
-        assert!(from_base64("ab\u{e9}=").is_err(), "non-alphabet byte");
+        for (bad, why) in [
+            ("abc", "length not a multiple of 4"),
+            ("ab=c", "padding inside a quad"),
+            ("ab==cdef", "padding before the end"),
+            ("a===", "over-padded quad"),
+            ("ab\u{e9}=", "non-alphabet byte"),
+        ] {
+            let element = XmlElement::new(ACK_ELEMENT).text(bad);
+            assert_eq!(
+                unpack_payload(&element, ACK_ELEMENT),
+                Err(PackError::BadBase64),
+                "{why}"
+            );
+        }
     }
 
     fn documents(assertions: &[RecordedAssertion]) -> Vec<(String, Vec<u8>)> {
@@ -1332,30 +1308,36 @@ mod tests {
             items: documents(&full_record().assertions),
             exhausted: true,
         };
-        let full = from_base64(&page_to_element(&page).text_content()).unwrap();
+        let element = page_to_element(&page);
+        let full = element.byte_run().expect("a page carrier is a byte run");
         for cut in 0..full.len() {
-            let clipped = XmlElement::new(PAGE_ELEMENT).text(to_base64(&full[..cut]));
-            assert!(page_from_element(&clipped).is_err(), "cut at {cut}");
+            for clipped in carriers(PAGE_ELEMENT, &full[..cut]) {
+                assert!(page_from_element(&clipped).is_err(), "cut at {cut}");
+            }
         }
         let mut hostile = vec![PACK_VERSION, 1];
         hostile.extend_from_slice(&u32::MAX.to_le_bytes());
-        let element = XmlElement::new(PAGE_ELEMENT).text(to_base64(&hostile));
-        assert!(matches!(
-            page_from_element(&element),
-            Err(PackError::CountOverflow {
-                count: u32::MAX,
-                ..
-            })
-        ));
-        let mut flagged = full.clone();
+        for element in carriers(PAGE_ELEMENT, &hostile) {
+            assert!(matches!(
+                page_from_element(&element),
+                Err(PackError::CountOverflow {
+                    count: u32::MAX,
+                    ..
+                })
+            ));
+        }
+        let mut flagged = full.to_vec();
         flagged[1] = 2;
-        let element = XmlElement::new(PAGE_ELEMENT).text(to_base64(&flagged));
-        assert_eq!(page_from_element(&element), Err(PackError::BadTag(2)));
-        let response = Envelope::response("query").with_body(element);
-        assert!(matches!(
-            page_from_response(&response),
-            Err(WireError::Payload(reason)) if reason.starts_with("packed page")
-        ));
+        for element in carriers(PAGE_ELEMENT, &flagged) {
+            assert_eq!(page_from_element(&element), Err(PackError::BadTag(2)));
+            let response = Envelope::response("query").with_body(element);
+            assert!(matches!(
+                page_from_response(&response),
+                Err(WireError::Payload(reason)) if reason.starts_with("packed page")
+            ));
+        }
+        let garbled = XmlElement::new(PAGE_ELEMENT).text("not base64!");
+        assert_eq!(page_from_element(&garbled), Err(PackError::BadBase64));
     }
 
     /// Strings over the characters that stress an escaper: ASCII controls, quotes and

@@ -84,13 +84,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.0.as_ref().map_or(0, |c| c.load(Ordering::Relaxed))
     }
-
-    /// Zero the tally — for accessors whose contract is "counts since last reset".
-    pub fn reset(&self) {
-        if let Some(cell) = &self.0 {
-            cell.store(0, Ordering::Relaxed);
-        }
-    }
 }
 
 /// Point-in-time level (queue depth, active connections): settable and signed-adjustable.

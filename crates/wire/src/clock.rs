@@ -31,11 +31,6 @@ impl SimClock {
     pub fn elapsed(&self) -> Duration {
         Duration::from_nanos(self.nanos.load(Ordering::Relaxed))
     }
-
-    /// Reset to zero (only meaningful between benchmark iterations).
-    pub fn reset(&self) {
-        self.nanos.store(0, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]
@@ -49,8 +44,6 @@ mod tests {
         clock.advance(Duration::from_millis(18));
         clock.advance(Duration::from_millis(15));
         assert_eq!(clock.elapsed(), Duration::from_millis(33));
-        clock.reset();
-        assert_eq!(clock.elapsed(), Duration::ZERO);
     }
 
     #[test]

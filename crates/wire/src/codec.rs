@@ -12,8 +12,12 @@
 //! element  := str name, u32 attr_count, (str key, str value)*, u32 child_count, node*
 //! node     := u8 tag, element            (tag 0)
 //!           | u8 tag, str                (tag 1, a text run)
+//!           | u8 tag, bytes              (tag 2, a byte run)
 //! str      := u32 len LE, len bytes of UTF-8
+//! bytes    := u32 len LE, len bytes
 //! ```
+//!
+//! A byte run crosses as its raw bytes; only the textual form spells it out as base64.
 //!
 //! Decoding is hardened the same way the frame decoder is: every claimed length is checked
 //! against the bytes actually remaining **before** any allocation, claimed counts are
@@ -38,6 +42,7 @@ pub const MAX_DEPTH: usize = 128;
 
 const TAG_ELEMENT: u8 = 0;
 const TAG_TEXT: u8 = 1;
+const TAG_BYTES: u8 = 2;
 
 /// Why a binary envelope could not be decoded. Every variant is a clean, reportable error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,7 +64,7 @@ pub enum CodecError {
     },
     /// A string section was not valid UTF-8.
     BadUtf8,
-    /// A child-node tag byte was neither element nor text.
+    /// A child-node tag byte was neither element, text nor byte run.
     BadTag(u8),
     /// Element nesting exceeded [`MAX_DEPTH`].
     TooDeep(usize),
@@ -137,6 +142,10 @@ fn encode_element(element: &XmlElement, out: &mut Vec<u8>) {
                 out.push(TAG_TEXT);
                 write_str(out, text);
             }
+            XmlNode::Bytes(bytes) => {
+                out.push(TAG_BYTES);
+                write_bytes(out, bytes);
+            }
         }
     }
 }
@@ -161,6 +170,7 @@ fn decode_element(reader: &mut Reader<'_>, depth: usize) -> Result<XmlElement, C
         match reader.read_u8()? {
             TAG_ELEMENT => children.push(XmlNode::Element(decode_element(reader, depth + 1)?)),
             TAG_TEXT => children.push(XmlNode::Text(reader.read_str()?)),
+            TAG_BYTES => children.push(XmlNode::Bytes(reader.read_bytes()?.to_vec())),
             other => return Err(CodecError::BadTag(other)),
         }
     }
@@ -180,8 +190,12 @@ fn write_u32(out: &mut Vec<u8>, value: usize) {
 }
 
 fn write_str(out: &mut Vec<u8>, value: &str) {
+    write_bytes(out, value.as_bytes());
+}
+
+fn write_bytes(out: &mut Vec<u8>, value: &[u8]) {
     write_u32(out, value.len());
-    out.extend_from_slice(value.as_bytes());
+    out.extend_from_slice(value);
 }
 
 struct Reader<'a> {
@@ -228,17 +242,17 @@ impl<'a> Reader<'a> {
         Ok(count)
     }
 
-    /// Read a length-prefixed UTF-8 string; the length is validated against the remaining
-    /// input and the bytes UTF-8-checked *before* the owned allocation.
-    fn read_str(&mut self) -> Result<String, CodecError> {
+    /// Read a length-prefixed byte section, borrowed; the length is validated against the
+    /// remaining input before the caller can size an allocation from it.
+    fn read_bytes(&mut self) -> Result<&'a [u8], CodecError> {
         let len = self.read_u32()?;
-        if len > self.remaining() {
-            return Err(CodecError::Truncated {
-                expected: len,
-                got: self.remaining(),
-            });
-        }
-        let bytes = self.take(len)?;
+        self.take(len)
+    }
+
+    /// Read a length-prefixed UTF-8 string; the bytes are UTF-8-checked *before* the owned
+    /// allocation.
+    fn read_str(&mut self) -> Result<String, CodecError> {
+        let bytes = self.read_bytes()?;
         Ok(std::str::from_utf8(bytes)
             .map_err(|_| CodecError::BadUtf8)?
             .to_string())
@@ -257,6 +271,7 @@ mod tests {
                 XmlElement::new("data")
                     .attr("kind", "script")
                     .child(XmlElement::new("inner").text("a<b&c\"d'é 環 💡"))
+                    .child(XmlElement::new("packed").bytes(vec![0, 0xFF, b'<', 7]))
                     .text("tail"),
             )
     }

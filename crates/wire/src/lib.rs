@@ -7,6 +7,7 @@
 //!
 //! * [`xml`] — a minimal XML-like element tree with a serializer and parser, used as the
 //!   message payload format (the SOAP-body stand-in),
+//! * [`base64`] — the textual form of an element's byte run,
 //! * [`envelope`] — the message envelope: headers (message id, sender, action) plus a body
 //!   element, mirroring a SOAP envelope,
 //! * [`codec`] — a compact binary encoding of envelopes (wire version 2 of the TCP frame
@@ -22,6 +23,7 @@
 //! Everything here is deliberately technology-independent, which is precisely the paper's
 //! point: provenance recording should not depend on the particular service plumbing in use.
 
+pub mod base64;
 pub mod clock;
 pub mod codec;
 pub mod envelope;

@@ -3,24 +3,29 @@
 //! PReServ ships with "XML schemas for storing data in and retrieving data from the store"; its
 //! SOAP Message Translator strips the HTTP and SOAP headers and hands the body to a plug-in.
 //! This module provides the equivalent payload representation: a tree of named elements with
-//! attributes, child elements and text content, plus a compact textual encoding. The encoding
-//! is a strict subset of XML (no namespaces, processing instructions, comments or DTDs), which
-//! is all the provenance messages need.
+//! attributes, child elements, text content and byte runs, plus a compact textual encoding.
+//! The encoding is a strict subset of XML (no namespaces, processing instructions, comments or
+//! DTDs), which is all the provenance messages need. A byte run has no XML form of its own: it
+//! is written as its base64 text, so it parses back as text.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use crate::base64;
 use crate::codec::MAX_DEPTH;
 use crate::error::{WireError, WireResult};
 
-/// A node in an element tree: either a child element or a run of text.
+/// A node in an element tree: a child element, a run of text or a run of bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum XmlNode {
     /// A nested element.
     Element(XmlElement),
     /// Character data.
     Text(String),
+    /// Binary data: carried as it is in process and by the binary codec, written as its
+    /// base64 text in the textual form (whose parser reads it back as [`XmlNode::Text`]).
+    Bytes(Vec<u8>),
 }
 
 /// An element with a name, attributes and ordered children.
@@ -59,6 +64,12 @@ impl XmlElement {
     /// Builder-style: append a text run.
     pub fn text(mut self, text: impl Into<String>) -> Self {
         self.children.push(XmlNode::Text(text.into()));
+        self
+    }
+
+    /// Builder-style: append a byte run.
+    pub fn bytes(mut self, bytes: Vec<u8>) -> Self {
+        self.children.push(XmlNode::Bytes(bytes));
         self
     }
 
@@ -101,13 +112,13 @@ impl XmlElement {
         })
     }
 
-    /// Concatenated text content of this element (direct text children only), borrowed when
-    /// there is a single text child — the shape of every payload body — so reading one never
-    /// copies it.
+    /// Concatenated text content of this element (direct text children only; byte runs are
+    /// not text, see [`Self::byte_run`]), borrowed when there is a single text child — the
+    /// shape of every payload body — so reading one never copies it.
     pub fn text_content(&self) -> Cow<'_, str> {
         let mut texts = self.children.iter().filter_map(|node| match node {
             XmlNode::Text(t) => Some(t.as_str()),
-            XmlNode::Element(_) => None,
+            XmlNode::Element(_) | XmlNode::Bytes(_) => None,
         });
         match (texts.next(), texts.next()) {
             (None, _) => Cow::Borrowed(""),
@@ -116,6 +127,14 @@ impl XmlElement {
                 Cow::Owned(texts.fold(format!("{first}{second}"), |out, t| out + t))
             }
         }
+    }
+
+    /// The first byte run among the direct children, if there is one.
+    pub fn byte_run(&self) -> Option<&[u8]> {
+        self.children.iter().find_map(|node| match node {
+            XmlNode::Bytes(b) => Some(b.as_slice()),
+            _ => None,
+        })
     }
 
     /// Number of element children.
@@ -145,6 +164,7 @@ impl XmlElement {
             match node {
                 XmlNode::Element(e) => e.write_into(out),
                 XmlNode::Text(t) => out.push_str(&escape(t)),
+                XmlNode::Bytes(b) => base64::encode_into(b, out),
             }
         }
         let _ = write!(out, "</{}>", self.name);
@@ -189,6 +209,7 @@ impl XmlElement {
             size += match node {
                 XmlNode::Element(e) => e.encoded_size(),
                 XmlNode::Text(t) => escaped_len(t),
+                XmlNode::Bytes(b) => base64::encoded_len(b.len()),
             };
         }
         size

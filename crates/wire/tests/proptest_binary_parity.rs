@@ -6,13 +6,15 @@
 //! a record shipped binary to one replica and textual to another must reconstruct the
 //! identical envelope, byte-for-byte in its canonical wire form. These properties pin that
 //! parity, plus the binary decoder's robustness against truncation, corruption and hostile
-//! length claims.
+//! length claims. Byte runs (packed message bodies) are the one node the two forms carry
+//! differently — raw in binary, base64 text in XML — and their properties say exactly how.
 
 use proptest::prelude::*;
 
+use pasoa_wire::base64;
 use pasoa_wire::codec::{decode_envelope, encode_envelope};
 use pasoa_wire::envelope::Envelope;
-use pasoa_wire::xml::XmlElement;
+use pasoa_wire::xml::{XmlElement, XmlNode};
 use pasoa_wire::CodecError;
 
 fn name_strategy() -> impl Strategy<Value = String> {
@@ -81,12 +83,16 @@ fn element_strategy() -> impl Strategy<Value = XmlElement> {
 }
 
 fn envelope_strategy() -> impl Strategy<Value = Envelope> {
+    envelope_with_body(element_strategy())
+}
+
+fn envelope_with_body(body: impl Strategy<Value = XmlElement>) -> impl Strategy<Value = Envelope> {
     (
         name_strategy(),
         name_strategy(),
         text_strategy(),
         text_strategy(),
-        element_strategy(),
+        body,
     )
         .prop_map(|(service, action, msg_id, sender, body)| {
             Envelope::request(&service, &action)
@@ -94,6 +100,60 @@ fn envelope_strategy() -> impl Strategy<Value = Envelope> {
                 .with_header("sender", sender)
                 .with_body(body)
         })
+}
+
+/// Trees whose leaves are text leaves or byte-run leaves: an element whose only child is a
+/// run of arbitrary bytes (possibly empty), the shape of a packed message body.
+fn element_with_bytes_strategy() -> impl Strategy<Value = XmlElement> {
+    let byte_leaf = (
+        name_strategy(),
+        prop::collection::vec(prop::num::u8::ANY, 0..96),
+    )
+        .prop_map(|(name, bytes)| XmlElement::new(name).bytes(bytes));
+    let leaf = prop_oneof![element_strategy(), byte_leaf];
+    leaf.prop_recursive(3, 24, 4, |inner| {
+        (name_strategy(), prop::collection::vec(inner, 0..4)).prop_map(|(name, children)| {
+            let mut el = XmlElement::new(name);
+            for c in children {
+                el.push_child(c);
+            }
+            el
+        })
+    })
+}
+
+/// `element` with every byte run replaced by a text run holding its base64 text.
+fn as_base64_text(element: &XmlElement) -> XmlElement {
+    let mut out = XmlElement::new(element.name.clone());
+    out.attributes = element.attributes.clone();
+    out.children = element
+        .children
+        .iter()
+        .map(|node| match node {
+            XmlNode::Element(e) => XmlNode::Element(as_base64_text(e)),
+            XmlNode::Text(t) => XmlNode::Text(t.clone()),
+            XmlNode::Bytes(b) => XmlNode::Text(base64::encode(b)),
+        })
+        .collect();
+    out
+}
+
+/// Walk `original` and its textual round trip `parsed` together and check that every byte
+/// run came back as text decoding to the same bytes.
+fn check_byte_runs(original: &XmlElement, parsed: &XmlElement) -> Result<(), TestCaseError> {
+    if let Some(bytes) = original.byte_run() {
+        prop_assert!(
+            parsed.byte_run().is_none(),
+            "the textual parser yields text"
+        );
+        let text = parsed.text_content();
+        prop_assert_eq!(base64::decode(&text).unwrap(), bytes.to_vec());
+    }
+    prop_assert_eq!(original.child_count(), parsed.child_count());
+    for (o, p) in original.elements().zip(parsed.elements()) {
+        check_byte_runs(o, p)?;
+    }
+    Ok(())
 }
 
 proptest! {
@@ -196,5 +256,45 @@ proptest! {
             Err(CodecError::CountOverflow { .. }) | Err(CodecError::Truncated { .. }) => {}
             other => prop_assert!(false, "claim {}: unexpected {:?}", claimed, other),
         }
+    }
+
+    /// A byte run crosses the binary codec as it is: the round trip is the identity, byte
+    /// runs included.
+    #[test]
+    fn byte_runs_roundtrip_binary_as_they_are(
+        envelope in envelope_with_body(element_with_bytes_strategy()),
+    ) {
+        let mut buf = Vec::new();
+        encode_envelope(&envelope, &mut buf);
+        let (decoded, consumed) = decode_envelope(&buf).unwrap();
+        prop_assert_eq!(consumed, buf.len());
+        prop_assert_eq!(&decoded, &envelope);
+        let mut rebuf = Vec::new();
+        encode_envelope(&decoded, &mut rebuf);
+        prop_assert_eq!(rebuf, buf);
+    }
+
+    /// The textual form of a byte run is exactly its base64 text: an envelope holding byte
+    /// runs serializes to the same bytes as the envelope holding their base64 text runs
+    /// instead, so the XML form — and every byte count taken from it — is what it was when
+    /// packed bodies were base64 text in memory too.
+    #[test]
+    fn byte_runs_render_as_their_base64_text(
+        envelope in envelope_with_body(element_with_bytes_strategy()),
+    ) {
+        let text_body = envelope.clone().with_body(as_base64_text(&envelope.body));
+        prop_assert_eq!(envelope.to_wire(), text_body.to_wire());
+        prop_assert_eq!(envelope.wire_size(), text_body.wire_size());
+    }
+
+    /// The textual round trip reads a byte run back as text, and that text decodes to the
+    /// same bytes.
+    #[test]
+    fn byte_runs_survive_the_textual_trip_as_base64(
+        envelope in envelope_with_body(element_with_bytes_strategy()),
+    ) {
+        let via_text = Envelope::from_wire(&envelope.to_wire()).unwrap();
+        prop_assert_eq!(&via_text.headers, &envelope.headers);
+        check_byte_runs(&envelope.body, &via_text.body)?;
     }
 }

@@ -9,14 +9,17 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use pasoa::cluster::{ClusterTransport, PreservCluster};
-use pasoa::model::ids::{ActorId, DataId, IdGenerator, InteractionKey, SessionId};
+use pasoa::model::ids::{ActorId, DataId, IdGenerator, InteractionKey, MessageId, SessionId};
 use pasoa::model::passertion::{
-    InteractionPAssertion, PAssertion, PAssertionContent, RecordedAssertion, ViewKind,
+    ActorStateKind, ActorStatePAssertion, InteractionPAssertion, PAssertion, PAssertionContent,
+    RecordedAssertion, RelationshipPAssertion, ViewKind,
 };
 use pasoa::model::prep::{
     PagedQuery, PrepMessage, QueryPage, QueryRequest, QueryResponse, RecordMessage,
 };
-use pasoa::wire::{Envelope, ServiceHost, TransportConfig};
+use pasoa::model::{prepwire, PROVENANCE_STORE_SERVICE};
+use pasoa::net::{NetClient, NetClientConfig, MAX_VERSION, VERSION_TEXT};
+use pasoa::wire::{Envelope, ServiceHost, TransportConfig, WireResult};
 
 const CLIENTS: usize = 4;
 const SESSIONS: usize = 3;
@@ -283,5 +286,137 @@ fn tcp_cluster_grows_identically_to_in_process() {
                 reference.assertions_for_session(&session).unwrap()
             );
         }
+    }
+}
+
+/// Sessions the seeded messages of the textual-peer test are spread over.
+const SEEDED_SESSIONS: u64 = 5;
+
+/// Record messages drawn from `seed`: every assertion kind, payloads of varied length with
+/// XML-hostile and multi-byte text, spread over [`SEEDED_SESSIONS`] sessions.
+fn seeded_messages(seed: u64, count: usize) -> Vec<RecordMessage> {
+    let mut state = seed;
+    let mut next = move || {
+        // splitmix64
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    (0..count)
+        .map(|m| {
+            let asserter = ActorId::new(format!("v1peer-{}", next() % 3));
+            let assertions = (0..1 + next() % 12)
+                .map(|i| {
+                    let session =
+                        SessionId::new(format!("session:v1peer:{}", next() % SEEDED_SESSIONS));
+                    let key = InteractionKey::new(format!("interaction:v1peer:{m}:{i}"));
+                    let text = "<a&b> \"é環\" ".repeat((next() % 40) as usize);
+                    let assertion = match next() % 3 {
+                        0 => PAssertion::Interaction(InteractionPAssertion {
+                            interaction_key: key,
+                            asserter: asserter.clone(),
+                            view: ViewKind::Sender,
+                            sender: asserter.clone(),
+                            receiver: ActorId::new("store"),
+                            operation: "record".into(),
+                            content: PAssertionContent::text(text),
+                            data_ids: vec![DataId::new(format!("data:v1peer:{m}:{i}"))],
+                        }),
+                        1 => PAssertion::ActorState(ActorStatePAssertion {
+                            interaction_key: key,
+                            asserter: asserter.clone(),
+                            view: ViewKind::Receiver,
+                            kind: ActorStateKind::Script,
+                            content: PAssertionContent::structured(&text),
+                        }),
+                        _ => PAssertion::Relationship(RelationshipPAssertion {
+                            interaction_key: key.clone(),
+                            asserter: asserter.clone(),
+                            effect: DataId::new(format!("data:v1peer:{m}:{i}:out")),
+                            causes: vec![(key, DataId::new(format!("data:v1peer:{m}:{i}")))],
+                            relation: "derived-from".into(),
+                        }),
+                    };
+                    RecordedAssertion { session, assertion }
+                })
+                .collect();
+            RecordMessage {
+                message_id: MessageId::new(format!("message:v1peer:{m}")),
+                asserter,
+                assertions,
+            }
+        })
+        .collect()
+}
+
+/// Send every message in its packed body through `call` and check each ack.
+fn record_packed(messages: &[RecordMessage], call: impl Fn(Envelope) -> WireResult<Envelope>) {
+    for message in messages {
+        let record = PrepMessage::Record(message.clone());
+        let request =
+            prepwire::request_envelope(PROVENANCE_STORE_SERVICE, record.action(), &record).unwrap();
+        let response = call(request).unwrap();
+        let ack = prepwire::ack_from_element(&response.body).unwrap();
+        assert!(ack.fully_accepted(), "{:?}", ack.rejected);
+        assert_eq!(ack.accepted, message.assertions.len());
+    }
+}
+
+/// Every stored `a/` document of every session, per shard: `(shard, sort key, bytes)`.
+fn stored_documents(cluster: &PreservCluster) -> Vec<(usize, String, Vec<u8>)> {
+    let mut out = Vec::new();
+    for (shard, store) in cluster.shard_stores().iter().enumerate() {
+        for s in 0..SEEDED_SESSIONS {
+            let session = QueryRequest::BySession(SessionId::new(format!("session:v1peer:{s}")));
+            for (sort, bytes) in store.documents(&session).unwrap() {
+                out.push((shard, sort, bytes));
+            }
+        }
+    }
+    out
+}
+
+/// A peer that speaks only textual (v1) frames — where packed bodies travel as base64 text —
+/// and a default (binary v2) peer, where they travel as raw bytes, record the same seeded
+/// messages into two TCP clusters. Both clusters store byte-identical documents, identical
+/// to an in-process cluster's, whose envelopes never leave memory.
+#[test]
+fn a_textual_peer_and_a_binary_peer_store_identical_documents() {
+    let messages = seeded_messages(0x5EED_0001, 40);
+    let total: usize = messages.iter().map(|m| m.assertions.len()).sum();
+
+    let host = ServiceHost::new();
+    let in_process = PreservCluster::deploy_in_memory(&host, 2).unwrap();
+    let transport = host.transport(TransportConfig::passthrough());
+    record_packed(&messages, |request| transport.call(request));
+    in_process.flush().unwrap();
+    let reference = stored_documents(&in_process);
+    assert_eq!(reference.len(), total, "every assertion is stored once");
+
+    for max_wire_version in [VERSION_TEXT, MAX_VERSION] {
+        let host = ServiceHost::new();
+        let cluster = PreservCluster::deploy_tcp(&host, 2).unwrap();
+        let client = NetClient::new(
+            cluster.router_addr().unwrap(),
+            PROVENANCE_STORE_SERVICE,
+            NetClientConfig {
+                max_wire_version,
+                ..NetClientConfig::default()
+            },
+        );
+        record_packed(&messages, |request| client.call(&request));
+        cluster.flush().unwrap();
+        let (_, router) = cluster.net_server_stats().pop().unwrap();
+        assert_eq!(
+            router.binary_frames > 0,
+            max_wire_version == MAX_VERSION,
+            "the client spoke the pinned wire version"
+        );
+        assert!(
+            stored_documents(&cluster) == reference,
+            "v{max_wire_version} peer's stored documents differ from the in-process cluster's"
+        );
     }
 }
