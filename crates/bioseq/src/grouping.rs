@@ -11,6 +11,7 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
+#[cfg(test)]
 use crate::alphabet::AMINO_ACIDS;
 
 /// A named partition of the amino-acid alphabet into groups.
@@ -86,22 +87,6 @@ impl GroupCoding {
             .filter(|g: &Vec<u8>| !g.is_empty())
             .collect();
         Self::new(name, groups)
-    }
-
-    /// Number of groups (the size of the reduced alphabet).
-    pub fn group_count(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// The group index of `residue`, if it is covered by this coding.
-    pub fn group_of(&self, residue: u8) -> Option<usize> {
-        let upper = residue.to_ascii_uppercase();
-        self.groups.iter().position(|g| g.contains(&upper))
-    }
-
-    /// Whether every standard amino acid is covered.
-    pub fn covers_standard_amino_acids(&self) -> bool {
-        AMINO_ACIDS.iter().all(|&aa| self.group_of(aa).is_some())
     }
 
     /// The symbol emitted for group `index` (groups are written as `A`, `B`, `C`, ... so the
@@ -203,7 +188,7 @@ mod tests {
         for g in StandardGrouping::ALL {
             let coding = g.coding();
             assert!(
-                coding.covers_standard_amino_acids(),
+                coding.encode(&AMINO_ACIDS).is_ok(),
                 "{} is incomplete",
                 g.name()
             );
@@ -214,7 +199,7 @@ mod tests {
                 StandardGrouping::Murphy10 => 10,
                 StandardGrouping::Chemical4 => 4,
             };
-            assert_eq!(coding.group_count(), expected, "{}", g.name());
+            assert_eq!(coding.groups.len(), expected, "{}", g.name());
         }
     }
 

@@ -2,7 +2,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::alphabet::{classify, Alphabet};
+use crate::alphabet::classify;
+#[cfg(test)]
+use crate::alphabet::Alphabet;
 
 /// What kind of biological sequence a record most plausibly is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -60,17 +62,6 @@ impl Sequence {
             SequenceKind::Unknown
         }
     }
-
-    /// Whether every residue is valid for `alphabet`.
-    pub fn is_valid_for(&self, alphabet: Alphabet) -> bool {
-        alphabet.validates(&self.residues)
-    }
-
-    /// The residues as a `&str` (always valid ASCII by construction of the alphabets, but
-    /// arbitrary user input may not be — hence the lossy conversion).
-    pub fn residue_string(&self) -> String {
-        String::from_utf8_lossy(&self.residues).into_owned()
-    }
 }
 
 #[cfg(test)]
@@ -83,15 +74,14 @@ mod tests {
         assert_eq!(s.residues, b"MKVLAAGG");
         assert_eq!(s.len(), 8);
         assert!(!s.is_empty());
-        assert_eq!(s.residue_string(), "MKVLAAGG");
     }
 
     #[test]
     fn protein_classification() {
         let s = Sequence::new("p", "", b"MKVLWYQN");
         assert_eq!(s.kind(), SequenceKind::Protein);
-        assert!(s.is_valid_for(Alphabet::AminoAcid));
-        assert!(!s.is_valid_for(Alphabet::Nucleotide));
+        assert!(Alphabet::AminoAcid.validates(&s.residues));
+        assert!(!Alphabet::Nucleotide.validates(&s.residues));
     }
 
     #[test]
@@ -100,7 +90,7 @@ mod tests {
         // acids — exactly the ambiguity use case 2 guards against.
         let s = Sequence::new("n", "", b"ACGTACGTACGT");
         assert_eq!(s.kind(), SequenceKind::Nucleotide);
-        assert!(s.is_valid_for(Alphabet::AminoAcid));
+        assert!(Alphabet::AminoAcid.validates(&s.residues));
     }
 
     #[test]

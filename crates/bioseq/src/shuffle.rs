@@ -27,7 +27,8 @@ pub fn permutations(data: &[u8], count: usize, base_seed: u64) -> Vec<Vec<u8>> {
 }
 
 /// Check that `a` is a permutation of `b` (same multiset of bytes).
-pub fn is_permutation_of(a: &[u8], b: &[u8]) -> bool {
+#[cfg(test)]
+pub(crate) fn is_permutation_of(a: &[u8], b: &[u8]) -> bool {
     if a.len() != b.len() {
         return false;
     }

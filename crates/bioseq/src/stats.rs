@@ -1,14 +1,17 @@
-//! Residue statistics: frequencies and empirical entropy.
+//! Summary statistics for the result tables, plus (for the tests) residue frequencies and
+//! empirical entropy.
 //!
 //! The paper frames compressibility as a bound on the structure present in a sequence; the
 //! zeroth-order empirical entropy gives the baseline any compressor must beat to demonstrate it
-//! found context-dependent correlations. These helpers feed the result tables and the
-//! experiment's sanity checks.
+//! found context-dependent correlations. The synthetic generator's tests check their samples
+//! against it.
 
+#[cfg(test)]
 use std::collections::BTreeMap;
 
 /// Count occurrences of each byte value.
-pub fn frequencies(data: &[u8]) -> BTreeMap<u8, usize> {
+#[cfg(test)]
+pub(crate) fn frequencies(data: &[u8]) -> BTreeMap<u8, usize> {
     let mut counts = BTreeMap::new();
     for &b in data {
         *counts.entry(b).or_insert(0) += 1;
@@ -17,7 +20,8 @@ pub fn frequencies(data: &[u8]) -> BTreeMap<u8, usize> {
 }
 
 /// Zeroth-order empirical entropy in bits per symbol.
-pub fn entropy_bits_per_symbol(data: &[u8]) -> f64 {
+#[cfg(test)]
+pub(crate) fn entropy_bits_per_symbol(data: &[u8]) -> f64 {
     if data.is_empty() {
         return 0.0;
     }
@@ -33,7 +37,8 @@ pub fn entropy_bits_per_symbol(data: &[u8]) -> f64 {
 }
 
 /// Number of distinct byte values present.
-pub fn distinct_symbols(data: &[u8]) -> usize {
+#[cfg(test)]
+pub(crate) fn distinct_symbols(data: &[u8]) -> usize {
     frequencies(data).len()
 }
 

@@ -201,7 +201,7 @@ mod tests {
         assert_eq!(a.len(), 4);
         for seq in &a {
             assert_eq!(seq.len(), 500);
-            assert!(seq.is_valid_for(Alphabet::AminoAcid));
+            assert!(Alphabet::AminoAcid.validates(&seq.residues));
             assert_eq!(seq.kind(), SequenceKind::Protein);
         }
     }
@@ -252,7 +252,7 @@ mod tests {
         let dna = gen.nucleotide(0);
         assert_eq!(dna.kind(), SequenceKind::Nucleotide);
         // And crucially, it also validates as protein input.
-        assert!(dna.is_valid_for(Alphabet::AminoAcid));
+        assert!(Alphabet::AminoAcid.validates(&dna.residues));
     }
 
     #[test]

@@ -2,7 +2,6 @@
 //! — reachable in process, or over real TCP sockets when the configuration asks for it.
 
 use std::net::SocketAddr;
-use std::path::Path;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -54,6 +53,11 @@ pub struct FeedOptions {
     pub clock: FeedClock,
 }
 
+/// Prefix of shard service names; shard `i` registers as `<prefix><i>`. Shards share the
+/// router's host (in process) or fabric (over TCP) with the well-known store name, so the
+/// prefix extends that name and cannot collide with it.
+const SHARD_NAME_PREFIX: &str = "provenance-store-shard-";
+
 /// Configuration of a cluster deployment.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
@@ -71,16 +75,9 @@ pub struct ClusterConfig {
     pub max_response_assertions: usize,
     /// Name the router registers under (what clients address).
     pub service_name: String,
-    /// Prefix for shard service names; shard `i` registers as `<prefix><i>`.
-    pub shard_name_prefix: String,
-    /// Whether envelopes travel in process or over TCP sockets.
+    /// Whether envelopes travel in process or over TCP sockets. Every TCP server the cluster
+    /// starts runs [`NetServerConfig::default`]'s 16 workers, sized in its documentation.
     pub transport: ClusterTransport,
-    /// Worker threads per TCP server (TCP transport only) — the bound on concurrently
-    /// *served* connections per listener, since a worker is pinned to its connection until
-    /// it closes or idles out. Size at or above the expected concurrently-open client
-    /// connections (each recording client typically pins one pooled connection on the
-    /// router's server, and each concurrent router worker one per shard server).
-    pub net_workers: usize,
     /// Change-feed tier: `Some` deploys a durable [`FeedQueue`] per shard (see
     /// [`FeedOptions`]); `None` (the default) deploys no feed at all.
     pub feed: Option<FeedOptions>,
@@ -95,9 +92,7 @@ impl Default for ClusterConfig {
             replication: 1,
             max_response_assertions: crate::router::DEFAULT_MAX_RESPONSE_ASSERTIONS,
             service_name: pasoa_core::PROVENANCE_STORE_SERVICE.to_string(),
-            shard_name_prefix: "provenance-store-shard-".to_string(),
             transport: ClusterTransport::InProcess,
-            net_workers: 16,
             feed: None,
         }
     }
@@ -173,21 +168,6 @@ impl PreservCluster {
         Self::deploy_with(host, config, memory_backend)
     }
 
-    /// Deploy a cluster whose shard `i` persists in `dir/shard-i` through the database
-    /// backend (the paper's Berkeley-DB-class configuration, horizontally sharded).
-    pub fn deploy_database(
-        host: &ServiceHost,
-        dir: impl AsRef<Path>,
-        shards: usize,
-    ) -> Result<Arc<Self>, StoreError> {
-        let dir = dir.as_ref().to_path_buf();
-        Self::deploy_with(host, ClusterConfig::with_shards(shards), move |shard| {
-            let backend = pasoa_preserv::KvBackend::open(dir.join(format!("shard-{shard}")))
-                .map_err(StoreError::Backend)?;
-            Ok(Arc::new(backend) as Arc<dyn StorageBackend>)
-        })
-    }
-
     /// Deploy an in-memory cluster whose every envelope really crosses a TCP socket: each
     /// shard listens on its own loopback port, the router reaches shards through pooled
     /// socket clients, and the caller's host holds a TCP proxy to the router under the
@@ -199,7 +179,7 @@ impl PreservCluster {
 
     /// [`Self::deploy_tcp`] with synchronous replication: killing any single shard's server —
     /// a real socket kill, not an injected fault — loses no acked p-assertion (for
-    /// `replication` ≥ 2).
+    /// `replication` ≥ 2). The tier the socket-kill failover tests deploy.
     pub fn deploy_tcp_replicated(
         host: &ServiceHost,
         shards: usize,
@@ -247,7 +227,7 @@ impl PreservCluster {
         let router_server = match config.transport {
             ClusterTransport::InProcess => None,
             ClusterTransport::Tcp => {
-                let server = NetServer::bind(("127.0.0.1", 0), &fabric, net_server_config(&config))
+                let server = NetServer::bind(("127.0.0.1", 0), &fabric, NetServerConfig::default())
                     .map_err(bind_to_store)?;
                 // The caller-side router proxy deliberately carries NO failure notice,
                 // unlike the shard proxies on the fabric. A shard-proxy kill feeds the
@@ -307,12 +287,14 @@ impl PreservCluster {
         self.config.transport
     }
 
-    /// The address clients connect to for the router, when deployed over TCP.
+    /// The address clients connect to for the router, when deployed over TCP. Public for the
+    /// TCP tests, which dial the router directly.
     pub fn router_addr(&self) -> Option<SocketAddr> {
         self.router_server.as_ref().map(|s| s.local_addr())
     }
 
-    /// The loopback address `shard`'s server listens on, when deployed over TCP.
+    /// The loopback address `shard`'s server listens on, when deployed over TCP. Public for
+    /// the TCP tests, which check that an added shard listens.
     pub fn shard_server_addr(&self, shard: usize) -> Option<SocketAddr> {
         self.net.read().get(shard).map(|server| server.local_addr())
     }
@@ -320,7 +302,8 @@ impl PreservCluster {
     /// Kill `shard`'s TCP server — a *real* socket kill: in-flight requests drain, further
     /// connections are refused, and the router discovers the death through connection errors
     /// mapped onto `ServiceDown`, exactly as it discovers injected faults. Returns whether a
-    /// server existed and was still up. (TCP transport only.)
+    /// server existed and was still up. (TCP transport only.) The fault the socket-kill
+    /// failover tests inject.
     pub fn shutdown_shard_server(&self, shard: usize) -> bool {
         let net = self.net.read();
         match net.get(shard) {
@@ -554,7 +537,7 @@ fn start_shard(
     index: usize,
     backend: Arc<dyn StorageBackend>,
 ) -> Result<(String, Arc<PreservService>, Option<NetServer>), StoreError> {
-    let name = format!("{}{index}", config.shard_name_prefix);
+    let name = format!("{SHARD_NAME_PREFIX}{index}");
     let service = PreservService::with_backend(backend)?.with_config(ServiceConfig {
         service_name: name.clone(),
     });
@@ -569,7 +552,7 @@ fn start_shard(
         ClusterTransport::Tcp => {
             StatsService::install(&serving_host, &name);
             let server =
-                NetServer::bind(("127.0.0.1", 0), &serving_host, net_server_config(config))
+                NetServer::bind(("127.0.0.1", 0), &serving_host, NetServerConfig::default())
                     .map_err(bind_to_store)?;
             let addr = server.local_addr();
             register_remote(fabric, &name, addr, NetClientConfig::default());
@@ -577,16 +560,6 @@ fn start_shard(
         }
     };
     Ok((name, service, server))
-}
-
-/// Server tuning for cluster deployments: [`ClusterConfig::net_workers`] workers (default
-/// 16 — headroom over the standard 8-recorder workloads); the library's default timeouts
-/// (30 s read / 10 s write) bound how long a wedged peer can pin a worker.
-fn net_server_config(config: &ClusterConfig) -> NetServerConfig {
-    NetServerConfig {
-        workers: config.net_workers.max(1),
-        ..Default::default()
-    }
 }
 
 /// Open a shard's feed queue over the shard's own backend and wire all three couplings: the

@@ -80,7 +80,7 @@ impl ShardLink {
             .iter()
             .map(|message| {
                 let envelope = prepwire::request_envelope(&shard.name, action, message)?
-                    .with_header("sender", "shard-router");
+                    .with_header(pasoa_wire::envelope::header_names::SENDER, "shard-router");
                 Ok(match trace {
                     Some(trace) => envelope.with_trace(trace),
                     None => envelope,

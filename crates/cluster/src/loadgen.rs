@@ -167,8 +167,9 @@ impl LoadGenerator {
         }
     }
 
-    /// Replace the trace-id source — the injection point that keeps simulation replays
-    /// bit-identical: a harness hands every run a generator seeded the same way.
+    /// Replace the trace-id source — the injection point that keeps replays bit-identical: a
+    /// harness (today `tests/observability_e2e.rs`) hands every run a generator seeded the
+    /// same way.
     pub fn with_trace_source(mut self, trace_ids: TraceIdGen) -> Self {
         self.trace_ids = trace_ids;
         self
@@ -366,7 +367,10 @@ fn client_run(
             let ctx = trace_ids.next();
             let envelope = prepwire::request_envelope(&config.service_name, "record", &record)
                 .expect("record messages serialize")
-                .with_header("sender", asserter.as_str())
+                .with_header(
+                    pasoa_wire::envelope::header_names::SENDER,
+                    asserter.as_str(),
+                )
                 .with_trace(&ctx);
             let call_start = Instant::now();
             match transport.call(envelope) {
@@ -455,7 +459,7 @@ mod tests {
         assert_eq!(first.pool_evictions, 0);
         let events = host.registry().events();
         assert!(
-            events.pushed() > 0,
+            !events.snapshot().is_empty(),
             "each record message logs a client event"
         );
         assert!(events

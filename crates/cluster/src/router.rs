@@ -820,8 +820,8 @@ impl ShardRouter {
         Ok(merge::merge_shard_pages(pages, paged.page_size))
     }
 
-    /// Answer one cursor-carrying page request (see [`Self::gather_page`]), decoded for a
-    /// typed caller.
+    /// Answer one cursor-carrying page request (gathered from the live shards like a wire
+    /// page request), decoded for a typed caller.
     pub fn query_page(&self, paged: &PagedQuery) -> WireResult<QueryPage> {
         let page = self.gather_page(paged)?;
         let next = page.next();

@@ -251,7 +251,8 @@ impl Default for BitModel {
 impl BitModel {
     /// Adaption rate: larger shifts adapt more slowly.
     const RATE: u32 = 5;
-    /// The lowest estimate reachable from 1/2: `p - (p >> 5)` is a fixed point at 31.
+    /// The lowest estimate reachable from 1/2: `p - (p >> 5)` is a fixed point at 31. Named
+    /// with [`Self::MAX`] so the tests can check the invariant the type documents.
     pub const MIN: u32 = 31;
     /// The highest estimate reachable from 1/2: `p + ((4096 - p) >> 5)` is a fixed point at
     /// 4065.

@@ -19,11 +19,6 @@ impl BitWriter {
         Self::default()
     }
 
-    /// Append a single bit.
-    pub fn write_bit(&mut self, bit: bool) {
-        self.write_bits(bit as u32, 1);
-    }
-
     /// Append the `count` low bits of `value`, least significant first.
     pub fn write_bits(&mut self, value: u32, count: u8) {
         debug_assert!(count <= 32);
@@ -43,7 +38,8 @@ impl BitWriter {
     }
 
     /// Total number of bits written.
-    pub fn bit_len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn bit_len(&self) -> usize {
         self.bytes.len() * 8 + self.pending_bits as usize
     }
 
@@ -115,7 +111,7 @@ mod tests {
         ];
         let mut w = BitWriter::new();
         for &b in &pattern {
-            w.write_bit(b);
+            w.write_bits(b as u32, 1);
         }
         assert_eq!(w.bit_len(), pattern.len());
         let bytes = w.into_bytes();
@@ -166,7 +162,7 @@ mod tests {
         assert_eq!(w.bit_len(), 0);
         w.write_bits(0xFF, 8);
         assert_eq!(w.byte_len(), 1);
-        w.write_bit(true);
+        w.write_bits(1, 1);
         assert_eq!(w.byte_len(), 2);
         assert_eq!(w.bit_len(), 9);
     }

@@ -35,6 +35,9 @@ impl Default for BzipCompressor {
 
 impl BzipCompressor {
     /// Create a compressor with an explicit block size (minimum 1 KiB).
+    ///
+    /// Kept public for `tests/hostile.rs` and `tests/proptest_codecs.rs`, which need blocks
+    /// small enough to cross block boundaries.
     pub fn with_block_size(block_size: usize) -> Self {
         BzipCompressor {
             block_size: block_size.max(1024),

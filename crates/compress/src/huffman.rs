@@ -67,11 +67,6 @@ impl CodeBook {
         self.code_lengths.len()
     }
 
-    /// Whether `symbol` has a code.
-    pub fn has_code(&self, symbol: usize) -> bool {
-        self.code_lengths.get(symbol).is_some_and(|&l| l > 0)
-    }
-
     /// Write the code for `symbol`, most significant bit first (canonical decoding consumes it
     /// in that order).
     pub fn encode_symbol(&self, symbol: usize, out: &mut BitWriter) {
@@ -333,8 +328,8 @@ mod tests {
         assert!(book.code_lengths[0] <= book.code_lengths[2]);
         assert!(book.code_lengths[2] <= book.code_lengths[4]);
         assert_eq!(book.code_lengths[5], 0);
-        assert!(!book.has_code(5));
-        assert!(book.has_code(0));
+        assert_eq!(book.code_lengths[5], 0);
+        assert!(book.code_lengths[0] > 0);
     }
 
     #[test]

@@ -50,6 +50,8 @@ fn hash(data: &[u8], pos: usize) -> usize {
 }
 
 /// Factor `data` into LZ77 tokens using greedy hash-bucket matching.
+///
+/// Kept public for `tests/proptest_codecs.rs`, which round-trips it through [`detokenize`].
 pub fn tokenize(data: &[u8]) -> Vec<Token> {
     let mut tokens = Vec::with_capacity(data.len() / 2 + 16);
     factor(data, |token| tokens.push(token));
@@ -186,9 +188,10 @@ pub fn detokenize(tokens: &[Token]) -> Result<Vec<u8>, crate::CompressError> {
     Ok(out)
 }
 
-/// Statistics about a token stream, useful for diagnostics and tests.
+/// Statistics about a token stream, for the tokenizer's tests.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TokenStats {
+pub(crate) struct TokenStats {
     /// Number of literal tokens.
     pub literals: usize,
     /// Number of match tokens.
@@ -198,7 +201,8 @@ pub struct TokenStats {
 }
 
 /// Compute [`TokenStats`] for a token stream.
-pub fn token_stats(tokens: &[Token]) -> TokenStats {
+#[cfg(test)]
+pub(crate) fn token_stats(tokens: &[Token]) -> TokenStats {
     let mut stats = TokenStats::default();
     for t in tokens {
         match t {

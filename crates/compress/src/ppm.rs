@@ -39,7 +39,8 @@ impl Default for PpmCompressor {
 
 impl PpmCompressor {
     /// Create a compressor with an explicit maximum context order (clamped to 1..=3).
-    pub fn with_order(max_order: u8) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_order(max_order: u8) -> Self {
         PpmCompressor {
             max_order: max_order.clamp(1, 3),
         }

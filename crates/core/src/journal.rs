@@ -95,7 +95,9 @@ impl Journal {
         self.entries.lock().clone()
     }
 
-    /// Persist the journal as JSON lines at `path` (overwriting), without draining it.
+    /// Persist the journal as JSON lines at `path` (overwriting), without draining it. Kept
+    /// for paper fidelity — asynchronous recording accumulates "locally in a file" — until
+    /// ROADMAP item 13 replaces it and [`Self::load`] with a durable journal.
     pub fn persist(&self, path: &Path) -> Result<usize, JournalError> {
         let entries = self.snapshot();
         let file = std::fs::File::create(path)?;

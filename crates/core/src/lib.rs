@@ -48,10 +48,7 @@ pub use prep::{
     PageCursor, PagedQuery, PrepMessage, QueryPage, QueryRequest, QueryResponse, RecordAck,
     RecordMessage, ShardQueryPage, MAX_PAGE_SIZE,
 };
-pub use recorder::{
-    AsyncRecorder, NullRecorder, ProvenanceRecorder, RecorderStats, RecordingConfig, RecordingMode,
-    SyncRecorder,
-};
+pub use recorder::{AsyncRecorder, NullRecorder, ProvenanceRecorder, RecordingMode, SyncRecorder};
 
 /// Logical service name under which a provenance store registers on the wire layer.
 pub const PROVENANCE_STORE_SERVICE: &str = "provenance-store";

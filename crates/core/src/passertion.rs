@@ -106,7 +106,7 @@ pub struct InteractionPAssertion {
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ActorStateKind {
     /// The script (or command line) the actor executed — needed by use case 1, which must
-    /// detect that "the algorithms used to process the sequence data [have] been changed".
+    /// detect that "the algorithms used to process the sequence data \[have\] been changed".
     Script,
     /// The workflow definition under execution.
     Workflow,
@@ -193,15 +193,6 @@ impl PAssertion {
         }
     }
 
-    /// Short kind label used in store keys ("interaction", "actorstate", "relationship").
-    pub fn kind_label(&self) -> &'static str {
-        match self {
-            PAssertion::Interaction(_) => "interaction",
-            PAssertion::ActorState(_) => "actorstate",
-            PAssertion::Relationship(_) => "relationship",
-        }
-    }
-
     /// Approximate size of the assertion's content in bytes.
     pub fn content_len(&self) -> usize {
         match self {
@@ -272,7 +263,6 @@ mod tests {
     #[test]
     fn passertion_accessors() {
         let interaction = PAssertion::Interaction(sample_interaction());
-        assert_eq!(interaction.kind_label(), "interaction");
         assert_eq!(interaction.asserter().as_str(), "workflow-engine");
         assert_eq!(interaction.interaction_key().as_str(), "interaction:r:1");
         assert!(interaction.content_len() > 0);
@@ -284,7 +274,7 @@ mod tests {
             kind: ActorStateKind::Script,
             content: PAssertionContent::text("#!/bin/sh\ngzip -9 $1"),
         });
-        assert_eq!(state.kind_label(), "actorstate");
+        assert_eq!(state.asserter().as_str(), "gzip-compressor");
 
         let rel = PAssertion::Relationship(RelationshipPAssertion {
             interaction_key: InteractionKey::new("interaction:r:2"),
@@ -296,7 +286,6 @@ mod tests {
             )],
             relation: "compressed-from".into(),
         });
-        assert_eq!(rel.kind_label(), "relationship");
         assert!(rel.content_len() > 0);
     }
 

@@ -9,8 +9,7 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
+use pasoa_wire::envelope::header_names;
 use pasoa_wire::{Envelope, Transport, WireError};
 
 use crate::group::Group;
@@ -70,37 +69,6 @@ impl RecordingMode {
     }
 }
 
-/// Configuration common to the concrete recorders.
-#[derive(Debug, Clone)]
-pub struct RecordingConfig {
-    /// Delivery strategy.
-    pub mode: RecordingMode,
-    /// Number of p-assertions bundled into one record message when flushing asynchronously.
-    pub batch_size: usize,
-}
-
-impl Default for RecordingConfig {
-    fn default() -> Self {
-        RecordingConfig {
-            mode: RecordingMode::Asynchronous,
-            batch_size: 64,
-        }
-    }
-}
-
-/// Counters every recorder maintains.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RecorderStats {
-    /// P-assertions handed to the recorder.
-    pub assertions_recorded: u64,
-    /// Group registrations handed to the recorder.
-    pub groups_recorded: u64,
-    /// Record messages actually sent to the store.
-    pub messages_sent: u64,
-    /// P-assertions confirmed accepted by the store.
-    pub assertions_accepted: u64,
-}
-
 /// A destination for provenance documentation.
 ///
 /// Implementations must be shareable across threads because workflow activities run in
@@ -119,9 +87,6 @@ pub trait ProvenanceRecorder: Send + Sync {
     /// nothing to do here.
     fn flush(&self) -> Result<(), RecordError>;
 
-    /// Counters.
-    fn stats(&self) -> RecorderStats;
-
     /// The delivery mode this recorder implements.
     fn mode(&self) -> RecordingMode;
 }
@@ -130,16 +95,12 @@ pub trait ProvenanceRecorder: Send + Sync {
 #[derive(Debug)]
 pub struct NullRecorder {
     session: SessionId,
-    stats: Mutex<RecorderStats>,
 }
 
 impl NullRecorder {
     /// Create a null recorder for `session`.
     pub fn new(session: SessionId) -> Self {
-        NullRecorder {
-            session,
-            stats: Mutex::new(RecorderStats::default()),
-        }
+        NullRecorder { session }
     }
 }
 
@@ -162,10 +123,6 @@ impl ProvenanceRecorder for NullRecorder {
         Ok(())
     }
 
-    fn stats(&self) -> RecorderStats {
-        *self.stats.lock()
-    }
-
     fn mode(&self) -> RecordingMode {
         RecordingMode::None
     }
@@ -176,7 +133,7 @@ fn send_record(
     ids: &IdGenerator,
     asserter: &ActorId,
     assertions: Vec<RecordedAssertion>,
-) -> Result<RecordAck, RecordError> {
+) -> Result<(), RecordError> {
     let message = RecordMessage {
         message_id: ids.message_id(),
         asserter: asserter.clone(),
@@ -184,12 +141,12 @@ fn send_record(
     };
     let prep = PrepMessage::Record(message);
     let envelope = Envelope::request(PROVENANCE_STORE_SERVICE, prep.action())
-        .with_header("sender", asserter.as_str())
+        .with_header(header_names::SENDER, asserter.as_str())
         .with_json_payload(&prep)?;
     let response = transport.call(envelope)?;
     let ack: RecordAck = response.json_payload()?;
     if ack.fully_accepted() {
-        Ok(ack)
+        Ok(())
     } else {
         Err(RecordError::Rejected(ack.rejected))
     }
@@ -198,7 +155,7 @@ fn send_record(
 fn send_group(transport: &Transport, asserter: &ActorId, group: Group) -> Result<(), RecordError> {
     let prep = PrepMessage::RegisterGroup(group);
     let envelope = Envelope::request(PROVENANCE_STORE_SERVICE, prep.action())
-        .with_header("sender", asserter.as_str())
+        .with_header(header_names::SENDER, asserter.as_str())
         .with_json_payload(&prep)?;
     transport.call(envelope)?;
     Ok(())
@@ -210,7 +167,6 @@ pub struct SyncRecorder {
     asserter: ActorId,
     transport: Transport,
     ids: IdGenerator,
-    stats: Mutex<RecorderStats>,
 }
 
 impl SyncRecorder {
@@ -226,7 +182,6 @@ impl SyncRecorder {
             asserter,
             transport,
             ids,
-            stats: Mutex::new(Default::default()),
         }
     }
 }
@@ -241,28 +196,15 @@ impl ProvenanceRecorder for SyncRecorder {
             session: self.session.clone(),
             assertion,
         };
-        let ack = send_record(&self.transport, &self.ids, &self.asserter, vec![recorded])?;
-        let mut stats = self.stats.lock();
-        stats.assertions_recorded += 1;
-        stats.messages_sent += 1;
-        stats.assertions_accepted += ack.accepted as u64;
-        Ok(())
+        send_record(&self.transport, &self.ids, &self.asserter, vec![recorded])
     }
 
     fn register_group(&self, group: Group) -> Result<(), RecordError> {
-        send_group(&self.transport, &self.asserter, group)?;
-        let mut stats = self.stats.lock();
-        stats.groups_recorded += 1;
-        stats.messages_sent += 1;
-        Ok(())
+        send_group(&self.transport, &self.asserter, group)
     }
 
     fn flush(&self) -> Result<(), RecordError> {
         Ok(())
-    }
-
-    fn stats(&self) -> RecorderStats {
-        *self.stats.lock()
     }
 
     fn mode(&self) -> RecordingMode {
@@ -279,7 +221,6 @@ pub struct AsyncRecorder {
     ids: IdGenerator,
     journal: Arc<Journal>,
     batch_size: usize,
-    stats: Mutex<RecorderStats>,
 }
 
 impl AsyncRecorder {
@@ -298,7 +239,6 @@ impl AsyncRecorder {
             ids,
             journal: Arc::new(Journal::new()),
             batch_size: batch_size.max(1),
-            stats: Mutex::new(Default::default()),
         }
     }
 
@@ -324,13 +264,11 @@ impl ProvenanceRecorder for AsyncRecorder {
             session: self.session.clone(),
             assertion,
         });
-        self.stats.lock().assertions_recorded += 1;
         Ok(())
     }
 
     fn register_group(&self, group: Group) -> Result<(), RecordError> {
         self.journal.push_group(group);
-        self.stats.lock().groups_recorded += 1;
         Ok(())
     }
 
@@ -346,19 +284,11 @@ impl ProvenanceRecorder for AsyncRecorder {
         }
         for group in groups {
             send_group(&self.transport, &self.asserter, group)?;
-            self.stats.lock().messages_sent += 1;
         }
         for chunk in assertions.chunks(self.batch_size) {
-            let ack = send_record(&self.transport, &self.ids, &self.asserter, chunk.to_vec())?;
-            let mut stats = self.stats.lock();
-            stats.messages_sent += 1;
-            stats.assertions_accepted += ack.accepted as u64;
+            send_record(&self.transport, &self.ids, &self.asserter, chunk.to_vec())?;
         }
         Ok(())
-    }
-
-    fn stats(&self) -> RecorderStats {
-        *self.stats.lock()
     }
 
     fn mode(&self) -> RecordingMode {
@@ -430,7 +360,6 @@ mod tests {
         r.register_group(Group::new("g", crate::group::GroupKind::Session))
             .unwrap();
         r.flush().unwrap();
-        assert_eq!(r.stats().messages_sent, 0);
         assert_eq!(r.mode(), RecordingMode::None);
         assert_eq!(r.session().as_str(), "session:0");
     }
@@ -451,10 +380,6 @@ mod tests {
         r.register_group(Group::new("session:1", crate::group::GroupKind::Session))
             .unwrap();
         assert_eq!(received.load(Ordering::SeqCst), 10);
-        let stats = r.stats();
-        assert_eq!(stats.assertions_recorded, 10);
-        assert_eq!(stats.messages_sent, 11);
-        assert_eq!(stats.assertions_accepted, 10);
         assert_eq!(transport.stats().calls, 11);
         assert_eq!(r.mode(), RecordingMode::Synchronous);
     }
@@ -488,8 +413,6 @@ mod tests {
         assert_eq!(r.pending(), 0);
         // 40 assertions in batches of 16 → 3 record messages, plus 1 group registration.
         assert_eq!(transport.stats().calls, 4);
-        let stats = r.stats();
-        assert_eq!(stats.assertions_accepted, 40);
         assert_eq!(r.mode(), RecordingMode::Asynchronous);
     }
 
@@ -567,6 +490,5 @@ mod tests {
         }
         r.flush().unwrap();
         assert_eq!(received.load(Ordering::SeqCst), 200);
-        assert_eq!(r.stats().assertions_recorded, 200);
     }
 }

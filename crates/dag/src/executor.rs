@@ -698,13 +698,6 @@ mod tests {
             Ok(())
         }
 
-        fn stats(&self) -> pasoa_core::recorder::RecorderStats {
-            pasoa_core::recorder::RecorderStats {
-                assertions_recorded: self.assertions.lock().len() as u64,
-                ..Default::default()
-            }
-        }
-
         fn mode(&self) -> RecordingMode {
             RecordingMode::Synchronous
         }

@@ -78,7 +78,8 @@ impl DagRunReport {
         self.outcomes.get(task)
     }
 
-    /// Outputs of one task, if it completed.
+    /// Outputs of one task, if it completed. Public for the integration tests, which check
+    /// the data a run produced against its stored provenance.
     pub fn outputs_of(&self, task: &str) -> Option<&Vec<DataItem>> {
         self.outcomes.get(task).map(|o| &o.outputs)
     }

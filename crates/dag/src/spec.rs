@@ -142,7 +142,9 @@ impl DagSpec {
         Ok(())
     }
 
-    /// Declare that `consumer` must wait for `producer` without consuming its outputs.
+    /// Declare that `consumer` must wait for `producer` without consuming its outputs. The
+    /// workspace's own workflows have only data edges; the integration tests build ordering
+    /// edges through this, the only way to declare one.
     pub fn add_ordering_edge(
         &mut self,
         producer: &TaskId,
@@ -341,11 +343,6 @@ impl Dag {
         &self.children[i]
     }
 
-    /// A topological order of all task indices.
-    pub fn topo_order(&self) -> &[usize] {
-        &self.topo
-    }
-
     /// Every distinct edge as `(parent, child, kind)` id triples.
     pub fn edges(&self) -> BTreeSet<(String, String, String)> {
         let mut out = BTreeSet::new();
@@ -457,7 +454,7 @@ mod tests {
     #[test]
     fn topological_order_respects_edges() {
         let (dag, ids) = diamond();
-        let order = dag.topo_order();
+        let order = &dag.topo;
         let pos = |id: &TaskId| {
             let i = dag.index_of(id.as_str()).unwrap();
             order.iter().position(|&t| t == i).unwrap()

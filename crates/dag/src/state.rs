@@ -31,14 +31,6 @@ impl TaskState {
             TaskState::Skipped => "skipped",
         }
     }
-
-    /// Whether the task will never change state again.
-    pub fn is_terminal(self) -> bool {
-        matches!(
-            self,
-            TaskState::Completed | TaskState::Failed | TaskState::Skipped
-        )
-    }
 }
 
 impl std::fmt::Display for TaskState {
@@ -186,8 +178,6 @@ mod tests {
     fn labels_are_stable() {
         assert_eq!(TaskState::Pending.label(), "pending");
         assert_eq!(TaskState::Retrying.to_string(), "retrying");
-        assert!(!TaskState::Running.is_terminal());
-        assert!(TaskState::Skipped.is_terminal());
         assert_eq!(FailurePolicy::FailFast.label(), "fail-fast");
         assert_eq!(FailurePolicy::Continue.label(), "continue");
         assert_eq!(

@@ -21,7 +21,7 @@ use proptest::prelude::*;
 use pasoa_core::group::Group;
 use pasoa_core::ids::{IdGenerator, SessionId};
 use pasoa_core::passertion::{PAssertion, RecordedAssertion};
-use pasoa_core::recorder::{ProvenanceRecorder, RecordError, RecorderStats, RecordingMode};
+use pasoa_core::recorder::{ProvenanceRecorder, RecordError, RecordingMode};
 use pasoa_dag::{
     ActivityError, DagSpec, DataItem, ExecutedDag, Executor, ExecutorConfig, FailurePolicy,
     FnActivity, RetryPolicy, SkipCause, TaskState,
@@ -66,13 +66,6 @@ impl ProvenanceRecorder for CapturingRecorder {
 
     fn flush(&self) -> Result<(), RecordError> {
         Ok(())
-    }
-
-    fn stats(&self) -> RecorderStats {
-        RecorderStats {
-            assertions_recorded: self.assertions.lock().len() as u64,
-            ..Default::default()
-        }
     }
 
     fn mode(&self) -> RecordingMode {

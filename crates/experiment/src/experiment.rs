@@ -17,7 +17,7 @@
 
 use std::collections::BTreeMap;
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -138,7 +138,8 @@ impl StoreDeployment {
     }
 
     /// Deploy a sharded in-memory cluster (`shards` ≥ 1) behind a shard router registered
-    /// under the provenance store's well-known name; recorders need no changes.
+    /// under the provenance store's well-known name; recorders need no changes. The
+    /// deployment `tests/cluster_end_to_end.rs` compares against the paper's single store.
     pub fn sharded(shards: usize, latency: LatencyModel, sleep_latency: bool) -> Self {
         let host = ServiceHost::new();
         let cluster =
@@ -174,7 +175,8 @@ impl StoreDeployment {
     /// Deploy a sharded in-memory cluster whose every envelope crosses a real TCP socket on
     /// loopback (shards and router each behind their own listener — the paper's
     /// separate-hosts deployment shape). Recorders and reasoners need no changes: the
-    /// caller's host holds a TCP proxy under the provenance store's well-known name.
+    /// caller's host holds a TCP proxy under the provenance store's well-known name. Kept for
+    /// the wall-clock Figure 4 mode over real sockets (ROADMAP item 11) and the TCP tests.
     pub fn sharded_tcp(shards: usize, latency: LatencyModel, sleep_latency: bool) -> Self {
         let host = ServiceHost::new();
         let cluster = pasoa_cluster::PreservCluster::deploy_tcp(&host, shards)
@@ -373,6 +375,8 @@ impl ExperimentRunner {
         // Coarse-grained workflow prefix: Collate Sample then Encode by Groups, invoked by the
         // workflow engine and documented like any other activity invocation.
         let engine = ActorId::new("workflow-engine");
+        // P-assertions this run hands to its recorder.
+        let documented = AtomicU64::new(0);
         let session_group =
             Mutex::new(Group::new(session.as_str().to_string(), GroupKind::Session));
         let invoke = |activity: &dyn Activity, inputs: &[DataItem]| {
@@ -387,7 +391,9 @@ impl ExperimentRunner {
                 configuration: &[("invocation", serde_json::json!(0))],
             }
             .run(&ids, &session_group, &|assertion| {
-                recorder.record(assertion)
+                recorder.record(assertion)?;
+                documented.fetch_add(1, Ordering::Relaxed);
+                Ok(())
             })
             .map(|invoked| invoked.outputs)
         };
@@ -410,6 +416,7 @@ impl ExperimentRunner {
             sample: &encoded[0].bytes,
             seed: config.seed,
             recorder: recorder.as_ref(),
+            documented: &documented,
             ids: &ids,
             extra_actor_state: config.recording.extra_actor_state(),
             total: config.permutations + 1,
@@ -435,7 +442,11 @@ impl ExperimentRunner {
             permutations: config.permutations,
             execution_time,
             simulated_comm_time: transport.clock().elapsed(),
-            passertions: recorder.stats().assertions_recorded,
+            // The "no recording" baseline documents into a recorder that keeps nothing.
+            passertions: match config.recording.mode() {
+                RecordingMode::None => 0,
+                _ => documented.into_inner(),
+            },
             store_calls: transport.stats().calls,
             sizes,
             results,
@@ -452,6 +463,8 @@ struct Sweep<'a> {
     sample: &'a [u8],
     seed: u64,
     recorder: &'a dyn ProvenanceRecorder,
+    /// The run's count of p-assertions handed to `recorder`.
+    documented: &'a AtomicU64,
     ids: &'a IdGenerator,
     extra_actor_state: bool,
     /// Measurements in the sweep (the permutations plus the unpermuted sample).
@@ -523,9 +536,11 @@ impl Sweep<'_> {
                 // so the other workers keep compressing and queueing meanwhile.
                 drop(sequencer);
                 for outcome in &run {
-                    self.kit
+                    let recorded = self
+                        .kit
                         .document(outcome, self.recorder, self.ids, self.extra_actor_state)
                         .expect("recording failure aborts the run");
+                    self.documented.fetch_add(recorded, Ordering::Relaxed);
                 }
                 sequencer = self.sequencer.lock();
                 sequencer.documented.extend(run);
@@ -553,10 +568,9 @@ mod tests {
     use pasoa_core::passertion::{
         ActorStatePAssertion, PAssertion, PAssertionContent, RecordedAssertion,
     };
-    use pasoa_core::recorder::{RecordError, RecorderStats};
+    use pasoa_core::recorder::RecordError;
     use pasoa_wire::NetworkProfile;
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::atomic::AtomicU64;
 
     const RECORDS: u64 = crate::measure::RECORDS_PER_PERMUTATION as u64;
 
@@ -599,9 +613,6 @@ mod tests {
         }
         fn flush(&self) -> Result<(), RecordError> {
             self.inner.flush()
-        }
-        fn stats(&self) -> RecorderStats {
-            self.inner.stats()
         }
         fn mode(&self) -> RecordingMode {
             self.inner.mode()
@@ -802,12 +813,26 @@ mod tests {
             RunRecording::SynchronousWithExtra,
         ));
 
+        let none = runner.run(&ExperimentConfig::small(permutations, RunRecording::None));
+
         // 6 per measurement (original + permutations), plus the prefix's two invocations (6
         // each, 8 with extra actor provenance).
         let measurements = (permutations + 1) as u64;
         assert_eq!(sync.passertions, 6 * measurements + 12);
         assert_eq!(asyn.passertions, sync.passertions);
         assert_eq!(extra.passertions, 8 * measurements + 16);
+        assert_eq!(none.passertions, 0);
+        // The reported count is what the run's session holds in the store.
+        let store = runner.deployment().store_handle();
+        for report in [&sync, &asyn, &extra, &none] {
+            let stored = store.assertions_for_session(&report.session).unwrap();
+            assert_eq!(
+                report.passertions,
+                stored.len() as u64,
+                "{:?}",
+                report.recording
+            );
+        }
 
         // Synchronous recording makes one store call per p-assertion (plus the group
         // registration); asynchronous batches them.

@@ -13,7 +13,7 @@
 //!   asynchronous / synchronous / synchronous with extra actor provenance). [`figure4`]
 //!   regenerates that series.
 //! * the prose micro-benchmark (≈18 ms to record one pre-generated message) is checked
-//!   against the paper-2005 latency model with [`passertions::pregenerated_record_message`].
+//!   against the paper-2005 latency model by the tests of [`passertions`].
 //!
 //! Per permutation the experiment records **six p-assertions** covering the activities of the
 //! measure workflow (the paper: "each permutation involves the creation of 6 records"). The

@@ -26,9 +26,11 @@ use pasoa_core::passertion::{
 use pasoa_core::recorder::{ProvenanceRecorder, RecordError};
 
 /// Number of p-assertions recorded per permutation in the standard configurations.
-pub const RECORDS_PER_PERMUTATION: usize = 6;
+#[cfg(test)]
+pub(crate) const RECORDS_PER_PERMUTATION: usize = 6;
 /// Additional p-assertions recorded per permutation with extra actor provenance.
-pub const EXTRA_RECORDS_PER_PERMUTATION: usize = 2;
+#[cfg(test)]
+pub(crate) const EXTRA_RECORDS_PER_PERMUTATION: usize = 2;
 
 /// The result of measuring one permutation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -103,7 +105,8 @@ impl MeasureKit {
         }
     }
 
-    /// Record the per-permutation p-assertions (six, plus two in the extra configuration).
+    /// Record the per-permutation p-assertions (six, plus two in the extra configuration), and
+    /// return how many were recorded.
     ///
     /// Draws three interaction keys from `ids`, so the documentation of a run is reproducible
     /// only if its measurements are documented in a fixed order.
@@ -113,7 +116,7 @@ impl MeasureKit {
         recorder: &dyn ProvenanceRecorder,
         ids: &IdGenerator,
         extra_actor_state: bool,
-    ) -> Result<(), RecordError> {
+    ) -> Result<u64, RecordError> {
         let engine = ActorId::new("measure-workflow");
         let permutation_data = DataId::new(format!(
             "data:permutation:{}:{}",
@@ -128,7 +131,7 @@ impl MeasureKit {
 
         // 1 & 2: the compression invocations (one interaction p-assertion per compression
         // method, from the sender's view).
-        let mut recorded = 0usize;
+        let mut recorded = 0u64;
         for (method, _) in self.compressors.iter().take(2) {
             let key = ids.interaction_key();
             recorder.record(PAssertion::Interaction(InteractionPAssertion {
@@ -190,7 +193,7 @@ impl MeasureKit {
             relation: "measured-from".into(),
         }))?;
         recorded += 1;
-        debug_assert_eq!(recorded, 4 + self.compressors.len().min(2));
+        debug_assert_eq!(recorded, 4 + self.compressors.len().min(2) as u64);
 
         if extra_actor_state {
             recorder.record(PAssertion::ActorState(ActorStatePAssertion {
@@ -213,8 +216,9 @@ impl MeasureKit {
                     "output_bytes": outcome.sizes.values().sum::<usize>(),
                 })),
             }))?;
+            recorded += 2;
         }
-        Ok(())
+        Ok(recorded)
     }
 
     /// The combined script text recorded as actor state — ~100 bytes, matching the paper's
@@ -255,9 +259,6 @@ mod tests {
         }
         fn flush(&self) -> Result<(), RecordError> {
             Ok(())
-        }
-        fn stats(&self) -> pasoa_core::recorder::RecorderStats {
-            Default::default()
         }
         fn mode(&self) -> pasoa_core::recorder::RecordingMode {
             pasoa_core::recorder::RecordingMode::None

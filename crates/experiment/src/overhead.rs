@@ -102,11 +102,6 @@ impl GranularityPartitioner {
         }
     }
 
-    /// The paper's configuration: 100 permutations per script.
-    pub fn paper_default() -> Self {
-        Self::new(100)
-    }
-
     /// Number of jobs needed for `total` tasks.
     pub fn job_count(&self, total: usize) -> usize {
         total.div_ceil(self.per_job)
@@ -182,11 +177,10 @@ mod tests {
     #[test]
     fn partitioner_clamps_zero_and_matches_paper_default() {
         assert_eq!(GranularityPartitioner::new(0).per_job, 1);
-        assert_eq!(GranularityPartitioner::paper_default().per_job, 100);
         // Finer granularity means more scheduled jobs — the trade-off the paper discusses.
         assert!(
             GranularityPartitioner::new(1).job_count(800)
-                > GranularityPartitioner::paper_default().job_count(800)
+                > GranularityPartitioner::new(100).job_count(800)
         );
     }
 }

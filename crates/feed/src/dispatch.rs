@@ -3,8 +3,8 @@
 //! The dispatcher owns no queue state — it is purely a drive loop around
 //! [`FeedQueue::poll`]/[`FeedQueue::ack`]/[`FeedQueue::fail`]. That keeps two properties:
 //! delivery failures (including subscriber panics, which are contained with `catch_unwind`)
-//! become ordinary backoff, and the simulation harness can skip the threads entirely and call
-//! [`FeedDispatcher::pump`] for a deterministic single-threaded drain of the same code path.
+//! become ordinary backoff, and the tests can skip the threads entirely and drain the same
+//! code path single-threaded and deterministically.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -54,9 +54,8 @@ impl Shared {
     }
 }
 
-/// The worker pool. Create one per [`FeedQueue`]; attach subscribers; either call
-/// [`FeedDispatcher::start`] for background threads or [`FeedDispatcher::pump`] to drain
-/// synchronously.
+/// The worker pool. Create one per [`FeedQueue`]; attach subscribers; call
+/// [`FeedDispatcher::start`] for the background threads.
 pub struct FeedDispatcher {
     shared: Arc<Shared>,
     workers: Mutex<Vec<JoinHandle<()>>>,
@@ -109,16 +108,11 @@ impl FeedDispatcher {
         Ok(())
     }
 
-    /// Stop delivering to `name` (the durable queue keeps accumulating unless
-    /// [`FeedQueue::unsubscribe`] is also called).
-    pub fn detach(&self, name: &str) {
-        self.shared.subscribers.lock().remove(name);
-    }
-
     /// One synchronous delivery pass over every attached subscriber, in name order. Returns
-    /// the number of events delivered. This is the deterministic entry point the simulation
-    /// harness uses instead of worker threads.
-    pub fn pump(&self) -> Result<usize, FeedError> {
+    /// the number of events delivered: the tests' deterministic stand-in for the worker
+    /// threads.
+    #[cfg(test)]
+    pub(crate) fn pump(&self) -> Result<usize, FeedError> {
         let names: Vec<String> = self.shared.subscribers.lock().keys().cloned().collect();
         let mut delivered = 0;
         for name in names {
@@ -128,7 +122,8 @@ impl FeedDispatcher {
     }
 
     /// Pump until a pass delivers nothing (or `max_passes` is spent). Returns the total.
-    pub fn pump_until_idle(&self, max_passes: usize) -> Result<usize, FeedError> {
+    #[cfg(test)]
+    pub(crate) fn pump_until_idle(&self, max_passes: usize) -> Result<usize, FeedError> {
         let mut total = 0;
         for _ in 0..max_passes {
             let got = self.pump()?;
@@ -164,7 +159,8 @@ impl FeedDispatcher {
     }
 
     /// How many subscriber panics have been contained.
-    pub fn contained_panics(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn contained_panics(&self) -> u64 {
         self.shared.panics.load(Ordering::Relaxed)
     }
 
@@ -273,92 +269,6 @@ fn panic_detail(panic: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// A test/utility subscriber that collects everything it receives, with injectable failures,
-/// panics and per-window delays (the "slow subscriber" of the benchmark gate).
-#[derive(Default)]
-pub struct CollectingSubscriber {
-    events: Mutex<Vec<SequencedEvent>>,
-    fail_remaining: AtomicU64,
-    panic_remaining: AtomicU64,
-    delay: Mutex<Duration>,
-}
-
-impl CollectingSubscriber {
-    /// A subscriber that accepts everything instantly.
-    pub fn new() -> Arc<Self> {
-        Arc::new(Self::default())
-    }
-
-    /// Reject the next `n` windows with a delivery error.
-    pub fn fail_next(&self, n: u64) {
-        self.fail_remaining.store(n, Ordering::SeqCst);
-    }
-
-    /// Panic on the next `n` windows.
-    pub fn panic_next(&self, n: u64) {
-        self.panic_remaining.store(n, Ordering::SeqCst);
-    }
-
-    /// Sleep this long per delivered window (a deliberately slow consumer).
-    pub fn set_delay(&self, delay: Duration) {
-        *self.delay.lock() = delay;
-    }
-
-    /// Everything received, in delivery order.
-    pub fn events(&self) -> Vec<SequencedEvent> {
-        self.events.lock().clone()
-    }
-
-    /// The received sequences, in delivery order.
-    pub fn seqs(&self) -> Vec<u64> {
-        self.events.lock().iter().map(|e| e.seq).collect()
-    }
-
-    /// The received event ids, in delivery order.
-    pub fn event_ids(&self) -> Vec<String> {
-        self.events
-            .lock()
-            .iter()
-            .map(|e| e.event.event_id.clone())
-            .collect()
-    }
-
-    /// How many events arrived.
-    pub fn len(&self) -> usize {
-        self.events.lock().len()
-    }
-
-    /// Whether nothing arrived yet.
-    pub fn is_empty(&self) -> bool {
-        self.events.lock().is_empty()
-    }
-}
-
-impl Subscriber for CollectingSubscriber {
-    fn deliver(&self, events: &[SequencedEvent]) -> Result<(), FeedError> {
-        if self
-            .panic_remaining
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-            .is_ok()
-        {
-            panic!("deliberate subscriber panic");
-        }
-        if self
-            .fail_remaining
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-            .is_ok()
-        {
-            return Err(FeedError::Delivery("deliberate test failure".into()));
-        }
-        let delay = *self.delay.lock();
-        if delay > Duration::ZERO {
-            std::thread::sleep(delay);
-        }
-        self.events.lock().extend_from_slice(events);
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -371,6 +281,56 @@ mod tests {
     use pasoa_obs::Registry;
     use pasoa_preserv::{MemoryBackend, ProvenanceStore, StorageBackend};
     use pasoa_wire::SimClock;
+
+    /// Collects everything it receives, with injectable failures and panics.
+    #[derive(Default)]
+    struct CollectingSubscriber {
+        events: Mutex<Vec<SequencedEvent>>,
+        fail_remaining: AtomicU64,
+        panic_remaining: AtomicU64,
+    }
+
+    impl CollectingSubscriber {
+        fn new() -> Arc<Self> {
+            Arc::new(Self::default())
+        }
+
+        /// Reject the next `n` windows with a delivery error.
+        fn fail_next(&self, n: u64) {
+            self.fail_remaining.store(n, Ordering::SeqCst);
+        }
+
+        /// Panic on the next `n` windows.
+        fn panic_next(&self, n: u64) {
+            self.panic_remaining.store(n, Ordering::SeqCst);
+        }
+
+        /// The received sequences, in delivery order.
+        fn seqs(&self) -> Vec<u64> {
+            self.events.lock().iter().map(|e| e.seq).collect()
+        }
+
+        fn len(&self) -> usize {
+            self.events.lock().len()
+        }
+    }
+
+    impl Subscriber for CollectingSubscriber {
+        fn deliver(&self, events: &[SequencedEvent]) -> Result<(), FeedError> {
+            let take_one = |n: &AtomicU64| {
+                n.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+                    .is_ok()
+            };
+            if take_one(&self.panic_remaining) {
+                panic!("deliberate subscriber panic");
+            }
+            if take_one(&self.fail_remaining) {
+                return Err(FeedError::Delivery("deliberate test failure".into()));
+            }
+            self.events.lock().extend_from_slice(events);
+            Ok(())
+        }
+    }
 
     fn assertion(i: usize) -> RecordedAssertion {
         RecordedAssertion {
@@ -414,7 +374,7 @@ mod tests {
     #[test]
     fn failed_windows_are_redelivered_after_backoff_without_duplicates() {
         let sim = SimClock::new();
-        let (store, dispatcher) = rig(FeedClock::simulated(sim.clone()));
+        let (store, dispatcher) = rig(FeedClock::Simulated(sim.clone()));
         let sink = CollectingSubscriber::new();
         dispatcher
             .attach("sink", FeedFilter::All, sink.clone())
@@ -432,7 +392,7 @@ mod tests {
     #[test]
     fn subscriber_panics_are_contained_and_retried() {
         let sim = SimClock::new();
-        let (store, dispatcher) = rig(FeedClock::simulated(sim.clone()));
+        let (store, dispatcher) = rig(FeedClock::Simulated(sim.clone()));
         let sink = CollectingSubscriber::new();
         dispatcher
             .attach("sink", FeedFilter::All, sink.clone())
@@ -487,6 +447,6 @@ mod tests {
         }
         dispatcher.pump_until_idle(16).unwrap();
         assert_eq!(all.len(), 3);
-        assert!(by_actor.is_empty());
+        assert_eq!(by_actor.len(), 0);
     }
 }

@@ -25,7 +25,7 @@ pub mod keys;
 pub mod queue;
 pub mod service;
 
-pub use dispatch::{CollectingSubscriber, FeedDispatcher, Subscriber};
+pub use dispatch::{FeedDispatcher, Subscriber};
 pub use event::{event_identity, FeedEvent, FeedEventBody, SequencedEvent};
 pub use filter::{FeedFilter, LineageResolver, StoreLineageResolver};
 pub use queue::{

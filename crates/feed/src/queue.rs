@@ -80,11 +80,6 @@ impl FeedClock {
         FeedClock::Wall(Arc::new(Instant::now()))
     }
 
-    /// A simulated clock (shared handle — the harness keeps one side).
-    pub fn simulated(clock: SimClock) -> Self {
-        FeedClock::Simulated(clock)
-    }
-
     /// Nanoseconds since this clock's origin.
     pub fn now_nanos(&self) -> u64 {
         match self {
@@ -416,7 +411,8 @@ impl FeedQueue {
     }
 
     /// Drop `name` entirely: registration, jobs, states, floor and drop count.
-    pub fn unsubscribe(&self, name: &str) -> Result<(), FeedError> {
+    #[cfg(test)]
+    pub(crate) fn unsubscribe(&self, name: &str) -> Result<(), FeedError> {
         let mut subs = self.subs.lock();
         if subs.remove(name).is_none() {
             return Err(FeedError::UnknownSubscriber(name.to_string()));
@@ -962,7 +958,7 @@ mod tests {
         let queue = FeedQueue::open(
             Arc::clone(&backend),
             FeedConfig::default(),
-            FeedClock::simulated(sim.clone()),
+            FeedClock::Simulated(sim.clone()),
             &Registry::new(),
         )
         .unwrap();

@@ -2,7 +2,7 @@
 //! the client remote subscribers hold.
 //!
 //! [`FeedService`] is a [`MessageHandler`] meant to be attached to the co-located store
-//! service with [`pasoa_preserv::PreservService::with_feed_handler`]: the feed actions ride
+//! service with [`pasoa_preserv::PreservService::set_feed_handler`]: the feed actions ride
 //! the store's service name, so remote subscribers reach the feed through whatever proxies
 //! already reach the store — in-process hosts and TCP shard proxies alike, with no extra
 //! listener.
@@ -79,7 +79,7 @@ pub struct FeedAckRequest {
 }
 
 /// The feed tier's [`MessageHandler`]. Attach to a [`pasoa_preserv::PreservService`] via
-/// `with_feed_handler`.
+/// `set_feed_handler`.
 pub struct FeedService {
     queue: Arc<FeedQueue>,
 }

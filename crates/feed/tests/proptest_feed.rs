@@ -99,7 +99,7 @@ proptest! {
         };
         let max_backoff = config.max_backoff;
         let sim = SimClock::new();
-        let (store, queue) = store_with_feed(config, FeedClock::simulated(sim.clone()));
+        let (store, queue) = store_with_feed(config, FeedClock::Simulated(sim.clone()));
         queue.subscribe("fragile", FeedFilter::All).unwrap();
         store.record(&assertion("session:starve", 0)).unwrap();
 

@@ -7,7 +7,6 @@
 
 use crate::error::DbResult;
 use crate::index::IndexEntry;
-use crate::record::Record;
 use crate::segment::{self, SegmentWriter};
 use crate::store::Db;
 
@@ -97,14 +96,15 @@ pub fn compact(db: &Db) -> DbResult<()> {
     Ok(())
 }
 
-/// Encode the live contents of `db` as records, in key order — used by hot-backup tooling and
-/// by tests to compare logical contents across compactions.
-pub fn dump_live(db: &Db) -> DbResult<Vec<Record>> {
+/// Encode the live contents of `db` as records, in key order — what the tests compare across
+/// compactions.
+#[cfg(test)]
+pub(crate) fn dump_live(db: &Db) -> DbResult<Vec<crate::record::Record>> {
     let keys = db.scan_prefix(b"")?;
     let mut out = Vec::with_capacity(keys.len());
     for key in keys {
         if let Some(value) = db.get(&key)? {
-            out.push(Record::put(&key, &value)?);
+            out.push(crate::record::Record::put(&key, &value)?);
         }
     }
     Ok(out)

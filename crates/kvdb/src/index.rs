@@ -290,7 +290,7 @@ impl KeyIndex {
     }
 
     /// The first key of every block, in order: where a scan crosses from one block to the
-    /// next.
+    /// next. Public for `tests/proptest_index.rs`, which checks the block layout.
     pub fn block_starts(&self) -> impl Iterator<Item = &[u8]> {
         self.blocks.keys().map(|first| &**first)
     }

@@ -173,9 +173,11 @@ impl SegmentWriter {
 }
 
 impl Drop for SegmentWriter {
-    /// Hand any still-buffered appends to the operating system (no fsync) on a clean close,
-    /// so `SyncPolicy::Never` loses data only on a crash — not on an orderly process exit.
-    /// After a simulated crash the buffer is already empty, so this writes nothing.
+    /// Hand any still-buffered appends to the operating system (no fsync) on a clean close.
+    /// Every append run flushes or fsyncs before it acks, so the buffer is normally empty
+    /// here; bytes remain only when a run's write failed part-way, and that run returned its
+    /// error instead of an ack. After a simulated crash the buffer is already empty, so this
+    /// writes nothing.
     fn drop(&mut self) {
         let _ = self.flush();
     }

@@ -33,7 +33,8 @@ pub struct DbStats {
 
 impl DbStats {
     /// Cache hit ratio over all gets (0.0 when no gets have been issued).
-    pub fn cache_hit_ratio(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn cache_hit_ratio(&self) -> f64 {
         if self.gets == 0 {
             0.0
         } else {

@@ -42,8 +42,6 @@ pub enum SyncPolicy {
     /// Flush to the OS after every write, fsync only on close/rotation — the default, and the
     /// behaviour the paper's asynchronous recording mode relies on.
     OsFlush,
-    /// Never force; rely on the OS writing back dirty pages.
-    Never,
 }
 
 /// Tunable options for opening a database.
@@ -109,11 +107,6 @@ pub struct RecoveryReport {
 }
 
 impl RecoveryReport {
-    /// Number of segments scanned.
-    pub fn segments_scanned(&self) -> usize {
-        self.segments.len()
-    }
-
     /// Total records recovered across all segments.
     pub fn records_recovered(&self) -> u64 {
         self.segments.iter().map(|s| s.records).sum()
@@ -386,7 +379,8 @@ impl Db {
     }
 
     /// Whether an armed crash point has not yet fired.
-    pub fn crash_point_armed(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn crash_point_armed(&self) -> bool {
         self.inner
             .crash_after_appends
             .load(std::sync::atomic::Ordering::SeqCst)
@@ -542,13 +536,6 @@ impl Db {
         Ok(out)
     }
 
-    /// All keys in the half-open range `[start, end)`, in order.
-    pub fn scan_range(&self, start: &[u8], end: &[u8]) -> DbResult<Vec<Vec<u8>>> {
-        self.check_open()?;
-        let index = self.inner.index.read();
-        Ok(index.iter_range(start, end).into_keys().collect())
-    }
-
     /// At most `limit` keys in the half-open range `[start, end)`, in order. The iteration
     /// stops at the limit, so a bounded page over a huge range costs O(limit), not O(range) —
     /// what the provenance store's paginated queries run per page.
@@ -642,7 +629,6 @@ impl Db {
                     }
                 }
                 SyncPolicy::OsFlush => log.active.flush()?,
-                SyncPolicy::Never => {}
             }
             if log.active.len() >= self.inner.options.segment_target_bytes {
                 self.rotate_locked(&mut log)?;
@@ -710,7 +696,8 @@ impl Db {
 }
 
 impl Db {
-    /// Destroy the database directory entirely. Consumes the handle.
+    /// Destroy the database directory entirely. Consumes the handle. Public for the
+    /// integration tests, which clean up their scratch databases with it.
     pub fn destroy(self) -> DbResult<()> {
         let dir = self.inner.dir.clone();
         drop(self);
@@ -842,7 +829,9 @@ mod tests {
         let kvs = db.scan_prefix_values(b"interaction/").unwrap();
         assert_eq!(kvs[0].1, b"a");
         assert_eq!(kvs[1].1, b"b");
-        let range = db.scan_range(b"actorstate/", b"interaction/").unwrap();
+        let range = db
+            .scan_range_limited(b"actorstate/", b"interaction/", usize::MAX)
+            .unwrap();
         assert_eq!(range, vec![b"actorstate/1".to_vec()]);
         db.destroy().unwrap();
     }
@@ -1045,7 +1034,10 @@ mod tests {
             assert!(matches!(db.get(b"acked-000"), Err(DbError::Closed)));
             assert!(matches!(db.contains(b"acked-000"), Err(DbError::Closed)));
             assert!(matches!(db.scan_prefix(b"acked-"), Err(DbError::Closed)));
-            assert!(matches!(db.scan_range(b"a", b"z"), Err(DbError::Closed)));
+            assert!(matches!(
+                db.scan_range_limited(b"a", b"z", 1),
+                Err(DbError::Closed)
+            ));
             assert!(matches!(db.sync(), Err(DbError::Closed)));
         }
         let db = Db::open(&dir).unwrap();
@@ -1138,7 +1130,7 @@ mod tests {
         drop(f);
         let db = Db::open(&dir).unwrap();
         let report = db.recovery_report();
-        assert_eq!(report.segments_scanned(), 1);
+        assert_eq!(report.segments.len(), 1);
         assert_eq!(report.records_recovered(), 1);
         assert_eq!(report.torn_segments(), 1);
         assert!(report.truncated_bytes() > 0);
@@ -1243,24 +1235,6 @@ mod tests {
             other => panic!("mid-log CRC damage must fail the open, got {other:?}"),
         }
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn sync_policy_never_survives_a_clean_close() {
-        let dir = tempdir("never-clean");
-        {
-            let options = DbOptions {
-                sync: SyncPolicy::Never,
-                ..Default::default()
-            };
-            let db = Db::open_with(&dir, options).unwrap();
-            db.put(b"buffered", b"kept").unwrap();
-            // No flush, no sync: the record may still sit in the writer's in-process buffer,
-            // which the writer hands to the OS when the handle closes cleanly.
-        }
-        let db = Db::open(&dir).unwrap();
-        assert_eq!(db.get(b"buffered").unwrap().unwrap(), b"kept");
-        db.destroy().unwrap();
     }
 
     #[test]

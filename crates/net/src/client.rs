@@ -55,22 +55,27 @@ use pasoa_wire::{Envelope, FaultInjector, MessageHandler, ServiceHost, WireError
 use crate::frame::{self, FrameError, DEFAULT_MAX_FRAME_BYTES, MAX_VERSION, VERSION_BINARY};
 use crate::proto;
 
+/// Timeout for establishing a connection: a loopback or LAN connect completes in well under a
+/// millisecond, so two seconds only ever expires on an unreachable host.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
+/// Per-call read timeout (how long to wait for a response): the server's read timeout, so the
+/// slowest answer a live server gives — a whole synchronous flush — still arrives.
+const READ_TIMEOUT: Duration = Duration::from_secs(30);
+/// Per-call write timeout: a request frame drains into the peer's socket buffer at once unless
+/// the peer has stopped reading, so ten seconds only ever expires on a wedged peer.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+/// Idle connections kept for reuse; extras are closed on check-in. Eight matches the standard
+/// eight-recorder workloads, each of which holds at most one connection per call.
+const POOL_CAPACITY: usize = 8;
+
 /// Client configuration.
 #[derive(Debug, Clone)]
 pub struct NetClientConfig {
     /// Ceiling on one response frame's payload.
     pub max_frame_bytes: usize,
-    /// Timeout for establishing a connection.
-    pub connect_timeout: Duration,
-    /// Per-call read timeout (how long to wait for a response).
-    pub read_timeout: Option<Duration>,
-    /// Per-call write timeout.
-    pub write_timeout: Option<Duration>,
-    /// Idle connections kept for reuse; extras are closed on check-in.
-    pub pool_capacity: usize,
     /// Pooled connections idle longer than this are discarded instead of reused (pruned
     /// eagerly on check-in and again at checkout). Kept well below the server's read
-    /// timeout (30 s default), so the client practically never sends a request down a
+    /// timeout (30 s), so the client practically never sends a request down a
     /// connection the server has already closed — the situation whose failure modes are
     /// ambiguous to retry.
     pub pool_idle_timeout: Duration,
@@ -84,10 +89,6 @@ impl Default for NetClientConfig {
     fn default() -> Self {
         NetClientConfig {
             max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
-            connect_timeout: Duration::from_secs(2),
-            read_timeout: Some(Duration::from_secs(30)),
-            write_timeout: Some(Duration::from_secs(10)),
-            pool_capacity: 8,
             pool_idle_timeout: Duration::from_secs(10),
             max_wire_version: MAX_VERSION,
         }
@@ -461,8 +462,8 @@ impl NetClient {
         payload_buf: &mut Vec<u8>,
     ) -> Result<(Vec<Envelope>, Conn), (Phase, FrameError)> {
         use std::io::Write as _;
-        let _ = conn.stream.set_read_timeout(self.config.read_timeout);
-        let _ = conn.stream.set_write_timeout(self.config.write_timeout);
+        let _ = conn.stream.set_read_timeout(Some(READ_TIMEOUT));
+        let _ = conn.stream.set_write_timeout(Some(WRITE_TIMEOUT));
         let _ = conn.stream.set_nodelay(true);
         let write_failure = |e: std::io::Error| {
             (
@@ -517,7 +518,7 @@ impl NetClient {
     }
 
     fn connect(&self) -> WireResult<TcpStream> {
-        match TcpStream::connect_timeout(&self.addr, self.config.connect_timeout) {
+        match TcpStream::connect_timeout(&self.addr, CONNECT_TIMEOUT) {
             Ok(stream) => {
                 self.counters.connects.inc();
                 Ok(stream)
@@ -586,7 +587,7 @@ impl NetClient {
         // Eager prune at check-in (not just checkout): entries that expired while the pool
         // sat idle are released now instead of lingering until the next checkout.
         self.prune_expired(&mut pool);
-        if pool.len() < self.config.pool_capacity {
+        if pool.len() < POOL_CAPACITY {
             pool.push(PooledConn {
                 stream: conn.stream,
                 version: conn.version,

@@ -35,25 +35,31 @@ use pasoa_wire::{Envelope, ServiceHost, WireError};
 use crate::frame::{self, FrameError, DEFAULT_MAX_FRAME_BYTES, MAX_VERSION};
 use crate::proto;
 
+/// Per-connection read timeout: an idle connection exceeding it is closed and its worker
+/// reclaimed. Thirty seconds stays well above the clients' 10 s pool idle timeout, so a client
+/// practically never reuses a connection the server has already closed.
+const READ_TIMEOUT: Duration = Duration::from_secs(30);
+/// Per-connection write timeout: a response drains into the client's socket buffer at once
+/// unless the client has stopped reading, so ten seconds only ever expires on a wedged peer
+/// and bounds how long it pins a worker.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct NetServerConfig {
     /// Worker threads — the bound on concurrently *served* connections. A worker is pinned
-    /// to its connection until the peer closes it or it idles past the read timeout, so a
-    /// deployment must size `workers` at or above its expected concurrently-open client
+    /// to its connection until the peer closes it or it idles past the 30 s read timeout, so
+    /// a deployment must size `workers` at or above its expected concurrently-open client
     /// connections (pooled connections included); connections beyond the bound wait
-    /// unserved until a worker frees up, which a client sees as response latency. (An
-    /// evented single-thread serving unlimited idle connections is future work — this is a
-    /// std-only crate.)
+    /// unserved until a worker frees up, which a client sees as response latency. The
+    /// default, 16, leaves headroom over the standard eight-recorder workloads: each
+    /// recording client pins one pooled connection on the router's server, and each
+    /// concurrent router worker one per shard server. (An evented single-thread serving
+    /// unlimited idle connections is future work — this is a std-only crate.)
     pub workers: usize,
     /// Ceiling on one frame's payload; oversized frames are rejected loudly (counted in
     /// [`NetServerStats::rejected_frames`]) and the connection closed, never buffered.
     pub max_frame_bytes: usize,
-    /// Per-connection read timeout; an idle connection exceeding it is closed and its worker
-    /// reclaimed. `None` waits forever.
-    pub read_timeout: Option<Duration>,
-    /// Per-connection write timeout.
-    pub write_timeout: Option<Duration>,
     /// Highest frame version this server speaks. Defaults to the binary version; set to
     /// [`frame::VERSION_TEXT`] to emulate an old textual-only server (clients then settle
     /// on textual frames in both directions).
@@ -65,8 +71,6 @@ impl Default for NetServerConfig {
         NetServerConfig {
             workers: 16,
             max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
-            read_timeout: Some(Duration::from_secs(30)),
-            write_timeout: Some(Duration::from_secs(10)),
             max_wire_version: MAX_VERSION,
         }
     }
@@ -371,8 +375,8 @@ fn serve_connection(
     active: &ActiveConnections,
     config: &NetServerConfig,
 ) {
-    let _ = stream.set_read_timeout(config.read_timeout);
-    let _ = stream.set_write_timeout(config.write_timeout);
+    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let _ = stream.set_nodelay(true);
     let id = active.register(&stream);
     // A shutdown sweeping the registry just before this registration would miss the stream;

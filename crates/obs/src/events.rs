@@ -106,7 +106,8 @@ impl EventLog {
     }
 
     /// Events belonging to one trace, oldest first.
-    pub fn events_for(&self, trace_id: &str) -> Vec<TraceEvent> {
+    #[cfg(test)]
+    pub(crate) fn events_for(&self, trace_id: &str) -> Vec<TraceEvent> {
         self.snapshot()
             .into_iter()
             .filter(|e| e.trace_id == trace_id)
@@ -114,7 +115,8 @@ impl EventLog {
     }
 
     /// Total events ever pushed (including evicted ones).
-    pub fn pushed(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn pushed(&self) -> u64 {
         self.ring.lock().expect("event log lock").next_seq
     }
 }

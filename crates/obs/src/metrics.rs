@@ -292,21 +292,6 @@ impl HistogramSnapshot {
         self.max
     }
 
-    /// Median estimate.
-    pub fn p50(&self) -> u64 {
-        self.quantile(0.50)
-    }
-
-    /// 95th percentile estimate.
-    pub fn p95(&self) -> u64 {
-        self.quantile(0.95)
-    }
-
-    /// 99th percentile estimate.
-    pub fn p99(&self) -> u64 {
-        self.quantile(0.99)
-    }
-
     /// Exact arithmetic mean (0 when empty).
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -381,9 +366,9 @@ mod tests {
         assert_eq!(snap.count, 1000);
         assert_eq!(snap.min, 1);
         assert_eq!(snap.max, 1000);
-        let p50 = snap.p50();
+        let p50 = snap.quantile(0.50);
         assert!((438..=563).contains(&p50), "p50 {p50} outside 500±12.5%");
-        let p99 = snap.p99();
+        let p99 = snap.quantile(0.99);
         assert!((866..=1000).contains(&p99), "p99 {p99} outside 990 bounds");
     }
 

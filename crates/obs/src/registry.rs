@@ -246,11 +246,6 @@ impl RegistrySnapshot {
     pub fn counter_delta(&self, earlier: &RegistrySnapshot, name: &str) -> u64 {
         self.counter(name).saturating_sub(earlier.counter(name))
     }
-
-    /// JSON export of the whole snapshot.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("registry snapshot serializes")
-    }
 }
 
 /// Answer of the `stats` well-known service: who is reporting, plus their registry.
@@ -260,13 +255,6 @@ pub struct StatsSnapshot {
     pub service: String,
     /// Its registry at the time of the request.
     pub registry: RegistrySnapshot,
-}
-
-impl StatsSnapshot {
-    /// JSON export.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("stats snapshot serializes")
-    }
 }
 
 #[cfg(test)]
@@ -329,7 +317,7 @@ mod tests {
             service: "shard-0".into(),
             registry: registry.snapshot(),
         };
-        let json = snap.to_json();
+        let json = serde_json::to_string(&snap).expect("stats snapshot serializes");
         let back: StatsSnapshot = serde_json::from_str(&json).expect("parse snapshot json");
         assert_eq!(back, snap);
     }

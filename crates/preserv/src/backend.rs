@@ -670,7 +670,7 @@ mod tests {
         let backend = KvBackend::open_durable(&dir).unwrap();
         let report = backend.recovery_report();
         assert!(!report.is_clean());
-        assert_eq!(report.segments_scanned(), 1);
+        assert_eq!(report.segments.len(), 1);
         assert_eq!(report.records_recovered(), 1);
         assert_eq!(report.torn_segments(), 1);
         assert_eq!(report.truncated_bytes(), 9);

@@ -176,7 +176,8 @@ impl LineageGraph {
     }
 
     /// Whether `ancestor` was used (directly or transitively) to produce `descendant` — the
-    /// paper's "decide if a specific data item was used as input to a computation" use case.
+    /// paper's "decide if a specific data item was used as input to a computation" use case,
+    /// kept for paper fidelity.
     pub fn is_ancestor(&self, ancestor: &DataId, descendant: &DataId) -> bool {
         self.ancestors(descendant).contains(ancestor)
     }

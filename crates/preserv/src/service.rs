@@ -108,17 +108,9 @@ impl PreservService {
     }
 
     /// Create a service over the database backend rooted at `dir` (the configuration the
-    /// paper's evaluation uses).
+    /// paper's evaluation uses; kept for paper fidelity, `tests/end_to_end.rs` runs it).
     pub fn with_database_backend(dir: impl AsRef<Path>) -> Result<Self, crate::StoreError> {
         let backend = KvBackend::open(dir).map_err(crate::StoreError::Backend)?;
-        Self::with_backend(Arc::new(backend))
-    }
-
-    /// Create a service over a durably-synced database backend: every acked write is fsynced,
-    /// so the service survives a crash losing nothing it acknowledged. Reopening after a crash
-    /// runs the backend's recovery scan (torn/corrupt log tails are truncated).
-    pub fn with_durable_database_backend(dir: impl AsRef<Path>) -> Result<Self, crate::StoreError> {
-        let backend = KvBackend::open_durable(dir).map_err(crate::StoreError::Backend)?;
         Self::with_backend(Arc::new(backend))
     }
 
@@ -139,16 +131,10 @@ impl PreservService {
         self
     }
 
-    /// Install the handler answering the change-feed actions ([`pasoa_core::FEED_SUBSCRIBE_ACTION`],
-    /// [`pasoa_core::FEED_POLL_ACTION`], [`pasoa_core::FEED_ACK_ACTION`]) on this service's name.
-    pub fn with_feed_handler(self, handler: Arc<dyn MessageHandler>) -> Self {
-        self.set_feed_handler(handler);
-        self
-    }
-
-    /// Install (or replace) the change-feed handler on an already-shared service — the
-    /// deployment path: the feed queue opens over the shard's backend after the service
-    /// exists.
+    /// Install (or replace) the handler answering the change-feed actions
+    /// ([`pasoa_core::FEED_SUBSCRIBE_ACTION`], [`pasoa_core::FEED_POLL_ACTION`],
+    /// [`pasoa_core::FEED_ACK_ACTION`]) on this service's name. It takes a shared service
+    /// because the feed queue opens over the shard's backend after the service exists.
     pub fn set_feed_handler(&self, handler: Arc<dyn MessageHandler>) {
         *self.feed.lock() = Some(handler);
     }
@@ -172,20 +158,16 @@ impl PreservService {
     }
 
     /// What crash recovery found and repaired when this service's storage was opened (`None`
-    /// for backends that run no recovery scan). A service deployed over
-    /// [`Self::with_durable_database_backend`] after a crash reports torn-tail truncation here.
+    /// for backends that run no recovery scan). A service reopened over a durable database
+    /// backend after a crash reports torn-tail truncation here.
     pub fn recovery_report(&self) -> Option<&pasoa_kvdb::RecoveryReport> {
         self.store.recovery_report()
     }
 
-    /// Register an additional plug-in.
+    /// Register an additional plug-in. Kept for paper fidelity: PReServ is extended by
+    /// plug-ins, and the service's tests install one through this.
     pub fn add_plugin(&mut self, plugin: Arc<dyn PlugIn>) {
         self.plugins.push(plugin);
-    }
-
-    /// Names of the installed plug-ins.
-    pub fn plugin_names(&self) -> Vec<String> {
-        self.plugins.iter().map(|p| p.name().to_string()).collect()
     }
 
     /// Register this service on `host`, making it reachable through transports. Returns the
@@ -450,7 +432,13 @@ mod tests {
             .unwrap()
             .with_trace(&trace);
         transport.call(envelope).unwrap();
-        let events = service.registry().events().events_for("trace:svc");
+        let events: Vec<_> = service
+            .registry()
+            .events()
+            .snapshot()
+            .into_iter()
+            .filter(|e| e.trace_id == "trace:svc")
+            .collect();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].stage, "shard.store");
         assert!(events[0].detail.contains("action=record"));
@@ -482,7 +470,9 @@ mod tests {
                 .subsec_nanos()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let service = Arc::new(PreservService::with_durable_database_backend(&dir).unwrap());
+        let service = Arc::new(
+            PreservService::with_backend(Arc::new(KvBackend::open_durable(&dir).unwrap())).unwrap(),
+        );
         let host = ServiceHost::new();
         service.register(&host);
         let recorder = SyncRecorder::new(
@@ -527,7 +517,7 @@ mod tests {
     #[test]
     fn service_exposes_its_plugins_and_accepts_new_ones() {
         let (service, _) = deploy();
-        let names = service.plugin_names();
+        let names: Vec<&str> = service.plugins.iter().map(|p| p.name()).collect();
         assert_eq!(
             names,
             vec!["store", "basic-query", "paged-query", "lineage-query"]
@@ -617,7 +607,10 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         {
-            let service = Arc::new(PreservService::with_durable_database_backend(&dir).unwrap());
+            let service = Arc::new(
+                PreservService::with_backend(Arc::new(KvBackend::open_durable(&dir).unwrap()))
+                    .unwrap(),
+            );
             // A fresh directory recovers nothing and repairs nothing.
             let report = service.recovery_report().expect("database backend reports");
             assert!(report.is_clean());
@@ -641,7 +634,8 @@ mod tests {
         f.write_all(&[0x77; 13]).unwrap();
         drop(f);
 
-        let service = PreservService::with_durable_database_backend(&dir).unwrap();
+        let service =
+            PreservService::with_backend(Arc::new(KvBackend::open_durable(&dir).unwrap())).unwrap();
         // Service-level surface...
         let report = service.recovery_report().expect("database backend reports");
         assert!(!report.is_clean());

@@ -21,8 +21,8 @@
 //! ## The stored form
 //!
 //! An `a/` document is the packed layout of one p-assertion — the bytes the record hop
-//! carried ([`pasoa_core::prepwire::encode_document`]) — and [`encode_document`] /
-//! [`decode_document`] are the only pair here that knows it. The cursor hands documents out
+//! carried ([`pasoa_core::prepwire::encode_document`]) — and this module's private
+//! `encode_document` / `decode_document` are the only pair here that knows it. The cursor hands documents out
 //! as stored: on every exact-prefix path (all of the access-path table but
 //! `ActorStateByKind`, whose kind sits inside the document) nothing is decoded on the way to
 //! an answer, and the wire answers are transcoded from the stored bytes by
@@ -509,18 +509,6 @@ impl ProvenanceStore {
         session: &SessionId,
     ) -> Result<Vec<RecordedAssertion>, StoreError> {
         self.assertions(&QueryRequest::BySession(session.clone()))
-    }
-
-    /// Actor-state p-assertions of a given kind label for one interaction.
-    pub fn actor_state_by_kind(
-        &self,
-        interaction: &InteractionKey,
-        kind: &str,
-    ) -> Result<Vec<RecordedAssertion>, StoreError> {
-        self.assertions(&QueryRequest::ActorStateByKind {
-            interaction: interaction.clone(),
-            kind: kind.to_string(),
-        })
     }
 
     /// The access path this store's own configuration gives `request`.
@@ -1085,14 +1073,16 @@ mod tests {
     fn actor_state_by_kind_filters() {
         let store = ProvenanceStore::open(Arc::new(MemoryBackend::new())).unwrap();
         populate(&store);
-        let scripts = store
-            .actor_state_by_kind(&InteractionKey::new("interaction:1"), "script")
-            .unwrap();
-        assert_eq!(scripts.len(), 1);
-        let none = store
-            .actor_state_by_kind(&InteractionKey::new("interaction:1"), "workflow")
-            .unwrap();
-        assert!(none.is_empty());
+        let by_kind = |kind: &str| {
+            store
+                .assertions(&QueryRequest::ActorStateByKind {
+                    interaction: InteractionKey::new("interaction:1"),
+                    kind: kind.to_string(),
+                })
+                .unwrap()
+        };
+        assert_eq!(by_kind("script").len(), 1);
+        assert!(by_kind("workflow").is_empty());
     }
 
     #[test]

@@ -92,7 +92,8 @@ impl QueryEngine {
         plan.path
     }
 
-    /// What plan `request` would run under, without running it.
+    /// What plan `request` would run under, without running it. Public for
+    /// `tests/engine.rs`, which checks the planner's choice from outside the crate.
     pub fn explain(&self, request: &QueryRequest) -> Result<Explain, QueryError> {
         Ok(Explain {
             request: format!("{request:?}"),
@@ -100,7 +101,8 @@ impl QueryEngine {
         })
     }
 
-    /// What plan a lineage request would run under.
+    /// What plan a lineage request would run under. Public for `tests/engine.rs`, like
+    /// [`Self::explain`].
     pub fn explain_lineage(&self, closure: bool) -> Result<Explain, QueryError> {
         Ok(Explain {
             request: if closure {

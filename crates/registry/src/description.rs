@@ -70,11 +70,6 @@ impl Operation {
     pub fn find_output(&self, name: &str) -> Option<&MessagePart> {
         self.outputs.iter().find(|p| p.name == name)
     }
-
-    /// Total number of message parts (inputs + outputs).
-    pub fn part_count(&self) -> usize {
-        self.inputs.len() + self.outputs.len()
-    }
 }
 
 /// The abstract description of a service.
@@ -176,7 +171,7 @@ mod tests {
         let svc = encode_service();
         assert_eq!(svc.operations.len(), 1);
         let op = svc.find_operation("encode").unwrap();
-        assert_eq!(op.part_count(), 3);
+        assert_eq!(op.inputs.len() + op.outputs.len(), 3);
         assert_eq!(
             op.find_input("grouping").unwrap().syntactic_type,
             "group-spec"

@@ -88,11 +88,6 @@ impl Registry {
             .insert(description.name.clone(), description);
     }
 
-    /// Number of published services.
-    pub fn service_count(&self) -> usize {
-        self.state.read().services.len()
-    }
-
     /// Fetch a published description.
     pub fn describe(&self, service: &str) -> Result<ServiceDescription, RegistryError> {
         self.state
@@ -217,7 +212,7 @@ mod tests {
     #[test]
     fn publish_describe_and_count() {
         let registry = registry_with_encode();
-        assert_eq!(registry.service_count(), 1);
+        assert_eq!(registry.state.read().services.len(), 1);
         let desc = registry.describe("encode-by-groups").unwrap();
         assert_eq!(desc.operations.len(), 1);
         assert!(matches!(

@@ -48,15 +48,6 @@ pub use harness::{check_plan, minimize, run_ops, run_plan, SimFailure, SimReport
 pub use plan::{QueryKind, SimBackend, SimConfig, SimOp, SimPlan};
 pub use world::Violation;
 
-/// The seed matrix CI smokes: run `seeds` consecutive seeds starting at 1 for one
-/// `(replication, backend)` cell, with per-seed virtual-node variation so rebalances exercise
-/// both the production ring density and the sparse one that moves promotion targets often.
-pub fn seed_matrix_cell(replication: usize, backend: SimBackend, seeds: u64) {
-    for seed in 1..=seeds {
-        check_plan(&plan_for(seed, replication, backend));
-    }
-}
-
 /// The canonical plan for a matrix seed (shared by CI, the example runner and
 /// `PASOA_SIM_SEED` reproduction so "seed N" always means the same schedule).
 pub fn plan_for(seed: u64, replication: usize, backend: SimBackend) -> SimPlan {

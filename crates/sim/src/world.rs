@@ -24,7 +24,7 @@ use pasoa_core::passertion::{
     RecordedAssertion, RelationshipPAssertion, ViewKind,
 };
 use pasoa_core::prep::{PrepMessage, QueryRequest, RecordAck, RecordMessage};
-use pasoa_core::recorder::{ProvenanceRecorder, RecordError, RecorderStats, RecordingMode};
+use pasoa_core::recorder::{ProvenanceRecorder, RecordError, RecordingMode};
 use pasoa_core::{Group, GroupKind, PROVENANCE_STORE_SERVICE};
 use pasoa_dag::{
     ActivityError, Dag, DagSpec, DataItem, ExecutedDag, Executor, ExecutorConfig, FailurePolicy,
@@ -191,16 +191,6 @@ impl ProvenanceRecorder for MirrorRecorder {
 
     fn flush(&self) -> Result<(), RecordError> {
         Ok(())
-    }
-
-    fn stats(&self) -> RecorderStats {
-        let sent = self.sent.lock().expect("mirror lock").len() as u64;
-        RecorderStats {
-            assertions_recorded: sent,
-            messages_sent: sent,
-            assertions_accepted: sent,
-            ..Default::default()
-        }
     }
 
     fn mode(&self) -> RecordingMode {

@@ -61,15 +61,6 @@ impl ValidationReport {
     pub fn is_valid(&self) -> bool {
         self.violations.is_empty()
     }
-
-    /// Mean registry calls per inspected interaction (the paper's ≈10).
-    pub fn registry_calls_per_interaction(&self) -> f64 {
-        if self.interactions_checked == 0 {
-            0.0
-        } else {
-            self.registry_calls as f64 / self.interactions_checked as f64
-        }
-    }
 }
 
 /// The semantic validator. It reaches both the provenance store and the registry exclusively
@@ -457,6 +448,6 @@ mod tests {
         // producers are unknown) = 4 registry calls each.
         assert_eq!(report.registry_calls, 40);
         assert_eq!(report.store_calls, 11);
-        assert!(report.registry_calls_per_interaction() > 3.9);
+        assert!(report.registry_calls as f64 / report.interactions_checked as f64 > 3.9);
     }
 }

@@ -32,8 +32,6 @@ pub struct Envelope {
 
 /// Well-known header names used across the architecture.
 pub mod header_names {
-    /// Unique id of this message.
-    pub const MESSAGE_ID: &str = "message-id";
     /// Logical name of the sending actor.
     pub const SENDER: &str = "sender";
     /// Logical name of the destination service.
@@ -230,12 +228,6 @@ impl Envelope {
             .ok_or_else(|| WireError::InvalidEnvelope("empty body".into()))?;
         Ok(Envelope { headers, body })
     }
-
-    /// Size of the serialized envelope in bytes — the quantity the latency model's bandwidth
-    /// term is applied to.
-    pub fn wire_size(&self) -> usize {
-        self.to_wire().len()
-    }
 }
 
 #[cfg(test)]
@@ -310,7 +302,7 @@ mod tests {
         assert_eq!(parsed, env);
         let back: Payload = parsed.json_payload().unwrap();
         assert_eq!(back, payload);
-        assert_eq!(env.wire_size(), text.len());
+        assert_eq!(env.to_wire().len(), text.len());
     }
 
     #[test]

@@ -77,7 +77,8 @@ impl FaultInjector {
         names
     }
 
-    /// Whether any fault is active.
+    /// Whether any fault is active. Public for the net and cluster tests, which check that a
+    /// real socket failure left no fault behind.
     pub fn any_down(&self) -> bool {
         !self.down.read().is_empty()
     }
@@ -180,7 +181,8 @@ impl FaultSchedule {
     }
 
     /// Whether every scheduled action has fired.
-    pub fn is_exhausted(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_exhausted(&self) -> bool {
         self.next.load(Ordering::SeqCst) >= self.actions.len()
     }
 

@@ -3,7 +3,7 @@
 //!
 //! Any [`ServiceHost`] can install a [`StatsService`]; it answers the
 //! [`STATS_SNAPSHOT_ACTION`] request with a JSON-encoded
-//! [`StatsSnapshot`](pasoa_obs::StatsSnapshot) of the host's registry. Because it is an
+//! [`pasoa_obs::StatsSnapshot`] of the host's registry. Because it is an
 //! ordinary [`MessageHandler`], the same request works in-process (via
 //! [`ServiceHost::dispatch`]) and over TCP (a `NetServer` bound to the host serves it like
 //! any other service) — the snapshot a remote peer sees is structurally identical to the
@@ -74,7 +74,8 @@ impl MessageHandler for StatsService {
 }
 
 /// Build the request envelope asking `service` for its stats snapshot.
-pub fn snapshot_request(service: &str) -> Envelope {
+#[cfg(test)]
+pub(crate) fn snapshot_request(service: &str) -> Envelope {
     Envelope::request(service, STATS_SNAPSHOT_ACTION)
 }
 

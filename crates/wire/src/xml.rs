@@ -10,7 +10,6 @@
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 use crate::base64;
 use crate::codec::MAX_DEPTH;
@@ -78,7 +77,8 @@ impl XmlElement {
         self.children.push(XmlNode::Element(child));
     }
 
-    /// Append a text run in place.
+    /// Append a text run in place. Public for the wire and net proptests, which build
+    /// arbitrary mixed-content trees with it.
     pub fn push_text(&mut self, text: impl Into<String>) {
         self.children.push(XmlNode::Text(text.into()));
     }
@@ -153,7 +153,11 @@ impl XmlElement {
         out.push('<');
         out.push_str(&self.name);
         for (k, v) in &self.attributes {
-            let _ = write!(out, " {}=\"{}\"", k, escape(v));
+            out.push(' ');
+            out.push_str(k);
+            out.push_str("=\"");
+            escape_into(v, out);
+            out.push('"');
         }
         if self.children.is_empty() {
             out.push_str("/>");
@@ -163,11 +167,13 @@ impl XmlElement {
         for node in &self.children {
             match node {
                 XmlNode::Element(e) => e.write_into(out),
-                XmlNode::Text(t) => out.push_str(&escape(t)),
+                XmlNode::Text(t) => escape_into(t, out),
                 XmlNode::Bytes(b) => base64::encode_into(b, out),
             }
         }
-        let _ = write!(out, "</{}>", self.name);
+        out.push_str("</");
+        out.push_str(&self.name);
+        out.push('>');
     }
 
     /// Parse an element from its textual form.
@@ -216,20 +222,33 @@ impl XmlElement {
     }
 }
 
-/// Escape the five XML special characters.
+/// Escape the five XML special characters. Public for `tests/proptest_wire.rs`, which checks
+/// that [`unescape`] inverts it; [`XmlElement::to_xml`] escapes in place instead.
 pub fn escape(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            '\'' => out.push_str("&apos;"),
-            other => out.push(other),
-        }
-    }
+    escape_into(text, &mut out);
     out
+}
+
+/// Append `text` to `out` with the five XML special characters escaped, copying each run
+/// between them in one piece.
+fn escape_into(text: &str, out: &mut String) {
+    let mut run_start = 0;
+    for (i, byte) in text.bytes().enumerate() {
+        let entity = match byte {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'"' => "&quot;",
+            b'\'' => "&apos;",
+            _ => continue,
+        };
+        // The special characters are ASCII, so `i` is a char boundary.
+        out.push_str(&text[run_start..i]);
+        out.push_str(entity);
+        run_start = i + 1;
+    }
+    out.push_str(&text[run_start..]);
 }
 
 /// Undo [`escape`].
